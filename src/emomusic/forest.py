@@ -4,9 +4,12 @@ Written for exact, reproducible semantics: each tree trains on a seeded
 bootstrap sample (with replacement, same size), each split draws
 floor(sqrt(D)) candidate features without replacement and maximizes the Gini
 decrease, and every tie anywhere (feature, threshold, class vote) breaks
-toward the lowest index. Feature importance is the classic mean decrease in
-impurity, weighted by node sample counts, averaged over trees and normalized
-to sum 1.
+toward the lowest index. The split search scores every cut of every
+candidate at once, in one array pass over the node's candidate block; the
+tie rules above hold exactly as in a feature-by-feature scan, so the trees
+are the same bytes as that scan grows. Feature importance is the classic
+mean decrease in impurity, weighted by node sample counts, averaged over
+trees and normalized to sum 1.
 """
 
 from __future__ import annotations
@@ -96,51 +99,45 @@ class SelectionConfig:
     seed: int = 0
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - (p * p).sum())
+def _gini_rows(counts: np.ndarray) -> np.ndarray:
+    """Gini impurity of every row of a (nodes, classes) count matrix; 0 if empty."""
+    total = counts.sum(axis=1)
+    p = counts / np.where(total == 0, 1.0, total)[:, None]
+    return np.where(total == 0, 0.0, 1.0 - (p * p).sum(axis=1))
 
 
 def _best_split(x: np.ndarray, y_onehot: np.ndarray, candidates: np.ndarray,
                 min_leaf: int) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, gini decrease) over candidate features.
+    """Best (feature, threshold, gini decrease) over a node's candidate block.
 
-    Candidates must be in ascending order so that ties keep the lowest index;
-    within a feature the lowest threshold wins ties.
+    ``x`` is the node's (n, m) block of candidate columns, in the ascending
+    feature order of ``candidates``. Every cut of every column is scored in one
+    array pass; within a feature the lowest threshold wins ties, and across
+    features a later one must beat the best so far by more than 1e-15.
     """
     n_node = x.shape[0]
     parent_counts = y_onehot.sum(axis=0)
-    parent_gini = _gini(parent_counts)
+    parent_gini = _gini_rows(parent_counts[None])[0]
+    cols = np.arange(x.shape[1])
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = x[order, cols]
+    cum = np.cumsum(y_onehot[order], axis=0)  # (n, m, classes) left of each cut
+    left_counts = cum[:-1]  # cut after sorted row i has i + 1 rows on its left
+    right_counts = parent_counts - left_counts
+    n_left = np.arange(1.0, n_node)[:, None]
+    n_right = n_node - n_left
+    gini_left = 1.0 - ((left_counts / n_left[..., None]) ** 2).sum(axis=2)
+    gini_right = 1.0 - ((right_counts / n_right[..., None]) ** 2).sum(axis=2)
+    decrease = parent_gini - (n_left * gini_left + n_right * gini_right) / n_node
+    valid = (xs[:-1] < xs[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    decrease[~valid] = -np.inf
+    rows = np.argmax(decrease, axis=0)  # first max = lowest threshold
+    col_best = decrease[rows, cols]
+    thresholds = (xs[rows, cols] + xs[rows + 1, cols]) / 2.0
     best: tuple[int, float, float] | None = None
-    for f in candidates:
-        col = x[:, f]
-        order = np.argsort(col, kind="stable")
-        xs = col[order]
-        cum = np.cumsum(y_onehot[order], axis=0)  # class counts left of each cut
-        cut = np.flatnonzero(xs[:-1] < xs[1:]) + 1  # left sizes at value changes
-        if cut.size == 0:
-            continue
-        n_left = cut.astype(float)
-        n_right = n_node - n_left
-        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not valid.any():
-            continue
-        cut = cut[valid]
-        n_left, n_right = n_left[valid], n_right[valid]
-        left_counts = cum[cut - 1]
-        right_counts = parent_counts - left_counts
-        gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
-        gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
-        decrease = parent_gini - (n_left * gini_left + n_right * gini_right) / n_node
-        i = int(np.argmax(decrease))  # thresholds ascend, so first max = lowest
-        if decrease[i] <= 1e-12:
-            continue
-        threshold = (xs[cut[i] - 1] + xs[cut[i]]) / 2.0
-        if best is None or decrease[i] > best[2] + 1e-15:
-            best = (int(f), float(threshold), float(decrease[i]))
+    for j in np.flatnonzero(col_best > 1e-12):
+        if best is None or col_best[j] > best[2] + 1e-15:
+            best = (int(candidates[j]), float(thresholds[j]), float(col_best[j]))
     return best
 
 
@@ -175,8 +172,8 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, config: ForestConfig,
         if len(samples) < 2 * config.min_samples_leaf:
             continue
         candidates = np.sort(rng.choice(n_features, size=mtry, replace=False))
-        best = _best_split(x[samples], y_onehot[samples], candidates,
-                           config.min_samples_leaf)
+        best = _best_split(x[np.ix_(samples, candidates)], y_onehot[samples],
+                           candidates, config.min_samples_leaf)
         if best is None:
             continue
         f, thr, _ = best
@@ -265,18 +262,15 @@ def feature_importance(forest: RandomForest) -> ImportanceRanking:
     """Mean decrease in Gini impurity, node-count weighted, normalized to sum 1."""
     total = np.zeros(forest.n_features)
     for tree in forest.trees:
+        sizes = tree.counts.sum(axis=1)
+        gini = _gini_rows(tree.counts)
+        internal = np.flatnonzero(tree.feature != -1)
+        lc, rc = tree.left[internal], tree.right[internal]
+        n_node = sizes[internal]
+        decrease = gini[internal] - (sizes[lc] * gini[lc] + sizes[rc] * gini[rc]) / n_node
         acc = np.zeros(forest.n_features)
-        root_n = tree.counts[0].sum()
-        for node in range(len(tree.feature)):
-            f = tree.feature[node]
-            if f == -1:
-                continue
-            parent = tree.counts[node]
-            lc = tree.counts[tree.left[node]]
-            rc = tree.counts[tree.right[node]]
-            n_node, nl, nr = parent.sum(), lc.sum(), rc.sum()
-            decrease = _gini(parent) - (nl * _gini(lc) + nr * _gini(rc)) / n_node
-            acc[f] += (n_node / root_n) * decrease
+        # unbuffered and in node order, so each feature sums as the node loop did
+        np.add.at(acc, tree.feature[internal], (n_node / sizes[0]) * decrease)
         total += acc
     total /= len(forest.trees)
     s = total.sum()

@@ -258,9 +258,10 @@ class Pipeline:
     def report_path(self) -> Path:
         return self.art / "report.json"
 
-    def _corpus_files(self) -> list[Path]:
-        items = load_manifest(self.manifest_path)
-        return [self.manifest_path] + [self.manifest_path.parent / i["file"] for i in items]
+    def _corpus_files(self, manifest_path: Path) -> list[Path]:
+        """The manifest and every MIDI file it lists."""
+        items = load_manifest(manifest_path)
+        return [manifest_path] + [manifest_path.parent / i["file"] for i in items]
 
     def _run_stage(self, name: str, config_slice: dict, inputs: list[Path],
                    outputs: list[Path], fn) -> str:
@@ -304,7 +305,7 @@ class Pipeline:
             save_vocabulary(self.art / "vocabulary.json")
 
         return self._run_stage("extract", {"catalog": self.catalog.version},
-                               self._corpus_files(), outputs, fn)
+                               self._corpus_files(self.manifest_path), outputs, fn)
 
     def _labeled_corpus(self, rows: list[int] | None = None) -> LabeledCorpus:
         matrix = load_corpus_npz(self.features_path)
@@ -397,9 +398,10 @@ class Pipeline:
             "train",
             {"model_size": cfg.model_size, "dropout": cfg.dropout,
              "steps": cfg.train_steps, "batch": cfg.batch_size,
-             "lr": cfg.base_lr, "warmup": cfg.warmup_steps, "seed": cfg.seed},
+             "lr": cfg.base_lr, "warmup": cfg.warmup_steps, "seed": cfg.seed,
+             "dtype": cfg.dtype, "grad_clip_norm": cfg.grad_clip_norm},
             [self.mapping_path, self.features_path, self.splits_path] +
-            self._corpus_files(),
+            self._corpus_files(self.manifest_path),
             outputs, fn)
 
     def stage_generate(self) -> str:
@@ -478,8 +480,8 @@ class Pipeline:
 
         return self._run_stage(
             "evaluate", {"catalog": self.catalog.version},
-            [self.generated_dir / "manifest.json", self.forest_path,
-             self.selection_path],
+            self._corpus_files(self.generated_dir / "manifest.json") +
+            [self.forest_path, self.selection_path],
             outputs, fn)
 
     def run(self) -> dict:

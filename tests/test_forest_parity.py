@@ -1,0 +1,175 @@
+"""Vectorized forest code against the feature-by-feature loops it replaced.
+
+``best_split_oracle`` and ``importance_oracle`` are the scalar reference
+implementations; the library's array versions must reproduce them byte for
+byte, so seeded forests and rankings do not depend on how they are computed.
+"""
+
+import numpy as np
+import pytest
+
+from emomusic import forest as forest_mod
+from emomusic.features import CorpusMatrix
+from emomusic.forest import ForestConfig, feature_importance, train_forest
+from emomusic.mapping import EmotionQuadrant, LabeledCorpus
+
+QUADS = list(EmotionQuadrant)
+
+
+def gini_oracle(counts: np.ndarray) -> float:
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return float(1.0 - (p * p).sum())
+
+
+def best_split_oracle(x, y_onehot, candidates, min_leaf):
+    """Per-feature scan; column j of the node block ``x`` holds feature
+    candidates[j], candidates ascend, the lowest threshold wins ties."""
+    n_node = x.shape[0]
+    parent_counts = y_onehot.sum(axis=0)
+    parent_gini = gini_oracle(parent_counts)
+    best = None
+    for j, f in enumerate(candidates):
+        col = x[:, j]
+        order = np.argsort(col, kind="stable")
+        xs = col[order]
+        cum = np.cumsum(y_onehot[order], axis=0)  # class counts left of each cut
+        cut = np.flatnonzero(xs[:-1] < xs[1:]) + 1  # left sizes at value changes
+        if cut.size == 0:
+            continue
+        n_left = cut.astype(float)
+        n_right = n_node - n_left
+        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not valid.any():
+            continue
+        cut = cut[valid]
+        n_left, n_right = n_left[valid], n_right[valid]
+        left_counts = cum[cut - 1]
+        right_counts = parent_counts - left_counts
+        gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
+        gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
+        decrease = parent_gini - (n_left * gini_left + n_right * gini_right) / n_node
+        i = int(np.argmax(decrease))  # thresholds ascend, so first max = lowest
+        if decrease[i] <= 1e-12:
+            continue
+        threshold = (xs[cut[i] - 1] + xs[cut[i]]) / 2.0
+        if best is None or decrease[i] > best[2] + 1e-15:
+            best = (int(f), float(threshold), float(decrease[i]))
+    return best
+
+
+def importance_oracle(forest) -> np.ndarray:
+    """Node-by-node mean decrease in impurity, before normalization."""
+    total = np.zeros(forest.n_features)
+    for tree in forest.trees:
+        acc = np.zeros(forest.n_features)
+        root_n = tree.counts[0].sum()
+        for node in range(len(tree.feature)):
+            f = tree.feature[node]
+            if f == -1:
+                continue
+            parent = tree.counts[node]
+            lc = tree.counts[tree.left[node]]
+            rc = tree.counts[tree.right[node]]
+            n_node, nl, nr = parent.sum(), lc.sum(), rc.sum()
+            decrease = (gini_oracle(parent)
+                        - (nl * gini_oracle(lc) + nr * gini_oracle(rc)) / n_node)
+            acc[f] += (n_node / root_n) * decrease
+        total += acc
+    total /= len(forest.trees)
+    s = total.sum()
+    return total / s if s > 0 else total
+
+
+def awkward_corpus(seed=0) -> LabeledCorpus:
+    """Noisy 4-class corpus with tied values, duplicated and constant columns."""
+    rng = np.random.default_rng(seed)
+    n = 80
+    labels = rng.integers(0, 4, size=n)
+    cols = [
+        labels + rng.normal(0, 0.8, size=n),           # informative, continuous
+        (labels + rng.integers(-1, 2, size=n)) // 2,   # informative, heavy ties
+        rng.integers(0, 3, size=n),                    # noise, heavy ties
+        rng.uniform(size=n),                           # noise, continuous
+        np.round(rng.normal(labels, 1.5), 1),          # informative, some ties
+        np.full(n, 2.5),                               # constant
+        np.zeros(n),                                   # constant
+    ]
+    values = np.column_stack(cols).astype(float)
+    # duplicated columns: every informative column appears twice more
+    values = np.hstack([values, values[:, [0, 1, 4]], values[:, [4, 1, 0]],
+                        rng.integers(0, 2, size=(n, 4))])
+    return LabeledCorpus(CorpusMatrix(values), [QUADS[i] for i in labels])
+
+
+def assert_same_trees(a, b):
+    assert len(a.trees) == len(b.trees)
+    for ta, tb in zip(a.trees, b.trees):
+        for name in ("feature", "threshold", "left", "right", "counts"):
+            va, vb = getattr(ta, name), getattr(tb, name)
+            assert va.dtype == vb.dtype, name
+            assert va.shape == vb.shape, name
+            assert va.tobytes() == vb.tobytes(), name
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"min_samples_leaf": 3}, {"max_depth": 2},
+], ids=["default", "min_leaf_3", "max_depth_2"])
+def test_forest_matches_per_feature_oracle(monkeypatch, overrides):
+    corpus = awkward_corpus()
+    config = ForestConfig(n_trees=12, seed=21, **overrides)
+    fast = train_forest(corpus, config)
+    monkeypatch.setattr(forest_mod, "_best_split", best_split_oracle)
+    slow = train_forest(corpus, config)
+    assert sum(len(t.feature) for t in fast.trees) > len(fast.trees)  # trees split
+    assert_same_trees(fast, slow)
+
+
+def test_importance_matches_node_loop_oracle():
+    forest = train_forest(awkward_corpus(1), ForestConfig(n_trees=20, seed=22))
+    got = feature_importance(forest).importance
+    want = importance_oracle(forest)
+    assert got.tobytes() == want.tobytes()
+    assert (got > 0).sum() > 1
+
+
+def onehot(labels):
+    return np.eye(4)[np.asarray(labels)]
+
+
+@pytest.mark.parametrize("x, labels, min_leaf, expected", [
+    # node of size 2: the only cut separates the two classes
+    ([[0.0, 1.0], [1.0, 1.0]], [0, 1], 1, (3, 0.5, 0.5)),
+    # node of size 2 with tied values in every column: no cut exists
+    ([[1.0, 4.0], [1.0, 4.0]], [0, 1], 1, None),
+    # cuts exist but none leaves three rows on each side
+    ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], [0, 1, 2, 3], 3, None),
+    # valid cuts, none lowers the impurity
+    ([[0.0, 5.0], [0.0, 5.0], [1.0, 5.0], [1.0, 5.0]], [0, 1, 0, 1], 1, None),
+    # same class mix on both sides: the decrease is rounding noise (~1e-16)
+    ([[0.0, 5.0]] * 3 + [[1.0, 5.0]] * 6, [0, 1, 2, 0, 0, 1, 1, 2, 2], 1, None),
+    # duplicated columns tie: the lower feature index wins
+    ([[0.0, 0.0], [0.0, 0.0], [2.0, 2.0], [2.0, 2.0]], [0, 0, 1, 1], 1, (3, 1.0, 0.5)),
+], ids=["size2", "size2_tied", "no_valid_cut", "no_decrease", "rounding_noise",
+        "duplicate_tie"])
+def test_edge_nodes_match_oracle(x, labels, min_leaf, expected):
+    x = np.asarray(x)
+    candidates = np.array([3, 8])
+    got = forest_mod._best_split(x, onehot(labels), candidates, min_leaf)
+    assert got == best_split_oracle(x, onehot(labels), candidates, min_leaf)
+    assert got == expected
+
+
+def test_random_nodes_match_oracle():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        n = int(rng.integers(2, 40))
+        m = int(rng.integers(1, 8))
+        x = rng.integers(0, int(rng.integers(1, 6)), size=(n, m)).astype(float)
+        labels = rng.integers(0, int(rng.integers(2, 5)), size=n)
+        candidates = np.sort(rng.choice(50, size=m, replace=False))
+        min_leaf = int(rng.integers(1, 4))
+        got = forest_mod._best_split(x, onehot(labels), candidates, min_leaf)
+        assert got == best_split_oracle(x, onehot(labels), candidates, min_leaf)

@@ -96,6 +96,22 @@ class TestPipeline:
         assert result["stages"]["select-attrs"] == "ran"
         assert result["stages"]["train"] == "ran"
 
+    def test_retrain_reruns_evaluate(self, tmp_path):
+        run_pipeline(tiny_config(tmp_path))
+        result = run_pipeline(tiny_config(tmp_path, train_steps=12))
+        assert result["stages"]["generate"] == "ran"
+        assert result["stages"]["evaluate"] == "ran"
+        fresh = run_pipeline(tiny_config(tmp_path / "fresh", train_steps=12))
+        assert result["report"] == fresh["report"]
+
+    @pytest.mark.parametrize("field, value", [("dtype", "float64"),
+                                              ("grad_clip_norm", 0.5)])
+    def test_training_setting_change_reruns_train(self, tmp_path, field, value):
+        run_pipeline(tiny_config(tmp_path))
+        result = run_pipeline(tiny_config(tmp_path, **{field: value}))
+        assert result["stages"]["map-emotion"] == "skipped"
+        assert result["stages"]["train"] == "ran"
+
     def test_artifacts_embed_catalog_version(self, tmp_path):
         config = tiny_config(tmp_path)
         run_pipeline(config)
