@@ -5,9 +5,16 @@ One subcommand per pipeline stage plus corpus plumbing:
     synth-corpus, split, extract, train-forest, select-attrs, map-emotion,
     train, generate, evaluate, analyze-bias, run
 
-Configuration comes from a JSON file (--config) overridable by flags; flags
-win. The artifact root defaults to $EMOMUSIC_ARTIFACT_DIR or ./artifacts.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
+The stage commands come from the stage table in ``pipeline.py``: each runs
+the table up to its stage, hash-skipping the fresh ones, and ``run`` runs all
+of it. ``generate`` instead writes extra pieces from the saved model.
+Configuration comes from a JSON file (--config) overridable by flags; a flag
+wins when given and the file's value stands otherwise, so ``split`` follows
+the config's split_ratios unless --ratios overrides them. Cache records
+written by older versions do not match and their stages re-run once.
+The artifact root defaults to $EMOMUSIC_ARTIFACT_DIR or ./artifacts.
+Exit codes: 0 success, 1 usage error, 2 data error (also a bad config file or
+a corrupt cache record), 3 internal error.
 """
 
 from __future__ import annotations
@@ -15,20 +22,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EmoMusicError
 from .mapping import EmotionQuadrant, MappingTable, binarize
-from .midi import write_midi
-from .pipeline import Pipeline, PipelineConfig, default_artifact_dir, split_dataset
-from .pipeline import load_manifest
-from .sampling import generate_from_bits
-from .score import QuantizationConfig, score_to_midi
+from .pipeline import STAGES, Pipeline, PipelineConfig, default_artifact_dir
 from .synth import SynthSpec, synth_corpus
-from .tokens import tokens_to_score
 from .training import load_checkpoint
+
+# PipelineConfig fields the stage commands take as flags: a stage command
+# takes those its table row reads, and `run` takes all but split_ratios.
+_STAGE_FLAGS = ("split_ratios", "forest_trees", "selection_method", "selection_k",
+                "mapping_method", "model_size", "train_steps", "batch_size",
+                "base_lr", "warmup_steps", "sampler_p", "n_generate_per_quadrant")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,24 +55,29 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="global seed")
 
 
+def _ratios(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(","))
+
+
+def _add_fields(p: argparse.ArgumentParser, names) -> None:
+    """One flag per PipelineConfig field, typed like the field's default."""
+    defaults = {f.name: f.default for f in fields(PipelineConfig)}
+    for name in names:
+        if name == "split_ratios":
+            p.add_argument("--ratios", dest=name, type=_ratios, metavar="TRAIN,VALID,TEST",
+                           help="split fractions (overrides the config)")
+        else:
+            p.add_argument("--" + name.replace("_", "-"), type=type(defaults[name]))
+
+
 def _build_config(args) -> PipelineConfig:
-    overrides = {
-        "artifact_dir": args.artifact_dir,
-        "corpus_manifest": args.corpus_manifest,
-        "seed": args.seed,
-    }
-    for name in ("forest_trees", "selection_method", "selection_k", "mapping_method",
-                 "model_size", "train_steps", "batch_size", "base_lr", "warmup_steps",
-                 "sampler_p", "n_generate_per_quadrant", "bias_n", "workers"):
-        if hasattr(args, name):
-            overrides[name] = getattr(args, name)
+    overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)
+                 if getattr(args, f.name, None) is not None}
     if args.config:
         return PipelineConfig.from_json(args.config, **overrides)
-    overrides = {k: v for k, v in overrides.items() if v is not None}
     overrides.setdefault("artifact_dir", default_artifact_dir())
-    if "corpus_manifest" not in overrides:
-        overrides["corpus_manifest"] = str(Path(overrides["artifact_dir"]) /
-                                           "corpus" / "manifest.json")
+    overrides.setdefault("corpus_manifest", str(Path(overrides["artifact_dir"]) /
+                                                "corpus" / "manifest.json"))
     return PipelineConfig(**overrides)
 
 
@@ -79,32 +93,6 @@ def build_parser() -> _Parser:
     p.add_argument("--noise", type=float, default=0.3)
     p.add_argument("--boundary-label-noise", type=float, default=0.0)
 
-    p = sub.add_parser("split", help="write train/valid/test split manifests")
-    _add_common(p)
-    p.add_argument("--ratios", default="0.8,0.1,0.1")
-
-    for name, extra in (
-        ("extract", []),
-        ("train-forest", ["forest_trees"]),
-        ("select-attrs", ["selection_method", "selection_k"]),
-        ("map-emotion", ["mapping_method"]),
-        ("train", ["model_size", "train_steps", "batch_size", "base_lr",
-                   "warmup_steps"]),
-        ("evaluate", []),
-        ("run", ["forest_trees", "selection_method", "selection_k",
-                 "mapping_method", "model_size", "train_steps", "batch_size",
-                 "base_lr", "warmup_steps", "sampler_p",
-                 "n_generate_per_quadrant", "workers"]),
-    ):
-        p = sub.add_parser(name, help=f"pipeline stage: {name}")
-        _add_common(p)
-        for field in extra:
-            flag = "--" + field.replace("_", "-")
-            kind = float if field in ("base_lr", "sampler_p") else \
-                (str if field in ("selection_method", "mapping_method",
-                                  "model_size") else int)
-            p.add_argument(flag, type=kind)
-
     p = sub.add_parser("generate", help="generate pieces from the mapping table")
     _add_common(p)
     p.add_argument("--emotion", choices=[q.name for q in EmotionQuadrant],
@@ -113,12 +101,21 @@ def build_parser() -> _Parser:
     p.add_argument("--attr-file", help="JSON list of raw attribute values over "
                    "the selected dims, used instead of the mapping table")
     p.add_argument("--out-dir", help="output directory (default <artifacts>/generated)")
-    p.add_argument("--sampler-p", type=float)
+    _add_fields(p, ["sampler_p"])
 
     p = sub.add_parser("analyze-bias", help="center/boundary accuracy probe")
     _add_common(p)
-    p.add_argument("--bias-n", type=int)
+    _add_fields(p, ["bias_n"])
 
+    for stage in STAGES:
+        if stage.name in sub.choices:  # the generate stage has no command of its own
+            continue
+        p = sub.add_parser(stage.name, help=f"pipeline stage: {stage.name}")
+        _add_common(p)
+        _add_fields(p, [f for f in _STAGE_FLAGS if f in stage.fields])
+    p = sub.add_parser("run", help="every pipeline stage")
+    _add_common(p)
+    _add_fields(p, [f for f in _STAGE_FLAGS if f != "split_ratios"])
     return parser
 
 
@@ -132,27 +129,12 @@ def _cmd_synth(args, config: PipelineConfig) -> int:
     return 0
 
 
-def _cmd_split(args, config: PipelineConfig) -> int:
-    ratios = tuple(float(x) for x in args.ratios.split(","))
-    if len(ratios) != 3:
-        raise EmoMusicError("ratios must be three comma-separated numbers")
-    items = load_manifest(config.corpus_manifest)
-    splits = split_dataset(items, ratios, config.seed)
-    out = Path(config.artifact_dir) / "splits.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(splits, indent=1) + "\n")
-    print(f"wrote {out} " +
-          " ".join(f"{k}={len(v)}" for k, v in splits.items()))
-    return 0
-
-
 def _cmd_generate(args, config: PipelineConfig) -> int:
     pipe = Pipeline(config)
     state, manifest = load_checkpoint(pipe.checkpoint_path)
     medians = np.asarray(manifest["medians"])
     out_dir = Path(args.out_dir) if args.out_dir else pipe.generated_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = QuantizationConfig()
 
     if args.attr_file:
         values = np.asarray(json.loads(Path(args.attr_file).read_text()), dtype=float)
@@ -166,14 +148,9 @@ def _cmd_generate(args, config: PipelineConfig) -> int:
 
     for name, bits in bits_by_name.items():
         name_key = sum(name.encode())  # stable across interpreter runs
-        for i in range(args.n):
-            seed = int(np.random.SeedSequence(
-                [config.seed, 13, name_key, i]).generate_state(1)[0])
-            tokens = generate_from_bits(state, bits, config.sampler_config(seed))
-            score, _ = tokens_to_score(tokens, grid)
-            path = out_dir / f"cli_{name}_{i:04d}.mid"
-            path.write_bytes(write_midi(score_to_midi(score)))
-            print(f"wrote {path} ({len(score.notes)} notes)")
+        for path, n_notes in pipe.write_pieces(state, bits, out_dir, f"cli_{name}",
+                                               [config.seed, 13, name_key], args.n):
+            print(f"wrote {path} ({n_notes} notes)")
     return 0
 
 
@@ -183,36 +160,19 @@ def main(argv: list[str] | None = None) -> int:
         config = _build_config(args)
         if args.command == "synth-corpus":
             return _cmd_synth(args, config)
-        if args.command == "split":
-            return _cmd_split(args, config)
         if args.command == "generate":
             return _cmd_generate(args, config)
 
         pipe = Pipeline(config)
-        if args.command == "run":
+        if args.command == "analyze-bias":
+            print(json.dumps(pipe.analyze_bias(), indent=1))
+        elif args.command == "run":
             result = pipe.run()
             print(json.dumps(result["stages"], indent=1))
             print(json.dumps(result["report"], indent=1))
-        elif args.command == "analyze-bias":
-            report = pipe.analyze_bias(n=args.bias_n)
-            print(json.dumps(report, indent=1))
-        else:
-            # run every upstream stage first; fresh ones are hash-skipped
-            order = [
-                ("extract", [pipe.stage_split, pipe.stage_extract]),
-                ("train-forest", [pipe.stage_train_forest]),
-                ("select-attrs", [pipe.stage_select]),
-                ("map-emotion", [pipe.stage_map]),
-                ("train", [pipe.stage_train]),
-                ("evaluate", [pipe.stage_generate, pipe.stage_evaluate]),
-            ]
-            status = "skipped"
-            for name, fns in order:
-                for fn in fns:
-                    status = fn()
-                if name == args.command:
-                    break
-            print(f"{args.command}: {status}")
+        else:  # a stage command: the table up to that stage
+            status = pipe.run(until=args.command)["stages"]
+            print(f"{args.command}: {status[args.command]}")
         return 0
     except EmoMusicError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -450,17 +449,13 @@ def extract_features(score: Score, catalog: FeatureCatalog | None = None) -> Att
     return AttributeVector(out, catalog.version)
 
 
-def extract_corpus(scores: list[Score], catalog: FeatureCatalog | None = None,
-                   n_workers: int = 1) -> CorpusMatrix:
-    """Row i of the result is ``extract_features(scores[i])``, order preserved."""
+def extract_corpus(scores: list[Score],
+                   catalog: FeatureCatalog | None = None) -> CorpusMatrix:
+    """Row i of the result is ``extract_features(scores[i])``."""
     if not scores:
         raise EmoMusicError("extract_corpus needs at least one score")
     catalog = catalog or default_catalog()
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            vectors = list(pool.map(lambda s: extract_features(s, catalog), scores))
-    else:
-        vectors = [extract_features(s, catalog) for s in scores]
+    vectors = [extract_features(s, catalog) for s in scores]
     return CorpusMatrix(np.stack([v.values for v in vectors]),
                         catalog.version, [v.empty for v in vectors])
 

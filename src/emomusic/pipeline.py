@@ -1,18 +1,31 @@
 """Resumable pipeline: corpus -> features -> forest -> selection -> mapping ->
 model training -> generation -> evaluation, with content-hash stage skipping.
 
-Every stage writes its artifacts into ``artifact_dir`` together with a meta
-record (sha256 over the stage's config slice and input files). Re-running
-skips stages whose signature and outputs are unchanged; stale artifacts are
-therefore detected rather than silently reused.
+``STAGES`` describes the pipeline once: one row per stage, in run order,
+naming the config fields the stage reads, the stages it depends on and the
+files it reads and writes. ``Pipeline.run`` and the CLI stage commands
+iterate it. Every stage writes its outputs into ``artifact_dir`` together
+with a meta record ``stage_meta/<stage>.json`` holding its signature, the
+sha256 over
+
+- ``{field: value}`` for each config field in its row, plus the feature
+  catalog version;
+- the name and bytes of each file it reads;
+- the signatures recorded for its ``deps``.
+
+A stage is skipped when its signature matches the record and its outputs
+exist. Through the ``deps`` chain no output file can stand in for a model it
+did not come from. Records written by older versions never match, so their
+stages re-run once.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +67,7 @@ from .mapping import (
     compute_mapping,
 )
 from .midi import parse_midi, write_midi
-from .model import ModelConfig, init_state
+from .model import ModelConfig, ModelState, init_state
 from .sampling import SamplerConfig, generate_from_bits
 from .score import QuantizationConfig, Score, merge_tracks, midi_to_score, score_to_midi
 from .tokens import score_to_tokens, save_vocabulary, tokens_to_score
@@ -73,7 +86,6 @@ class PipelineConfig:
     corpus_manifest: str
     seed: int = 0
     split_ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    workers: int = 1
     # attribute design
     forest_trees: int = 200
     selection_method: str = "topk"
@@ -98,14 +110,22 @@ class PipelineConfig:
     bias_n: int = 25
 
     def __post_init__(self) -> None:
-        if abs(sum(self.split_ratios) - 1.0) > 1e-9:
-            raise EmoMusicError("split ratios must sum to 1")
+        if len(self.split_ratios) != 3 or abs(sum(self.split_ratios) - 1.0) > 1e-9:
+            raise EmoMusicError("split ratios must be three numbers summing to 1")
         if self.model_size not in ("small", "large"):
             raise EmoMusicError("model_size must be 'small' or 'large'")
 
     @classmethod
     def from_json(cls, path: str | Path, **overrides) -> "PipelineConfig":
-        doc = json.loads(Path(path).read_text())
+        try:
+            doc = json.loads(Path(path).read_text())
+        except ValueError as exc:
+            raise EmoMusicError(f"config file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise EmoMusicError(f"config file {path} must hold a JSON object")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise EmoMusicError(f"config file {path}: unknown key(s) {', '.join(unknown)}")
         doc.update({k: v for k, v in overrides.items() if v is not None})
         if "split_ratios" in doc:
             doc["split_ratios"] = tuple(doc["split_ratios"])
@@ -185,29 +205,64 @@ def split_dataset(items: list[dict], ratios: tuple[float, float, float],
     return splits
 
 
-# -- stage plumbing ----------------------------------------------------------
+# -- the stage table -----------------------------------------------------------
 
 
-def _signature(config_slice: dict, input_paths: list[Path]) -> str:
-    h = hashlib.sha256()
-    h.update(json.dumps(config_slice, sort_keys=True).encode())
-    for p in sorted(input_paths, key=str):
-        h.update(p.name.encode())
-        h.update(p.read_bytes())
-    return h.hexdigest()
+@dataclass(frozen=True, slots=True)
+class Stage:
+    name: str                 # as the CLI and stage_meta spell it
+    method: str               # the Pipeline method, looked up when called
+    fields: tuple[str, ...]   # PipelineConfig fields the stage reads
+    deps: tuple[str, ...]     # earlier stages whose signatures it chains
+    # Files it reads: paths under artifact_dir, or "manifest" (the corpus
+    # manifest), "corpus" (that manifest and every MIDI file it lists) or
+    # "generated" (generated/manifest.json and every piece it lists).
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]  # files it writes, under artifact_dir
 
 
-def _stage_fresh(meta_path: Path, signature: str, outputs: list[Path]) -> bool:
-    if not meta_path.exists():
-        return False
-    meta = json.loads(meta_path.read_text())
-    return meta.get("signature") == signature and all(p.exists() for p in outputs)
+STAGES = (
+    Stage("split", "stage_split", ("split_ratios", "seed"), (), ("manifest",),
+          ("splits.json",)),
+    Stage("extract", "stage_extract", (), (), ("corpus",),
+          ("features.npz", "features.json", "features.csv", "labels.json")),
+    Stage("train-forest", "stage_train_forest", ("forest_trees", "seed"),
+          ("split", "extract"), ("features.npz", "labels.json", "splits.json"),
+          ("forest.json",)),
+    Stage("select-attrs", "stage_select", ("selection_method", "selection_k", "seed"),
+          ("train-forest",), ("forest.json",), ("selection.json",)),
+    Stage("map-emotion", "stage_map", ("mapping_method", "kmeans_clusters", "seed"),
+          ("split", "extract", "select-attrs"),
+          ("selection.json", "features.npz", "labels.json", "splits.json"),
+          ("mapping.json",)),
+    Stage("train", "stage_train",
+          ("model_size", "dtype", "dropout", "train_steps", "batch_size", "base_lr",
+           "warmup_steps", "grad_clip_norm", "seed"),
+          ("split", "extract", "map-emotion"),
+          ("mapping.json", "features.npz", "splits.json", "corpus"),
+          ("checkpoint.npz", "checkpoint.json", "loss_log.csv")),
+    Stage("generate", "stage_generate",
+          ("n_generate_per_quadrant", "sampler_p", "sampler_temperature",
+           "max_generate_tokens", "seed"),
+          ("train", "map-emotion"), ("checkpoint.npz", "mapping.json"),
+          ("generated/manifest.json",)),
+    Stage("evaluate", "stage_evaluate", (), ("generate", "train-forest", "select-attrs"),
+          ("generated", "forest.json", "selection.json"),
+          ("report.json", "distances.csv", "pca.csv")),
+)
 
 
-def _write_meta(meta_path: Path, signature: str, outputs: list[Path]) -> None:
-    meta_path.parent.mkdir(parents=True, exist_ok=True)
-    meta_path.write_text(json.dumps(
-        {"signature": signature, "outputs": [p.name for p in outputs]}) + "\n")
+def _stage(body):
+    """Turn a stage body into its stage method, which runs the body unless
+    the stage is fresh and returns "ran" or "skipped". The table row is the
+    one whose ``method`` is the body's name."""
+    stage = next(s for s in STAGES if s.method == body.__name__)
+
+    @functools.wraps(body)
+    def method(self) -> str:
+        return self._run_stage(stage, lambda: body(self))
+
+    return method
 
 
 class Pipeline:
@@ -258,54 +313,85 @@ class Pipeline:
     def report_path(self) -> Path:
         return self.art / "report.json"
 
-    def _corpus_files(self, manifest_path: Path) -> list[Path]:
-        """The manifest and every MIDI file it lists."""
-        items = load_manifest(manifest_path)
-        return [manifest_path] + [manifest_path.parent / i["file"] for i in items]
+    def _input_paths(self, names: tuple[str, ...]) -> list[Path]:
+        paths = []
+        for name in names:
+            if name == "manifest":
+                paths.append(self.manifest_path)
+            elif name in ("corpus", "generated"):
+                manifest = self.manifest_path if name == "corpus" \
+                    else self.generated_dir / "manifest.json"
+                paths += [manifest] + [manifest.parent / item["file"]
+                                       for item in load_manifest(manifest)]
+            else:
+                paths.append(self.art / name)
+        return paths
 
-    def _run_stage(self, name: str, config_slice: dict, inputs: list[Path],
-                   outputs: list[Path], fn) -> str:
-        signature = _signature(config_slice, inputs)
-        meta_path = self.art / "stage_meta" / f"{name}.json"
-        if _stage_fresh(meta_path, signature, outputs):
+    def _recorded_signature(self, name: str) -> str | None:
+        path = self.art / "stage_meta" / f"{name}.json"
+        if not path.exists():
+            return None
+        try:
+            return json.loads(path.read_text())["signature"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise EmoMusicError(f"corrupt cache record {path} ({exc!r}); "
+                                "delete it to re-run the stage") from exc
+
+    def _signature(self, stage: Stage) -> str:
+        h = hashlib.sha256()
+        h.update(json.dumps({
+            "fields": {f: getattr(self.config, f) for f in stage.fields},
+            "catalog": self.catalog.version,
+            "deps": {d: self._recorded_signature(d) for d in stage.deps},
+        }, sort_keys=True).encode())
+        for p in sorted(self._input_paths(stage.inputs), key=str):
+            h.update(p.name.encode())
+            h.update(p.read_bytes())
+        return h.hexdigest()
+
+    def _run_stage(self, stage: Stage, body) -> str:
+        signature = self._signature(stage)
+        if self._recorded_signature(stage.name) == signature and \
+                all((self.art / p).exists() for p in stage.outputs):
             return "skipped"
         try:
-            fn()
+            body()
         except EmoMusicError as exc:
-            raise EmoMusicError(f"stage {name}: {exc}") from exc
-        _write_meta(meta_path, signature, outputs)
+            raise EmoMusicError(f"stage {stage.name}: {exc}") from exc
+        meta_path = self.art / "stage_meta" / f"{stage.name}.json"
+        meta_path.parent.mkdir(parents=True, exist_ok=True)
+        meta_path.write_text(json.dumps(
+            {"signature": signature, "outputs": list(stage.outputs)}) + "\n")
         return "ran"
+
+    def run(self, until: str | None = None) -> dict:
+        """Run the stages in table order, through ``until`` when given;
+        fresh stages are hash-skipped."""
+        status = {}
+        for stage in STAGES:
+            status[stage.name] = getattr(self, stage.method)()
+            if stage.name == until:
+                break
+        report = json.loads(self.report_path.read_text()) if "evaluate" in status else None
+        return {"stages": status, "report": report, "artifact_dir": str(self.art)}
 
     # -- stages --------------------------------------------------------------
 
-    def stage_split(self) -> str:
-        cfg = self.config
+    @_stage
+    def stage_split(self):
+        splits = split_dataset(load_manifest(self.manifest_path),
+                               self.config.split_ratios, self.config.seed)
+        self.splits_path.write_text(json.dumps(splits, indent=1) + "\n")
 
-        def fn():
-            items = load_manifest(self.manifest_path)
-            splits = split_dataset(items, cfg.split_ratios, cfg.seed)
-            self.splits_path.write_text(json.dumps(splits, indent=1) + "\n")
-
-        return self._run_stage(
-            "split", {"ratios": list(cfg.split_ratios), "seed": cfg.seed},
-            [self.manifest_path], [self.splits_path], fn)
-
-    def stage_extract(self) -> str:
-        cfg = self.config
-        outputs = [self.features_path, self.features_path.with_suffix(".json"),
-                   self.art / "features.csv", self.labels_path]
-
-        def fn():
-            scores, labels, names = load_corpus_scores(self.manifest_path)
-            matrix = extract_corpus(scores, self.catalog, n_workers=cfg.workers)
-            save_corpus_npz(self.features_path, matrix)
-            save_corpus_csv(self.art / "features.csv", matrix, self.catalog)
-            self.labels_path.write_text(json.dumps(
-                {"labels": [q.name for q in labels], "files": names}, indent=1) + "\n")
-            save_vocabulary(self.art / "vocabulary.json")
-
-        return self._run_stage("extract", {"catalog": self.catalog.version},
-                               self._corpus_files(self.manifest_path), outputs, fn)
+    @_stage
+    def stage_extract(self):
+        scores, labels, names = load_corpus_scores(self.manifest_path)
+        matrix = extract_corpus(scores, self.catalog)
+        save_corpus_npz(self.features_path, matrix)
+        save_corpus_csv(self.art / "features.csv", matrix, self.catalog)
+        self.labels_path.write_text(json.dumps(
+            {"labels": [q.name for q in labels], "files": names}, indent=1) + "\n")
+        save_vocabulary(self.art / "vocabulary.json")
 
     def _labeled_corpus(self, rows: list[int] | None = None) -> LabeledCorpus:
         matrix = load_corpus_npz(self.features_path)
@@ -319,188 +405,121 @@ class Pipeline:
     def _train_rows(self) -> list[int]:
         return json.loads(self.splits_path.read_text())["train"]
 
-    def stage_train_forest(self) -> str:
-        cfg = self.config
+    @_stage
+    def stage_train_forest(self):
+        corpus = self._labeled_corpus(self._train_rows())
+        forest = train_forest(corpus, ForestConfig(n_trees=self.config.forest_trees,
+                                                   seed=self.config.seed))
+        forest_to_json(forest, self.forest_path)
 
-        def fn():
-            corpus = self._labeled_corpus(self._train_rows())
-            forest = train_forest(corpus, ForestConfig(n_trees=cfg.forest_trees,
-                                                       seed=cfg.seed))
-            forest_to_json(forest, self.forest_path)
-
-        return self._run_stage(
-            "train-forest", {"n_trees": cfg.forest_trees, "seed": cfg.seed},
-            [self.features_path, self.labels_path, self.splits_path],
-            [self.forest_path], fn)
-
-    def stage_select(self) -> str:
+    @_stage
+    def stage_select(self):
         cfg = self.config
         sel_cfg = SelectionConfig(method=cfg.selection_method, k=cfg.selection_k,
                                   seed=cfg.seed)
+        ranking = feature_importance(forest_from_json(self.forest_path))
+        indices = select_attributes(ranking, self.catalog, sel_cfg)
+        save_selection(self.selection_path, self.catalog.version, sel_cfg, indices)
 
-        def fn():
-            forest = forest_from_json(self.forest_path)
-            ranking = feature_importance(forest)
-            indices = select_attributes(ranking, self.catalog, sel_cfg)
-            save_selection(self.selection_path, self.catalog.version, sel_cfg, indices)
-
-        return self._run_stage(
-            "select-attrs",
-            {"method": cfg.selection_method, "k": cfg.selection_k, "seed": cfg.seed},
-            [self.forest_path], [self.selection_path], fn)
-
-    def stage_map(self) -> str:
+    @_stage
+    def stage_map(self):
         cfg = self.config
+        indices = load_selection(self.selection_path)["indices"]
+        corpus = self._labeled_corpus(self._train_rows())
+        table = compute_mapping(corpus, indices, method=cfg.mapping_method,
+                                k_clusters=cfg.kmeans_clusters, seed=cfg.seed)
+        table.save(self.mapping_path)
 
-        def fn():
-            indices = load_selection(self.selection_path)["indices"]
-            corpus = self._labeled_corpus(self._train_rows())
-            table = compute_mapping(corpus, indices, method=cfg.mapping_method,
-                                    k_clusters=cfg.kmeans_clusters, seed=cfg.seed)
-            table.save(self.mapping_path)
-
-        return self._run_stage(
-            "map-emotion",
-            {"method": cfg.mapping_method, "k_clusters": cfg.kmeans_clusters,
-             "seed": cfg.seed},
-            [self.selection_path, self.features_path, self.labels_path,
-             self.splits_path],
-            [self.mapping_path], fn)
-
-    def stage_train(self) -> str:
+    @_stage
+    def stage_train(self):
         cfg = self.config
-        outputs = [self.checkpoint_path, self.checkpoint_path.with_suffix(".json"),
-                   self.art / "loss_log.csv"]
+        table = MappingTable.load(self.mapping_path)
+        indices = table.indices
+        medians = table.medians
+        rows = self._train_rows()
+        corpus = self._labeled_corpus(rows)
+        scores, _, _ = load_corpus_scores(self.manifest_path)
+        model_cfg = cfg.model_config(attr_dim=len(indices))
+        dataset = []
+        for local, row in enumerate(rows):
+            tokens = score_to_tokens(scores[row], self.grid)[:model_cfg.max_len]
+            bits = binarize(corpus.matrix.values[local][indices], medians)
+            dataset.append((tokens, bits))
+        state = init_state(model_cfg, seed=cfg.seed, dtype=np.dtype(cfg.dtype).type)
+        state, log = train(state, dataset, cfg.train_config(),
+                           log_every=max(1, cfg.train_steps // 200))
+        save_checkpoint(self.checkpoint_path, state, step=cfg.train_steps,
+                        catalog_version=self.catalog.version,
+                        indices=list(indices), medians=medians)
+        save_loss_log(self.art / "loss_log.csv", log)
 
-        def fn():
-            table = MappingTable.load(self.mapping_path)
-            indices = table.indices
-            medians = table.medians
-            rows = self._train_rows()
-            corpus = self._labeled_corpus(rows)
-            scores, _, _ = load_corpus_scores(self.manifest_path)
-            model_cfg = cfg.model_config(attr_dim=len(indices))
-            dataset = []
-            for local, row in enumerate(rows):
-                tokens = score_to_tokens(scores[row], self.grid)[:model_cfg.max_len]
-                bits = binarize(corpus.matrix.values[local][indices], medians)
-                dataset.append((tokens, bits))
-            state = init_state(model_cfg, seed=cfg.seed,
-                               dtype=np.dtype(cfg.dtype).type)
-            state, log = train(state, dataset, cfg.train_config(),
-                               log_every=max(1, cfg.train_steps // 200))
-            save_checkpoint(self.checkpoint_path, state, step=cfg.train_steps,
-                            catalog_version=self.catalog.version,
-                            indices=list(indices), medians=medians)
-            save_loss_log(self.art / "loss_log.csv", log)
+    def write_pieces(self, state: ModelState, bits: np.ndarray, out_dir: Path,
+                     prefix: str, seed_key: list[int], n: int):
+        """Generate ``n`` pieces conditioned on ``bits`` as
+        ``out_dir/<prefix>_<i>.mid``, piece i seeded from ``seed_key + [i]``;
+        yields each path with its note count."""
+        for i in range(n):
+            seed = int(np.random.SeedSequence(seed_key + [i]).generate_state(1)[0])
+            tokens = generate_from_bits(state, bits, self.config.sampler_config(seed))
+            score, _ = tokens_to_score(tokens, self.grid)
+            path = out_dir / f"{prefix}_{i:04d}.mid"
+            path.write_bytes(write_midi(score_to_midi(score)))
+            yield path, len(score.notes)
 
-        return self._run_stage(
-            "train",
-            {"model_size": cfg.model_size, "dropout": cfg.dropout,
-             "steps": cfg.train_steps, "batch": cfg.batch_size,
-             "lr": cfg.base_lr, "warmup": cfg.warmup_steps, "seed": cfg.seed,
-             "dtype": cfg.dtype, "grad_clip_norm": cfg.grad_clip_norm},
-            [self.mapping_path, self.features_path, self.splits_path] +
-            self._corpus_files(self.manifest_path),
-            outputs, fn)
-
-    def stage_generate(self) -> str:
+    @_stage
+    def stage_generate(self):
         cfg = self.config
-        gen_manifest = self.generated_dir / "manifest.json"
+        state, manifest = load_checkpoint(self.checkpoint_path)
+        table = MappingTable.load(self.mapping_path)
+        medians = np.asarray(manifest["medians"])
+        self.generated_dir.mkdir(parents=True, exist_ok=True)
+        items = []
+        for quadrant in QUADRANTS:
+            bits = binarize(table.vector_for(quadrant), medians)
+            for path, _ in self.write_pieces(state, bits, self.generated_dir,
+                                             f"gen_{quadrant.name}",
+                                             [cfg.seed, 7, quadrant.value],
+                                             cfg.n_generate_per_quadrant):
+                items.append({"file": path.name, "label": quadrant.name})
+        (self.generated_dir / "manifest.json").write_text(
+            json.dumps({"items": items}, indent=1) + "\n")
 
-        def fn():
-            state, manifest = load_checkpoint(self.checkpoint_path)
-            table = MappingTable.load(self.mapping_path)
-            medians = np.asarray(manifest["medians"])
-            self.generated_dir.mkdir(parents=True, exist_ok=True)
-            items = []
-            for quadrant in QUADRANTS:
-                values = table.vector_for(quadrant)
-                bits = binarize(values, medians)
-                for i in range(cfg.n_generate_per_quadrant):
-                    seed = int(np.random.SeedSequence(
-                        [cfg.seed, 7, quadrant.value, i]).generate_state(1)[0])
-                    tokens = generate_from_bits(state, bits, cfg.sampler_config(seed))
-                    score, _ = tokens_to_score(tokens, self.grid)
-                    name = f"gen_{quadrant.name}_{i:04d}.mid"
-                    (self.generated_dir / name).write_bytes(
-                        write_midi(score_to_midi(score)))
-                    items.append({"file": name, "label": quadrant.name})
-            gen_manifest.write_text(json.dumps({"items": items}, indent=1) + "\n")
+    @_stage
+    def stage_evaluate(self):
+        scores, intended, _ = load_corpus_scores(self.generated_dir / "manifest.json")
+        clf = ForestObjectiveClassifier(forest_from_json(self.forest_path), self.catalog)
+        accuracy = objective_accuracy(scores, intended, clf)
+        per_quadrant = {}
+        for quadrant in QUADRANTS:
+            subset = [(s, q) for s, q in zip(scores, intended) if q == quadrant]
+            if subset:
+                per_quadrant[quadrant.name] = objective_accuracy(
+                    [s for s, _ in subset], [q for _, q in subset], clf)
 
-        return self._run_stage(
-            "generate",
-            {"n": cfg.n_generate_per_quadrant, "p": cfg.sampler_p,
-             "temperature": cfg.sampler_temperature,
-             "max_tokens": cfg.max_generate_tokens, "seed": cfg.seed},
-            [self.checkpoint_path, self.mapping_path], [gen_manifest], fn)
+        indices = load_selection(self.selection_path)["indices"]
+        selected = extract_corpus(scores, self.catalog).values[:, indices]
+        distance_doc = None
+        if min(intended.count(q) for q in set(intended)) >= 2:
+            z = Standardizer.fit(selected).transform(selected)
+            distance = l1_distance_analysis(z, intended)
+            distance.curves_to_csv(self.art / "distances.csv")
+            distance_doc = {"intra_mean": distance.intra_mean,
+                            "inter_mean": distance.inter_mean,
+                            "gap": distance.gap}
+        else:
+            (self.art / "distances.csv").write_text("kind,rank,l1_distance\n")
+        if len(scores) >= 3:
+            save_projection_csv(self.art / "pca.csv", pca_project(selected), intended)
+        else:
+            (self.art / "pca.csv").write_text("pc1,pc2,label\n")
 
-    def stage_evaluate(self) -> str:
-        cfg = self.config
-        outputs = [self.report_path, self.art / "distances.csv", self.art / "pca.csv"]
-
-        def fn():
-            scores, intended, _ = load_corpus_scores(self.generated_dir / "manifest.json")
-            clf = ForestObjectiveClassifier(forest_from_json(self.forest_path),
-                                            self.catalog)
-            accuracy = objective_accuracy(scores, intended, clf)
-            per_quadrant = {}
-            for quadrant in QUADRANTS:
-                subset = [(s, q) for s, q in zip(scores, intended) if q == quadrant]
-                if subset:
-                    per_quadrant[quadrant.name] = objective_accuracy(
-                        [s for s, _ in subset], [q for _, q in subset], clf)
-
-            indices = load_selection(self.selection_path)["indices"]
-            matrix = extract_corpus(scores, self.catalog, n_workers=cfg.workers)
-            selected = matrix.values[:, indices]
-            distance_doc = None
-            if min(intended.count(q) for q in set(intended)) >= 2:
-                z = Standardizer.fit(selected).transform(selected)
-                distance = l1_distance_analysis(z, intended)
-                distance.curves_to_csv(self.art / "distances.csv")
-                distance_doc = {"intra_mean": distance.intra_mean,
-                                "inter_mean": distance.inter_mean,
-                                "gap": distance.gap}
-            else:
-                (self.art / "distances.csv").write_text("kind,rank,l1_distance\n")
-            if len(scores) >= 3:
-                save_projection_csv(self.art / "pca.csv", pca_project(selected),
-                                    intended)
-            else:
-                (self.art / "pca.csv").write_text("pc1,pc2,label\n")
-
-            report = {
-                "objective_accuracy": accuracy,
-                "n_generated": len(scores),
-                "per_quadrant_accuracy": per_quadrant,
-                "distance": distance_doc,
-            }
-            self.report_path.write_text(json.dumps(report, indent=1) + "\n")
-
-        return self._run_stage(
-            "evaluate", {"catalog": self.catalog.version},
-            self._corpus_files(self.generated_dir / "manifest.json") +
-            [self.forest_path, self.selection_path],
-            outputs, fn)
-
-    def run(self) -> dict:
-        stages = [
-            ("split", self.stage_split),
-            ("extract", self.stage_extract),
-            ("train-forest", self.stage_train_forest),
-            ("select-attrs", self.stage_select),
-            ("map-emotion", self.stage_map),
-            ("train", self.stage_train),
-            ("generate", self.stage_generate),
-            ("evaluate", self.stage_evaluate),
-        ]
-        status = {}
-        for name, fn in stages:
-            status[name] = fn()
-        report = json.loads(self.report_path.read_text())
-        return {"stages": status, "report": report,
-                "artifact_dir": str(self.art)}
+        report = {
+            "objective_accuracy": accuracy,
+            "n_generated": len(scores),
+            "per_quadrant_accuracy": per_quadrant,
+            "distance": distance_doc,
+        }
+        self.report_path.write_text(json.dumps(report, indent=1) + "\n")
 
     def analyze_bias(self, n: int | None = None, real_eval: str = "auto") -> dict:
         """Center/boundary probe over the full corpus; retrains a forest on all

@@ -178,7 +178,14 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
     manifest = json.loads(path.with_suffix(".json").read_text())
     config = ModelConfig(**manifest["config"])
     state = init_state(config, seed=0)
-    blob = np.load(path if path.suffix == ".npz" else path.with_suffix(".npz"))
+    blob_path = path if path.suffix == ".npz" else path.with_suffix(".npz")
+    blob = np.load(blob_path)
     for name, p in state.params.items():
-        p.data = blob[name]
+        if name not in blob.files:
+            raise EmoMusicError(f"checkpoint {blob_path} lacks parameter {name}")
+        data = blob[name]
+        if data.shape != p.data.shape:
+            raise EmoMusicError(f"checkpoint {blob_path}: parameter {name} has shape "
+                                f"{data.shape}, the model needs {p.data.shape}")
+        p.data = data
     return state, manifest

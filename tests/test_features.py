@@ -245,10 +245,3 @@ class TestCorpus:
                  for _ in range(n)], TPQ))
         matrix = extract_corpus(scores, CATALOG)
         assert np.isfinite(matrix.values).all()
-
-    def test_worker_fanout_is_order_stable(self, four_note_score):
-        other = Score([Note(0, TPQ, 40, 30)], TPQ)
-        serial = extract_corpus([four_note_score, other, four_note_score], CATALOG)
-        threaded = extract_corpus([four_note_score, other, four_note_score],
-                                  CATALOG, n_workers=3)
-        assert (serial.values == threaded.values).all()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from emomusic.autodiff import Tensor
+from emomusic.errors import EmoMusicError
 from emomusic.model import (
     ModelConfig,
     ShapeMismatch,
@@ -272,6 +273,25 @@ class TestCheckpoint:
         ids = [BOS, 4, 5]
         bits = np.array([1, 0, 1, 0])
         assert forward(loaded, ids, bits) == pytest.approx(forward(state, ids, bits))
+
+    def save_edited(self, path, edit):
+        save_checkpoint(path, init_state(tiny_config(), seed=15), medians=np.zeros(4))
+        params = dict(np.load(path))
+        edit(params)
+        np.savez(path, **params)
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        self.save_edited(tmp_path / "ckpt.npz", lambda params: params.pop("attr_b1"))
+        with pytest.raises(EmoMusicError, match="attr_b1"):
+            load_checkpoint(tmp_path / "ckpt.npz")
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        # (1,) would broadcast against (16,) and silently yield a working model
+        def shrink(params):
+            params["attr_b1"] = params["attr_b1"][:1]
+        self.save_edited(tmp_path / "ckpt.npz", shrink)
+        with pytest.raises(EmoMusicError, match=r"attr_b1.*\(1,\)"):
+            load_checkpoint(tmp_path / "ckpt.npz")
 
 
 class TestAdam:

@@ -1,11 +1,17 @@
 """Pipeline orchestration (stage skipping, artifacts, split rules) and the CLI."""
 
+import dataclasses
+import importlib.util
 import json
+import shutil
+import sys
+from pathlib import Path
 
 import pytest
 
 from emomusic.cli import main
 from emomusic.pipeline import (
+    STAGES,
     EmptyManifest,
     Pipeline,
     PipelineConfig,
@@ -15,8 +21,8 @@ from emomusic.pipeline import (
 from emomusic.synth import SynthSpec, synth_corpus
 
 
-def tiny_config(tmp_path, **overrides):
-    manifest = synth_corpus(SynthSpec(noise=0.2), 6, seed=3,
+def tiny_config(tmp_path, n_per_quadrant=6, **overrides):
+    manifest = synth_corpus(SynthSpec(noise=0.2), n_per_quadrant, seed=3,
                             out_dir=tmp_path / "corpus")
     defaults = dict(
         artifact_dir=str(tmp_path / "artifacts"),
@@ -86,15 +92,6 @@ class TestPipeline:
         run_pipeline(config)
         result = run_pipeline(config)
         assert all(state == "skipped" for state in result["stages"].values())
-
-    def test_config_change_reruns_downstream(self, tmp_path):
-        config = tiny_config(tmp_path)
-        run_pipeline(config)
-        changed = tiny_config(tmp_path, selection_k=4)
-        result = run_pipeline(changed)
-        assert result["stages"]["extract"] == "skipped"
-        assert result["stages"]["select-attrs"] == "ran"
-        assert result["stages"]["train"] == "ran"
 
     def test_retrain_reruns_evaluate(self, tmp_path):
         run_pipeline(tiny_config(tmp_path))
@@ -221,3 +218,122 @@ class TestCli:
         from emomusic.pipeline import default_artifact_dir
         monkeypatch.setenv("EMOMUSIC_ARTIFACT_DIR", str(tmp_path / "roots"))
         assert default_artifact_dir() == str(tmp_path / "roots")
+
+
+# For each stage row that reads a config field no earlier row reads: that
+# field and a new value for it. Under the "closest" mapping, kmeans_clusters
+# leaves mapping.json byte-identical, so only the chain of dependency
+# signatures makes the stages after map-emotion re-run.
+FIELD_CHANGES = {
+    "split": ("split_ratios", (0.5, 0.25, 0.25)),
+    "train-forest": ("forest_trees", 6),
+    "select-attrs": ("selection_k", 4),
+    "map-emotion": ("kmeans_clusters", 3),
+    "train": ("train_steps", 12),
+    "generate": ("n_generate_per_quadrant", 1),
+}
+
+
+class TestStageTable:
+    def test_rows_name_config_fields_and_earlier_deps(self):
+        config_fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+        for i, stage in enumerate(STAGES):
+            assert set(stage.fields) <= config_fields, stage.name
+            assert set(stage.deps) <= {s.name for s in STAGES[:i]}, stage.name
+            assert callable(getattr(Pipeline, stage.method, None)), stage.name
+
+    def test_every_row_with_a_field_of_its_own_is_covered(self):
+        own = set()
+        for i, stage in enumerate(STAGES):
+            earlier = {f for s in STAGES[:i] for f in s.fields}
+            if set(stage.fields) - earlier:
+                own.add(stage.name)
+            if stage.name in FIELD_CHANGES:
+                field, _ = FIELD_CHANGES[stage.name]
+                assert field in stage.fields and field not in earlier, stage.name
+        assert own == set(FIELD_CHANGES)
+
+    @pytest.fixture(scope="class")
+    def base_run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("base")
+        run_pipeline(tiny_config(root))
+        return root
+
+    @pytest.mark.parametrize("changed", list(FIELD_CHANGES))
+    def test_field_change_reruns_stage_and_everything_after(self, base_run,
+                                                            tmp_path, changed):
+        shutil.copytree(base_run / "artifacts", tmp_path / "artifacts")
+        field, value = FIELD_CHANGES[changed]
+        config = dataclasses.replace(tiny_config(tmp_path), **{field: value})
+        status = run_pipeline(config)["stages"]
+        position = [s.name for s in STAGES].index(changed)
+        for i, stage in enumerate(STAGES):
+            want = "ran" if i >= position else "skipped"
+            if stage.name == "extract":
+                want = "skipped"  # it reads no config field, only the corpus
+            assert status[stage.name] == want, stage.name
+
+    def test_benchmark_stage_hooks_exist(self, monkeypatch):
+        # perfbench/spans.py patches these methods to time each stage; a
+        # renamed method would silently zero its pipeline.stage.* metric.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, spans)  # for its dataclasses
+        spec.loader.exec_module(spans)
+        methods = {s.name: s.method for s in STAGES}
+        for method, name in spans.STAGES.items():
+            assert callable(getattr(Pipeline, method, None)), method
+            assert methods.get(name) == method, name
+
+
+class TestCacheAndConfigErrors:
+    def test_split_command_goes_through_the_cache(self, tmp_path, capsys):
+        config = tiny_config(tmp_path, n_per_quadrant=10)
+        config.to_json(tmp_path / "config.json")
+        splits_path = tmp_path / "artifacts" / "splits.json"
+
+        def cli(*args):
+            assert main([*args, "--config", str(tmp_path / "config.json")]) == 0
+            return capsys.readouterr().out.splitlines()[-1]
+
+        def train_rows():
+            return len(json.loads(splits_path.read_text())["train"])
+
+        cli("extract")
+        assert cli("split", "--ratios", "0.6,0.2,0.2") == "split: ran"
+        assert train_rows() == 24
+        # the default-ratio config must not train on the hand-made split
+        assert cli("train-forest") == "train-forest: ran"
+        assert train_rows() == 32
+        assert cli("split", "--ratios", "0.6,0.2,0.2") == "split: ran"
+        custom = dataclasses.replace(config, split_ratios=(0.6, 0.2, 0.2))
+        assert Pipeline(custom).stage_split() == "skipped"
+        assert cli("split") == "split: ran"
+        assert train_rows() == 32
+
+    @pytest.mark.parametrize("text", ["{not json", "{}", "[1]"])
+    def test_corrupt_stage_record_exits_2(self, tmp_path, capsys, text):
+        config = tiny_config(tmp_path)
+        config.to_json(tmp_path / "config.json")
+        assert main(["extract", "--config", str(tmp_path / "config.json")]) == 0
+        record = tmp_path / "artifacts" / "stage_meta" / "extract.json"
+        record.write_text(text)
+        assert main(["extract", "--config", str(tmp_path / "config.json")]) == 2
+        assert str(record) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_config_file_not_a_json_object_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["extract", "--config", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        config = tiny_config(tmp_path)
+        config.to_json(tmp_path / "config.json")
+        doc = json.loads((tmp_path / "config.json").read_text())
+        doc["workers"] = 2  # a field of older versions
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        assert main(["extract", "--config", str(tmp_path / "config.json")]) == 2
+        assert "workers" in capsys.readouterr().err
