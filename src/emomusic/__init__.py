@@ -23,7 +23,6 @@ from .forest import (
     RandomForest,
     SelectionConfig,
     feature_importance,
-    predict,
     select_attributes,
     train_forest,
 )

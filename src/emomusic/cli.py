@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import EmoMusicError
 from .mapping import EmotionQuadrant, MappingTable, binarize
-from .pipeline import STAGES, Pipeline, PipelineConfig, default_artifact_dir
+from .pipeline import STAGES, Pipeline, PipelineConfig
 from .synth import SynthSpec, synth_corpus
 from .training import load_checkpoint
 
@@ -71,14 +71,8 @@ def _add_fields(p: argparse.ArgumentParser, names) -> None:
 
 
 def _build_config(args) -> PipelineConfig:
-    overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)
-                 if getattr(args, f.name, None) is not None}
-    if args.config:
-        return PipelineConfig.from_json(args.config, **overrides)
-    overrides.setdefault("artifact_dir", default_artifact_dir())
-    overrides.setdefault("corpus_manifest", str(Path(overrides["artifact_dir"]) /
-                                                "corpus" / "manifest.json"))
-    return PipelineConfig(**overrides)
+    return PipelineConfig.from_json(args.config, **{
+        f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)})
 
 
 def build_parser() -> _Parser:

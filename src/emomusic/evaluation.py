@@ -1,12 +1,11 @@
 """Objective evaluation: classifier accuracy, center/boundary bias probes,
 intra/inter L1 distance analysis, and a deterministic 2-D PCA export.
 
-The default objective classifier is the random forest over full attribute
-vectors; a transformer classifier (same backbone, mean-pooled, 4-way linear
-head) is available as an alternative backend. Real-sample center/boundary
-accuracy uses out-of-bag votes when the forest was trained on the very rows
-being scored, because an unlimited-depth forest memorizes its training set
-and plain predictions would mask the label-noise signal the probe looks for.
+The objective classifier is the random forest over full attribute vectors.
+Real-sample center/boundary accuracy uses out-of-bag votes when the forest was
+trained on the very rows being scored, because an unlimited-depth forest
+memorizes its training set and plain predictions would mask the label-noise
+signal the probe looks for.
 """
 
 from __future__ import annotations
@@ -20,10 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, cross_entropy
 from .errors import EmoMusicError
 from .features import FeatureCatalog, default_catalog, extract_features
-from .forest import RandomForest, predict_class_index
+from .forest import RandomForest, oob_predictions, predict_class_index
 from .mapping import (
     EmotionQuadrant,
     LabeledCorpus,
@@ -32,11 +30,10 @@ from .mapping import (
     binarize,
     center_boundary_split,
 )
-from .model import ModelConfig, ModelState, backbone, init_state
+from .model import ModelState
 from .sampling import SamplerConfig, generate_from_bits
 from .score import QuantizationConfig, Score
-from .tokens import PAD, tokens_to_score
-from .training import Adam, TrainConfig, lr_schedule, pad_batch
+from .tokens import tokens_to_score
 
 
 class SingletonClass(UserWarning):
@@ -57,63 +54,6 @@ class ForestObjectiveClassifier:
 
     def predict_score(self, score: Score) -> EmotionQuadrant:
         return self.predict_vector(extract_features(score, self.catalog).values)
-
-
-@dataclass(slots=True)
-class TransformerClassifier:
-    """Transformer backbone (no attribute conditioning) + mean pool + 4-way head."""
-
-    state: ModelState
-    head_w: Tensor
-    head_b: Tensor
-
-    def logits(self, ids: np.ndarray) -> Tensor:
-        hidden = backbone(self.state, ids, None)
-        mask = (np.asarray(ids) != PAD).astype(hidden.data.dtype)
-        counts = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
-        pooled = (hidden * Tensor(mask[:, :, None])).sum(axis=1) * Tensor(1.0 / counts)
-        return pooled @ self.head_w + self.head_b
-
-    def predict_tokens(self, tokens: list[int]) -> EmotionQuadrant:
-        scores = self.logits(np.asarray(tokens)[None, :]).data[0]
-        return EmotionQuadrant(int(np.argmax(scores)) + 1)
-
-    def predict_score(self, score: Score,
-                      grid: QuantizationConfig | None = None) -> EmotionQuadrant:
-        from .tokens import score_to_tokens
-        tokens = score_to_tokens(score, grid)[:self.state.config.max_len]
-        return self.predict_tokens(tokens)
-
-
-def train_transformer_classifier(dataset: list[tuple[list[int], EmotionQuadrant]],
-                                 model_cfg: ModelConfig, train_cfg: TrainConfig,
-                                 ) -> TransformerClassifier:
-    """Supervised 4-class training on (token sequence, quadrant) pairs."""
-    if model_cfg.attr_dim != 0:
-        raise EmoMusicError("classifier backbone must be built with attr_dim=0")
-    state = init_state(model_cfg, seed=train_cfg.seed)
-    rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 3]))
-    head_w = Tensor(rng.normal(0, 0.02, size=(model_cfg.d_model, 4)), requires_grad=True)
-    head_b = Tensor(np.zeros(4), requires_grad=True)
-    clf = TransformerClassifier(state, head_w, head_b)
-    params = dict(state.params, head_w=head_w, head_b=head_b)
-    optimizer = Adam(train_cfg.beta1, train_cfg.beta2, train_cfg.eps)
-    step = 0
-    while step < train_cfg.max_steps:
-        order = rng.permutation(len(dataset))
-        for start in range(0, len(order), train_cfg.batch_size):
-            step += 1
-            batch = order[start:start + train_cfg.batch_size]
-            ids = pad_batch([dataset[i][0] for i in batch], model_cfg.max_len)
-            labels = np.array([dataset[i][1].class_index for i in batch])
-            for p in params.values():
-                p.grad = None
-            loss, _ = cross_entropy(clf.logits(ids), labels)
-            loss.backward()
-            optimizer.step(params, lr_schedule(step, train_cfg))
-            if step >= train_cfg.max_steps:
-                break
-    return clf
 
 
 def objective_accuracy(scores: list[Score], intended: list[EmotionQuadrant],
@@ -234,8 +174,7 @@ def _accuracy_over(ids: list[int], predictions: np.ndarray,
 
 def bias_experiment(corpus: LabeledCorpus, indices: list[int], state: ModelState,
                     medians: np.ndarray, clf, n: int, sampler: SamplerConfig,
-                    grid: QuantizationConfig | None = None,
-                    real_eval: str = "auto") -> BiasReport:
+                    grid: QuantizationConfig | None = None) -> BiasReport:
     """Center-vs-boundary probe.
 
     Real side: classify the corpus' own center and boundary samples (OOB votes
@@ -247,16 +186,8 @@ def bias_experiment(corpus: LabeledCorpus, indices: list[int], state: ModelState
     split = center_boundary_split(corpus, indices, n)
     truth = corpus.label_indices()
 
-    use_oob = False
-    if real_eval not in ("auto", "oob", "direct"):
-        raise EmoMusicError(f"unknown real_eval mode {real_eval!r}")
-    if real_eval in ("auto", "oob") and isinstance(clf, ForestObjectiveClassifier):
-        oob = clf.forest.oob_indices
-        use_oob = oob is not None and len(oob) == clf.forest.config.n_trees
-    if real_eval == "oob" and not use_oob:
-        raise EmoMusicError("OOB evaluation requested but the forest has no OOB info")
-    if use_oob:
-        from .forest import oob_predictions
+    oob = clf.forest.oob_indices if isinstance(clf, ForestObjectiveClassifier) else None
+    if oob is not None and len(oob) == clf.forest.config.n_trees:
         real_preds = oob_predictions(clf.forest, corpus.matrix.values)
     else:
         real_preds = np.array([clf.predict_vector(row).class_index

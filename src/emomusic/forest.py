@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EmoMusicError
 from .features import CatalogMismatch, FeatureCatalog, GROUPS, manual_indices
-from .mapping import EmotionQuadrant, LabeledCorpus
+from .mapping import LabeledCorpus
 
 N_CLASSES = 4
 
@@ -43,7 +43,6 @@ class ForestConfig:
     min_samples_leaf: int = 1
     features_per_split: int | None = None  # None -> floor(sqrt(D))
     seed: int = 0
-    canonical_order: bool = False  # sort rows lexicographically before seeding
 
 
 @dataclass(slots=True)
@@ -196,9 +195,6 @@ def train_forest(corpus: LabeledCorpus, config: ForestConfig | None = None) -> R
     n, d = x.shape
     if np.unique(y).size < 2:
         raise DegenerateCorpus("training needs at least two distinct classes")
-    if config.canonical_order:
-        order = sorted(range(n), key=lambda i: (tuple(x[i]), y[i]))
-        x, y = x[order], y[order]
     mtry = config.features_per_split or max(1, math.floor(math.sqrt(d)))
     mtry = min(mtry, d)
 
@@ -218,18 +214,6 @@ def predict_class_index(forest: RandomForest, x: np.ndarray) -> int:
     for tree in forest.trees:
         votes[tree.predict_class(x)] += 1
     return int(np.argmax(votes))  # tie -> lowest class index, Q1 < Q2 < Q3 < Q4
-
-
-def predict(forest: RandomForest, vector) -> EmotionQuadrant:
-    """Majority vote over trees; accepts an AttributeVector or a raw array."""
-    values = getattr(vector, "values", vector)
-    version = getattr(vector, "catalog_version", None)
-    if version is not None and version != forest.catalog_version:
-        raise CatalogMismatch(f"vector {version!r} vs forest {forest.catalog_version!r}")
-    values = np.asarray(values, dtype=float)
-    if values.shape != (forest.n_features,):
-        raise CatalogMismatch(f"expected {forest.n_features} dims, got {values.shape}")
-    return EmotionQuadrant(predict_class_index(forest, values) + 1)
 
 
 def predict_matrix(forest: RandomForest, x: np.ndarray) -> np.ndarray:
@@ -332,7 +316,6 @@ def forest_to_json(forest: RandomForest, path: str | Path) -> None:
             "min_samples_leaf": forest.config.min_samples_leaf,
             "features_per_split": forest.config.features_per_split,
             "seed": forest.config.seed,
-            "canonical_order": forest.config.canonical_order,
         },
         "n_features": forest.n_features,
         "catalog_version": forest.catalog_version,
@@ -357,7 +340,11 @@ def forest_from_json(path: str | Path) -> RandomForest:
                      np.array(t["left"]), np.array(t["right"]), np.array(t["counts"]))
         for t in doc["trees"]
     ]
-    return RandomForest(trees, ForestConfig(**doc["config"]),
+    # the config only says how the stored trees were grown, so a key that
+    # older versions wrote and ForestConfig no longer has is dropped
+    config = {f.name: doc["config"][f.name] for f in fields(ForestConfig)
+              if f.name in doc["config"]}
+    return RandomForest(trees, ForestConfig(**config),
                         doc["n_features"], doc["catalog_version"])
 
 

@@ -1,7 +1,7 @@
 """Emotion-to-attribute mapping over Russell's four valence/arousal quadrants.
 
-Each quadrant of a labeled corpus is summarized into one (or more) attribute
-value vectors by supervised clustering: Closest picks the real sample nearest
+Each quadrant of a labeled corpus is summarized into one attribute value
+vector by supervised clustering: Closest picks the real sample nearest
 the quadrant's standardized mean, Center takes the per-dimension raw mean,
 KMeans returns the de-standardized centroid of the largest k-means cluster.
 Distances are always measured in z-scored space (raw feature scales differ by
@@ -94,23 +94,23 @@ class Standardizer:
 
 @dataclass(slots=True)
 class MappingTable:
-    """Per-quadrant raw attribute value vectors over the selected dimensions."""
+    """One raw attribute value vector per quadrant over the selected dimensions."""
 
     method: str
     catalog_version: str
     indices: list[int]
-    vectors: dict[EmotionQuadrant, list[np.ndarray]]
+    vectors: dict[EmotionQuadrant, np.ndarray]
     medians: np.ndarray | None = None  # corpus medians over the same indices
 
-    def vector_for(self, quadrant: EmotionQuadrant, variant: int = 0) -> np.ndarray:
-        return self.vectors[quadrant][variant]
+    def vector_for(self, quadrant: EmotionQuadrant) -> np.ndarray:
+        return self.vectors[quadrant]
 
     def save(self, path: str | Path) -> None:
         doc = {
             "method": self.method,
             "catalog_version": self.catalog_version,
             "indices": self.indices,
-            "vectors": {q.name: [v.tolist() for v in vs] for q, vs in self.vectors.items()},
+            "vectors": {q.name: v.tolist() for q, v in self.vectors.items()},
             "medians": None if self.medians is None else self.medians.tolist(),
         }
         Path(path).write_text(json.dumps(doc, indent=1) + "\n")
@@ -118,12 +118,20 @@ class MappingTable:
     @classmethod
     def load(cls, path: str | Path) -> "MappingTable":
         doc = json.loads(Path(path).read_text())
+        vectors = {}
+        for name, v in doc["vectors"].items():
+            v = np.asarray(v, dtype=float)
+            if v.ndim == 2 and v.shape[0] == 1:
+                v = v[0]  # older files wrap each vector in a one-element list
+            if v.ndim != 1:
+                raise EmoMusicError(f"mapping file {path}: quadrant {name} must hold "
+                                    f"one attribute vector, not an array of shape {v.shape}")
+            vectors[EmotionQuadrant[name]] = v
         return cls(
             method=doc["method"],
             catalog_version=doc["catalog_version"],
             indices=list(doc["indices"]),
-            vectors={EmotionQuadrant[name]: [np.asarray(v, dtype=float) for v in vs]
-                     for name, vs in doc["vectors"].items()},
+            vectors=vectors,
             medians=None if doc["medians"] is None else np.asarray(doc["medians"]),
         )
 
@@ -181,13 +189,10 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10,
 
 
 def compute_mapping(corpus: LabeledCorpus, indices: list[int], method: str = "closest",
-                    k_clusters: int = 4, seed: int = 0, restarts: int = 10,
-                    n_vectors: int = 1) -> MappingTable:
+                    k_clusters: int = 4, seed: int = 0, restarts: int = 10) -> MappingTable:
     """Build the per-quadrant mapping table (methods: closest, center, kmeans).
 
-    ``n_vectors`` > 1 returns several candidate vectors per quadrant where the
-    method supports it (next-nearest samples for closest, next-largest cluster
-    centroids for kmeans); center always yields one vector.
+    Ties go to the lowest row id (closest) or the lowest cluster id (kmeans).
     """
     if method not in ("closest", "center", "kmeans"):
         raise EmoMusicError(f"unknown mapping method {method!r}")
@@ -195,26 +200,21 @@ def compute_mapping(corpus: LabeledCorpus, indices: list[int], method: str = "cl
     standardizer = Standardizer.fit(x)
     z = standardizer.transform(x)
 
-    vectors: dict[EmotionQuadrant, list[np.ndarray]] = {}
+    vectors: dict[EmotionQuadrant, np.ndarray] = {}
     for quadrant in QUADRANTS:
         rows = corpus.rows_of(quadrant)
         if rows.size == 0:
             raise EmptyQuadrant(f"no samples labeled {quadrant.name}")
         zq = z[rows]
         if method == "center":
-            vectors[quadrant] = [x[rows].mean(axis=0)]
+            vectors[quadrant] = x[rows].mean(axis=0)
         elif method == "closest":
             dist = np.linalg.norm(zq - zq.mean(axis=0), axis=1)
-            order = np.lexsort((rows, dist))
-            take = min(n_vectors, rows.size)
-            vectors[quadrant] = [x[rows[order[i]]].copy() for i in range(take)]
+            vectors[quadrant] = x[rows[np.argmin(dist)]].copy()  # rows ascend
         else:
             result = kmeans(zq, k_clusters, seed=seed, restarts=restarts)
             counts = np.bincount(result.assignments, minlength=result.centroids.shape[0])
-            by_size = np.lexsort((np.arange(counts.size), -counts))
-            take = min(n_vectors, int((counts > 0).sum()))
-            vectors[quadrant] = [standardizer.inverse(result.centroids[c])
-                                 for c in by_size[:take]]
+            vectors[quadrant] = standardizer.inverse(result.centroids[np.argmax(counts)])
 
     medians = compute_medians(x)
     return MappingTable(method, corpus.matrix.catalog_version,

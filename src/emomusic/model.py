@@ -8,8 +8,7 @@ attention per head follows
 
     out_i = (phi(q_i)^T sum_{j<=i} phi(k_j) v_j^T) / (phi(q_i)^T sum_{j<=i} phi(k_j))
 
-with phi(x) = elu(x) + 1, computed via causal prefix sums; plain softmax
-attention is selectable for cross-checking.
+with phi(x) = elu(x) + 1, computed via causal prefix sums.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .autodiff import (
     layer_norm,
     pad_axis,
     relu,
-    softmax,
 )
 from .errors import EmoMusicError
 from .tokens import PAD, VOCAB_SIZE
@@ -47,13 +45,10 @@ class ModelConfig:
     vocab_size: int = VOCAB_SIZE
     dropout: float = 0.1
     attr_dim: int = 100
-    attention: str = "linear"  # linear | softmax
 
     def __post_init__(self) -> None:
         if self.d_model % self.n_heads:
             raise EmoMusicError("d_model must be divisible by n_heads")
-        if self.attention not in ("linear", "softmax"):
-            raise EmoMusicError(f"unknown attention kind {self.attention!r}")
 
     @classmethod
     def small(cls, attr_dim: int, **overrides) -> "ModelConfig":
@@ -73,9 +68,6 @@ class ModelConfig:
 class ModelState:
     config: ModelConfig
     params: dict[str, Tensor]
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        return self.params
 
 
 def init_state(config: ModelConfig, seed: int = 0,
@@ -136,24 +128,12 @@ def _merge_heads(x: Tensor) -> Tensor:
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
 
 
-def _linear_attention_scan(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Direct causal prefix-sum evaluation; O(T * dk * dv) memory."""
-    b, h, t, hd = q.shape
-    phi_q = elu_plus_one(q)
-    phi_k = elu_plus_one(k)
-    kv = phi_k.reshape(b, h, t, hd, 1) * v.reshape(b, h, t, 1, hd)
-    s = kv.cumsum(axis=2)                                   # (B,H,T,dk,dv)
-    num = (phi_q.reshape(b, h, t, hd, 1) * s).sum(axis=3)   # (B,H,T,dv)
-    z = phi_k.cumsum(axis=2)
-    den = (phi_q * z).sum(axis=3, keepdims=True)            # (B,H,T,1), > 0
-    return num / den
-
-
 _CHUNK = 32
 
 
 def _linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Chunked evaluation of the same formula (matmul-heavy, low memory).
+    """Chunked evaluation of the causal linear-attention formula (matmul-heavy,
+    low memory).
 
     Keys before the current chunk enter through carried prefix sums; keys
     inside it through a causally masked C x C score matrix. Padded tail
@@ -192,15 +172,6 @@ def _linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return out[:, :, :t, :]
 
 
-def _softmax_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    t = q.shape[2]
-    hd = q.shape[3]
-    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(hd))
-    causal = np.triu(np.full((t, t), -1e30, dtype=q.data.dtype), k=1)
-    attn = softmax(scores + Tensor(causal), axis=-1)
-    return attn @ v
-
-
 def _block(state: ModelState, layer: int, x: Tensor,
            rng: np.random.Generator | None) -> Tensor:
     p = state.params
@@ -210,8 +181,7 @@ def _block(state: ModelState, layer: int, x: Tensor,
     q = _heads(y @ p[pre + "wq"] + p[pre + "bq"], cfg.n_heads)
     k = _heads(y @ p[pre + "wk"] + p[pre + "bk"], cfg.n_heads)
     v = _heads(y @ p[pre + "wv"] + p[pre + "bv"], cfg.n_heads)
-    attend = _linear_attention if cfg.attention == "linear" else _softmax_attention
-    attn = _merge_heads(attend(q, k, v)) @ p[pre + "wo"] + p[pre + "bo"]
+    attn = _merge_heads(_linear_attention(q, k, v)) @ p[pre + "wo"] + p[pre + "bo"]
     x = x + dropout(attn, cfg.dropout, rng)
     y = layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
     ffn = relu(y @ p[pre + "ffn_w1"] + p[pre + "ffn_b1"]) @ p[pre + "ffn_w2"] \
@@ -224,7 +194,7 @@ def backbone(state: ModelState, ids: np.ndarray, bits: np.ndarray | None,
     """Final hidden states (B, T, d_model) for token ids (B, T).
 
     ``bits`` is the (B, attr_dim) binarized attribute matrix, or None to run
-    unconditioned (used by the transformer emotion classifier). ``rng``
+    unconditioned. ``rng``
     enables dropout; pass None for deterministic inference.
     """
     cfg = state.config

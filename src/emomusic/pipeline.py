@@ -116,17 +116,27 @@ class PipelineConfig:
             raise EmoMusicError("model_size must be 'small' or 'large'")
 
     @classmethod
-    def from_json(cls, path: str | Path, **overrides) -> "PipelineConfig":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except ValueError as exc:
-            raise EmoMusicError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise EmoMusicError(f"config file {path} must hold a JSON object")
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise EmoMusicError(f"config file {path}: unknown key(s) {', '.join(unknown)}")
+    def from_json(cls, path: str | Path | None, **overrides) -> "PipelineConfig":
+        """The config in the JSON file at ``path`` (no file when None), where
+        each override that is not None wins. artifact_dir falls back to
+        $EMOMUSIC_ARTIFACT_DIR or ./artifacts, and corpus_manifest to
+        <artifact_dir>/corpus/manifest.json."""
+        doc = {}
+        if path is not None:
+            try:
+                doc = json.loads(Path(path).read_text())
+            except ValueError as exc:
+                raise EmoMusicError(f"config file {path} is not valid JSON: {exc}") from exc
+            if not isinstance(doc, dict):
+                raise EmoMusicError(f"config file {path} must hold a JSON object")
+            unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+            if unknown:
+                raise EmoMusicError(f"config file {path}: unknown key(s) "
+                                    f"{', '.join(unknown)}")
         doc.update({k: v for k, v in overrides.items() if v is not None})
+        doc.setdefault("artifact_dir", default_artifact_dir())
+        doc.setdefault("corpus_manifest",
+                       str(Path(doc["artifact_dir"]) / "corpus" / "manifest.json"))
         if "split_ratios" in doc:
             doc["split_ratios"] = tuple(doc["split_ratios"])
         return cls(**doc)
@@ -521,7 +531,7 @@ class Pipeline:
         }
         self.report_path.write_text(json.dumps(report, indent=1) + "\n")
 
-    def analyze_bias(self, n: int | None = None, real_eval: str = "auto") -> dict:
+    def analyze_bias(self, n: int | None = None) -> dict:
         """Center/boundary probe over the full corpus; retrains a forest on all
         rows so out-of-bag votes are available for the real-sample side."""
         cfg = self.config
@@ -534,8 +544,7 @@ class Pipeline:
         indices = manifest["indices"]
         report = bias_experiment(
             corpus, indices, state, medians, clf, n or cfg.bias_n,
-            self.config.sampler_config(cfg.seed + 11), self.grid,
-            real_eval=real_eval)
+            self.config.sampler_config(cfg.seed + 11), self.grid)
         report.to_json(self.art / "bias_report.json")
         return json.loads((self.art / "bias_report.json").read_text())
 

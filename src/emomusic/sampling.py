@@ -2,8 +2,9 @@
 
 Generation keeps the running linear-attention prefix sums (one (dk, dv)
 matrix and one dk vector per head and layer), so each new token costs O(1)
-in sequence length; the resulting logits match the batch forward pass
-bit-for-bit in inference mode (no dropout).
+in sequence length. In inference mode (no dropout) the resulting logits
+match the batch forward pass within 1e-9 absolute on a float64 model, not
+bit for bit: the two paths sum in different orders.
 """
 
 from __future__ import annotations
@@ -50,12 +51,16 @@ def sample_top_p(logits: np.ndarray, cfg: SamplerConfig,
     """Temperature, softmax, nucleus truncation, then one categorical draw.
 
     Tokens outside the nucleus can never be returned, even under float
-    round-off in the cumulative sum.
+    round-off in the cumulative sum. Logits of -inf are never drawn; NaN or
+    +inf logits raise EmoMusicError.
     """
     scaled = np.asarray(logits, dtype=float) / cfg.temperature
     scaled -= scaled.max()
     probs = np.exp(scaled)
-    probs /= probs.sum()
+    total = probs.sum()
+    if not np.isfinite(total):
+        raise EmoMusicError("logits are NaN, +inf or all -inf; cannot sample")
+    probs /= total
     probs = nucleus_probabilities(probs, cfg.p)
     kept = np.flatnonzero(probs)
     cumulative = np.cumsum(probs[kept])
@@ -125,8 +130,6 @@ class _IncrementalModel:
 def generate_from_bits(state: ModelState, bits: np.ndarray,
                        cfg: SamplerConfig) -> list[int]:
     """Sample tokens from BOS until EOS or max_tokens; output includes both."""
-    if state.config.attention != "linear":
-        raise EmoMusicError("incremental generation requires linear attention")
     rng = np.random.default_rng(cfg.seed)
     model = _IncrementalModel(state, bits)
     max_tokens = min(cfg.max_tokens, state.config.max_len)

@@ -163,7 +163,7 @@ def save_checkpoint(path: str | Path, state: ModelState, *, step: int = 0,
             "n_layers": cfg.n_layers, "n_heads": cfg.n_heads,
             "d_model": cfg.d_model, "d_ffn": cfg.d_ffn, "max_len": cfg.max_len,
             "vocab_size": cfg.vocab_size, "dropout": cfg.dropout,
-            "attr_dim": cfg.attr_dim, "attention": cfg.attention,
+            "attr_dim": cfg.attr_dim,
         },
         "catalog_version": catalog_version,
         "indices": indices if indices is not None else [],
@@ -175,9 +175,15 @@ def save_checkpoint(path: str | Path, state: ModelState, *, step: int = 0,
 
 def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
     path = Path(path)
-    manifest = json.loads(path.with_suffix(".json").read_text())
-    config = ModelConfig(**manifest["config"])
-    state = init_state(config, seed=0)
+    manifest_path = path.with_suffix(".json")
+    manifest = json.loads(manifest_path.read_text())
+    config = dict(manifest["config"])
+    # older manifests name the attention kind; linear is the only one there is
+    attention = config.pop("attention", "linear")
+    if attention != "linear":
+        raise EmoMusicError(f"checkpoint {manifest_path}: unsupported attention "
+                            f"{attention!r}; only linear attention is implemented")
+    state = init_state(ModelConfig(**config), seed=0)
     blob_path = path if path.suffix == ".npz" else path.with_suffix(".npz")
     blob = np.load(blob_path)
     for name, p in state.params.items():

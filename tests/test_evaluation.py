@@ -12,7 +12,6 @@ from emomusic.evaluation import (
     l1_distance_analysis,
     objective_accuracy,
     pca_project,
-    train_transformer_classifier,
 )
 from emomusic.features import CorpusMatrix, default_catalog, extract_features
 from emomusic.forest import ForestConfig, train_forest
@@ -20,8 +19,6 @@ from emomusic.mapping import EmotionQuadrant, LabeledCorpus, compute_medians
 from emomusic.model import ModelConfig, init_state
 from emomusic.sampling import SamplerConfig
 from emomusic.score import Note, Score
-from emomusic.tokens import BOS, EOS
-from emomusic.training import TrainConfig
 
 Q1, Q2, Q3, Q4 = EmotionQuadrant
 
@@ -211,18 +208,3 @@ class TestPcaProject:
 
         assert np.mean([silhouette(i) for i in range(len(coords))]) > 0.5
 
-
-class TestTransformerClassifier:
-    def test_overfits_a_tiny_labeled_set(self):
-        cfg = ModelConfig(n_layers=1, n_heads=2, d_model=16, d_ffn=32,
-                          max_len=12, dropout=0.0, attr_dim=0)
-        dataset = []
-        for idx, q in enumerate(EmotionQuadrant):
-            marker = 30 + 40 * idx
-            for rep in range(2):
-                dataset.append(([BOS, marker, marker + rep, marker, EOS], q))
-        clf = train_transformer_classifier(
-            dataset, cfg, TrainConfig(batch_size=4, base_lr=3e-3,
-                                      warmup_steps=10, max_steps=120, seed=65))
-        hits = sum(clf.predict_tokens(tokens) == label for tokens, label in dataset)
-        assert hits == len(dataset)

@@ -16,7 +16,7 @@ from emomusic.forest import (
     forest_from_json,
     forest_to_json,
     oob_accuracy,
-    predict,
+    predict_class_index,
     predict_matrix,
     select_attributes,
     train_forest,
@@ -64,7 +64,7 @@ class TestTraining:
         rows = np.ones((9, 4))
         corpus = make_corpus(rows, [0] * 5 + [1] * 4)
         forest = train_forest(corpus, ForestConfig(n_trees=15, seed=2))
-        assert predict(forest, rows[0]) == EmotionQuadrant.Q1
+        assert predict_class_index(forest, rows[0]) == EmotionQuadrant.Q1.class_index
 
     def test_same_seed_identical_trees(self):
         corpus = planted_corpus()
@@ -105,17 +105,6 @@ class TestTraining:
         forest = train_forest(corpus, ForestConfig(n_trees=100, seed=6))
         assert oob_accuracy(forest, corpus) >= 0.95
 
-    def test_permutation_invariance_with_canonical_order(self):
-        corpus = planted_corpus()
-        cfg = ForestConfig(n_trees=20, seed=7, canonical_order=True)
-        forest_a = train_forest(corpus, cfg)
-        perm = np.random.default_rng(8).permutation(32)
-        shuffled = LabeledCorpus(CorpusMatrix(corpus.matrix.values[perm]),
-                                 [corpus.labels[i] for i in perm])
-        forest_b = train_forest(shuffled, cfg)
-        probe = np.random.default_rng(9).uniform(0, 4, size=(20, 10))
-        assert (predict_matrix(forest_a, probe) == predict_matrix(forest_b, probe)).all()
-
 
 class TestPredict:
     def test_single_tree_left_branch_leaf_majority(self):
@@ -123,8 +112,8 @@ class TestPredict:
                             np.array([1, -1, -1]), np.array([2, -1, -1]),
                             np.array([[2, 1, 3, 0], [2, 1, 0, 0], [0, 0, 3, 0]]))
         forest = RandomForest([tree], ForestConfig(n_trees=1), 1, "v1")
-        assert predict(forest, np.array([0.3])) == EmotionQuadrant.Q1
-        assert predict(forest, np.array([0.7])) == EmotionQuadrant.Q3
+        assert predict_class_index(forest, np.array([0.3])) == EmotionQuadrant.Q1.class_index
+        assert predict_class_index(forest, np.array([0.7])) == EmotionQuadrant.Q3.class_index
 
     def test_vote_tie_breaks_to_q1(self):
         leaf_q1 = DecisionTree(np.array([-1]), np.array([0.0]), np.array([-1]),
@@ -132,7 +121,7 @@ class TestPredict:
         leaf_q3 = DecisionTree(np.array([-1]), np.array([0.0]), np.array([-1]),
                                np.array([-1]), np.array([[0, 0, 5, 0]]))
         forest = RandomForest([leaf_q1, leaf_q3], ForestConfig(n_trees=2), 1, "v1")
-        assert predict(forest, np.array([0.0])) == EmotionQuadrant.Q1
+        assert predict_class_index(forest, np.array([0.0])) == EmotionQuadrant.Q1.class_index
 
 
 class TestImportance:

@@ -96,12 +96,6 @@ class TestComputeMapping:
                 (scaled_values == scaled_table.vector_for(q)).all(axis=1))
             assert (picked == picked_scaled).all()
 
-    def test_multiple_vectors_per_quadrant(self):
-        table = compute_mapping(corpus_with_line_quadrant(), [0, 1], "closest",
-                                n_vectors=2)
-        assert len(table.vectors[Q1]) == 2
-        assert len(table.vectors[Q2]) == 1  # only one sample available
-
 
 class TestKMeans:
     def test_inertia_never_increases(self):

@@ -4,14 +4,13 @@ training behavior, and checkpointing."""
 import numpy as np
 import pytest
 
-from emomusic.autodiff import Tensor
+import emomusic.model
+from emomusic.autodiff import Tensor, elu_plus_one, softmax
 from emomusic.errors import EmoMusicError
 from emomusic.model import (
     ModelConfig,
     ShapeMismatch,
     _linear_attention,
-    _linear_attention_scan,
-    _softmax_attention,
     forward,
     forward_batch,
     init_state,
@@ -27,6 +26,29 @@ from emomusic.training import (
     save_checkpoint,
     train,
 )
+
+
+def _linear_attention_scan(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Direct causal prefix-sum evaluation; O(T * dk * dv) memory."""
+    b, h, t, hd = q.shape
+    phi_q = elu_plus_one(q)
+    phi_k = elu_plus_one(k)
+    kv = phi_k.reshape(b, h, t, hd, 1) * v.reshape(b, h, t, 1, hd)
+    s = kv.cumsum(axis=2)                                   # (B,H,T,dk,dv)
+    num = (phi_q.reshape(b, h, t, hd, 1) * s).sum(axis=3)   # (B,H,T,dv)
+    z = phi_k.cumsum(axis=2)
+    den = (phi_q * z).sum(axis=3, keepdims=True)            # (B,H,T,1), > 0
+    return num / den
+
+
+def _softmax_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Causal softmax attention; equals linear attention at length one."""
+    t = q.shape[2]
+    hd = q.shape[3]
+    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(hd))
+    causal = np.triu(np.full((t, t), -1e30, dtype=q.data.dtype), k=1)
+    attn = softmax(scores + Tensor(causal), axis=-1)
+    return attn @ v
 
 
 def reference_linear_attention(q, k, v):
@@ -140,12 +162,12 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             forward(state, [BOS, 1], np.zeros(7))
 
-    def test_softmax_and_linear_agree_on_length_one_model(self):
-        linear_state = init_state(tiny_config(), seed=6)
-        softmax_state = init_state(tiny_config(attention="softmax"), seed=6)
+    def test_softmax_and_linear_agree_on_length_one_model(self, monkeypatch):
+        state = init_state(tiny_config(), seed=6)
         bits = np.array([1, 0, 1, 0])
-        a = forward(linear_state, [BOS], bits)
-        b = forward(softmax_state, [BOS], bits)
+        a = forward(state, [BOS], bits)
+        monkeypatch.setattr(emomusic.model, "_linear_attention", _softmax_attention)
+        b = forward(state, [BOS], bits)
         assert a == pytest.approx(b, abs=1e-12)
 
 

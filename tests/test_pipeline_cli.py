@@ -7,9 +7,12 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from emomusic.cli import main
+from emomusic.mapping import EmotionQuadrant
+from emomusic.model import ModelConfig, init_state
 from emomusic.pipeline import (
     STAGES,
     EmptyManifest,
@@ -19,6 +22,7 @@ from emomusic.pipeline import (
     split_dataset,
 )
 from emomusic.synth import SynthSpec, synth_corpus
+from emomusic.training import save_checkpoint
 
 
 def tiny_config(tmp_path, n_per_quadrant=6, **overrides):
@@ -188,7 +192,7 @@ class TestCli:
               "--train-steps", "6", "--batch-size", "4",
               "--n-generate-per-quadrant", "1"])
         mapping = json.loads((art / "mapping.json").read_text())
-        values = mapping["vectors"]["Q1"][0]
+        values = mapping["vectors"]["Q1"]
         attr_file = tmp_path / "attrs.json"
         attr_file.write_text(json.dumps(values))
         code = main(["generate", "--artifact-dir", str(art),
@@ -337,3 +341,89 @@ class TestCacheAndConfigErrors:
         (tmp_path / "config.json").write_text(json.dumps(doc))
         assert main(["extract", "--config", str(tmp_path / "config.json")]) == 2
         assert "workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("from_env", [False, True], ids=["in-file", "from-env"])
+    def test_config_file_without_paths_uses_the_defaults(self, tmp_path, monkeypatch,
+                                                         from_env):
+        art = tmp_path / "artifacts"
+        synth_corpus(SynthSpec(noise=0.2), 3, seed=4, out_dir=art / "corpus")
+        doc = {"seed": 1}
+        if from_env:
+            monkeypatch.setenv("EMOMUSIC_ARTIFACT_DIR", str(art))
+        else:
+            doc["artifact_dir"] = str(art)
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        assert main(["extract", "--config", str(tmp_path / "config.json")]) == 0
+        assert (art / "features.csv").exists()
+
+
+def write_generate_artifacts(art: Path, attention=None, q1_vectors=1, edit=None):
+    """A checkpoint and a mapping table, enough for `emomusic generate`.
+
+    ``attention`` adds the config key older checkpoints carry; ``q1_vectors``
+    writes quadrant Q1 in the older list-of-vectors form, every other quadrant
+    as a one-vector list; ``edit`` may change the model before it is saved.
+    """
+    state = init_state(ModelConfig(n_layers=1, n_heads=1, d_model=8, d_ffn=16,
+                                   max_len=24, dropout=0.0, attr_dim=3), seed=0)
+    if edit:
+        edit(state)
+    art.mkdir(parents=True)
+    save_checkpoint(art / "checkpoint.npz", state, indices=[0, 1, 2],
+                    medians=np.zeros(3))
+    if attention:
+        manifest = json.loads((art / "checkpoint.json").read_text())
+        manifest["config"]["attention"] = attention
+        (art / "checkpoint.json").write_text(json.dumps(manifest, indent=1) + "\n")
+    vectors = {q.name: [[0.5, -0.5, 1.0]] for q in EmotionQuadrant}
+    vectors["Q1"] = vectors["Q1"] * q1_vectors
+    (art / "mapping.json").write_text(json.dumps({
+        "method": "closest", "catalog_version": "v1", "indices": [0, 1, 2],
+        "vectors": vectors, "medians": [0.0, 0.0, 0.0]}, indent=1) + "\n")
+
+
+class TestOlderArtifactFormats:
+    """Artifact dirs written before the attention switch and the per-quadrant
+    vector lists were removed keep loading."""
+
+    def generate(self, art: Path) -> int:
+        return main(["generate", "--artifact-dir", str(art), "--n", "1"])
+
+    def test_generate_reads_older_checkpoint_and_mapping(self, tmp_path):
+        art = tmp_path / "artifacts"
+        write_generate_artifacts(art, attention="linear")
+        assert self.generate(art) == 0
+        assert len(list((art / "generated").glob("cli_Q*_0000.mid"))) == 4
+
+    def test_softmax_checkpoint_exits_2(self, tmp_path, capsys):
+        art = tmp_path / "artifacts"
+        write_generate_artifacts(art, attention="softmax")
+        assert self.generate(art) == 2
+        assert str(art / "checkpoint.json") in capsys.readouterr().err
+
+    def test_two_vector_quadrant_exits_2(self, tmp_path, capsys):
+        art = tmp_path / "artifacts"
+        write_generate_artifacts(art, q1_vectors=2)
+        assert self.generate(art) == 2
+        assert str(art / "mapping.json") in capsys.readouterr().err
+
+    def test_select_attrs_reruns_on_older_forest_file(self, tmp_path, capsys):
+        config = tiny_config(tmp_path)
+        config.to_json(tmp_path / "config.json")
+        Pipeline(config).run(until="select-attrs")
+        art = tmp_path / "artifacts"
+        selection = (art / "selection.json").read_text()
+        doc = json.loads((art / "forest.json").read_text())
+        doc["config"]["canonical_order"] = False
+        (art / "forest.json").write_text(json.dumps(doc) + "\n")
+        assert main(["select-attrs", "--config", str(tmp_path / "config.json")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "select-attrs: ran"
+        assert (art / "selection.json").read_text() == selection
+
+
+def test_generate_on_nan_checkpoint_exits_2(tmp_path, capsys):
+    art = tmp_path / "artifacts"
+    write_generate_artifacts(art, edit=lambda state: state.params["ln_f_g"].data.fill(np.nan))
+    assert main(["generate", "--artifact-dir", str(art), "--emotion", "Q1"]) == 2
+    assert "logits" in capsys.readouterr().err
+    assert not list((art / "generated").glob("*.mid"))

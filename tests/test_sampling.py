@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from emomusic.errors import EmoMusicError
 from emomusic.model import ModelConfig, forward, init_state
 from emomusic.sampling import (
     SamplerConfig,
@@ -55,6 +56,18 @@ class TestNucleus:
                                                       max_tokens=4), rng)
                    for _ in range(2000))
         assert cold < hot  # low temperature sticks to the argmax
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "plus-inf"])
+    def test_non_finite_logits_rejected(self, bad):
+        logits = np.array([0.5, bad, -1.0])
+        with pytest.raises(EmoMusicError, match="logits"):
+            sample_top_p(logits, SamplerConfig(), np.random.default_rng(0))
+
+    def test_minus_inf_logits_never_drawn(self):
+        logits = np.array([-np.inf, 0.0, -np.inf, 0.5])
+        rng = np.random.default_rng(3)
+        cfg = SamplerConfig(p=1.0)
+        assert {sample_top_p(logits, cfg, rng) for _ in range(200)} == {1, 3}
 
 
 def tiny_state(seed=0):
