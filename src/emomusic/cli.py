@@ -131,20 +131,18 @@ def _cmd_generate(args, config: PipelineConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.attr_file:
-        values = np.asarray(json.loads(Path(args.attr_file).read_text()), dtype=float)
-        bits_by_name = {"custom": binarize(values, medians)}
+        custom = json.loads(Path(args.attr_file).read_text())
+        values = {"custom": np.asarray(custom, dtype=float)}
     else:
         table = MappingTable.load(pipe.mapping_path)
         quadrants = [EmotionQuadrant[args.emotion]] if args.emotion \
             else list(EmotionQuadrant)
-        bits_by_name = {q.name: binarize(table.vector_for(q), medians)
-                        for q in quadrants}
-
-    for name, bits in bits_by_name.items():
-        name_key = sum(name.encode())  # stable across interpreter runs
-        for path, n_notes in pipe.write_pieces(state, bits, out_dir, f"cli_{name}",
-                                               [config.seed, 13, name_key], args.n):
-            print(f"wrote {path} ({n_notes} notes)")
+        values = {q.name: table.vector_for(q) for q in quadrants}
+    # sum(name.encode()) keys the seeds stably across interpreter runs
+    requests = [(name, binarize(v, medians), [config.seed, 13, sum(name.encode())])
+                for name, v in values.items()]
+    for _, path, n_notes in pipe.write_pieces(state, requests, out_dir, "cli", args.n):
+        print(f"wrote {path} ({n_notes} notes)")
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 import warnings
 from dataclasses import dataclass, field
 from math import fsum
@@ -31,7 +32,7 @@ from .mapping import (
     center_boundary_split,
 )
 from .model import ModelState
-from .sampling import SamplerConfig, generate_from_bits
+from .sampling import SamplerConfig, generate_pieces
 from .score import QuantizationConfig, Score
 from .tokens import tokens_to_score
 
@@ -193,45 +194,38 @@ def bias_experiment(corpus: LabeledCorpus, indices: list[int], state: ModelState
         real_preds = np.array([clf.predict_vector(row).class_index
                                for row in corpus.matrix.values])
 
+    # one piece per center and boundary sample, all decoded together
+    jobs = [(quadrant, kind, row_id) for quadrant in QUADRANTS
+            for kind, ids in zip(("center", "boundary"), split[quadrant]) for row_id in ids]
+    bits = np.array([binarize(corpus.matrix.values[row_id][indices], medians)
+                     for _, _, row_id in jobs])
+    cfgs = [SamplerConfig(sampler.p, sampler.temperature, sampler.max_tokens,
+                          (sampler.seed * 1_000_003 + row_id) % (2 ** 31))
+            for _, _, row_id in jobs]
+    hits = Counter((quadrant, kind) for (quadrant, kind, _), tokens
+                   in zip(jobs, generate_pieces(state, bits, cfgs))
+                   if clf.predict_score(tokens_to_score(tokens, grid)[0]) == quadrant)
+
     per_quadrant: dict[str, dict[str, float]] = {}
-    all_center: list[int] = []
-    all_boundary: list[int] = []
-    gen_hits = {"center": 0, "boundary": 0}
-    gen_total = {"center": 0, "boundary": 0}
+    rows: dict[str, list[int]] = {"center": [], "boundary": []}
     for quadrant in QUADRANTS:
-        center_ids, boundary_ids = split[quadrant]
-        all_center.extend(center_ids)
-        all_boundary.extend(boundary_ids)
-        q_report = {
-            "real_center": _accuracy_over(center_ids, real_preds, truth),
-            "real_boundary": _accuracy_over(boundary_ids, real_preds, truth),
-        }
-        for kind, ids in (("center", center_ids), ("boundary", boundary_ids)):
-            hits = 0
-            for row_id in ids:
-                values = corpus.matrix.values[row_id][indices]
-                bits = binarize(values, medians)
-                seed = (sampler.seed * 1_000_003 + row_id) % (2 ** 31)
-                tokens = generate_from_bits(
-                    state, bits,
-                    SamplerConfig(sampler.p, sampler.temperature,
-                                  sampler.max_tokens, seed))
-                score, _ = tokens_to_score(tokens, grid)
-                if clf.predict_score(score) == quadrant:
-                    hits += 1
-            q_report[f"generated_{kind}"] = hits / len(ids) if ids else 0.0
-            gen_hits[kind] += hits
-            gen_total[kind] += len(ids)
+        pairs = list(zip(rows, split[quadrant]))
+        q_report = {f"real_{k}": _accuracy_over(ids, real_preds, truth) for k, ids in pairs}
+        for kind, ids in pairs:
+            q_report[f"generated_{kind}"] = hits[quadrant, kind] / len(ids) if ids else 0.0
+            rows[kind] += ids
         per_quadrant[quadrant.name] = q_report
+    generated = {kind: sum(hits[q, kind] for q in QUADRANTS) / max(1, len(ids))
+                 for kind, ids in rows.items()}
 
     return BiasReport(
-        real_center_accuracy=_accuracy_over(all_center, real_preds, truth),
-        real_boundary_accuracy=_accuracy_over(all_boundary, real_preds, truth),
-        generated_center_accuracy=gen_hits["center"] / max(1, gen_total["center"]),
-        generated_boundary_accuracy=gen_hits["boundary"] / max(1, gen_total["boundary"]),
+        real_center_accuracy=_accuracy_over(rows["center"], real_preds, truth),
+        real_boundary_accuracy=_accuracy_over(rows["boundary"], real_preds, truth),
+        generated_center_accuracy=generated["center"],
+        generated_boundary_accuracy=generated["boundary"],
         per_quadrant=per_quadrant,
-        n_center=len(all_center),
-        n_boundary=len(all_boundary),
+        n_center=len(rows["center"]),
+        n_boundary=len(rows["boundary"]),
     )
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmoMusicError
+from .errors import EmoMusicError, read_json
 from .features import CatalogMismatch, FeatureCatalog, GROUPS, manual_indices
 from .mapping import LabeledCorpus
 
@@ -334,7 +334,7 @@ def forest_to_json(forest: RandomForest, path: str | Path) -> None:
 
 
 def forest_from_json(path: str | Path) -> RandomForest:
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path, "forest file")
     trees = [
         DecisionTree(np.array(t["feature"]), np.array(t["threshold"]),
                      np.array(t["left"]), np.array(t["right"]), np.array(t["counts"]))
@@ -357,4 +357,4 @@ def save_selection(path: str | Path, catalog_version: str, config: SelectionConf
 
 
 def load_selection(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+    return read_json(path, "selection file")

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmoMusicError
+from .errors import EmoMusicError, read_json
 from .features import CorpusMatrix
 
 
@@ -117,7 +117,7 @@ class MappingTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "MappingTable":
-        doc = json.loads(Path(path).read_text())
+        doc = read_json(path, "mapping file")
         vectors = {}
         for name, v in doc["vectors"].items():
             v = np.asarray(v, dtype=float)

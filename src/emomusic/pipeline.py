@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmoMusicError
+from .errors import EmoMusicError, read_json
 from .evaluation import (
     ForestObjectiveClassifier,
     bias_experiment,
@@ -68,7 +68,7 @@ from .mapping import (
 )
 from .midi import parse_midi, write_midi
 from .model import ModelConfig, ModelState, init_state
-from .sampling import SamplerConfig, generate_from_bits
+from .sampling import SamplerConfig, generate_pieces
 from .score import QuantizationConfig, Score, merge_tracks, midi_to_score, score_to_midi
 from .tokens import score_to_tokens, save_vocabulary, tokens_to_score
 from .training import TrainConfig, load_checkpoint, save_checkpoint, save_loss_log, train
@@ -123,10 +123,7 @@ class PipelineConfig:
         <artifact_dir>/corpus/manifest.json."""
         doc = {}
         if path is not None:
-            try:
-                doc = json.loads(Path(path).read_text())
-            except ValueError as exc:
-                raise EmoMusicError(f"config file {path} is not valid JSON: {exc}") from exc
+            doc = read_json(path, "config file")
             if not isinstance(doc, dict):
                 raise EmoMusicError(f"config file {path} must hold a JSON object")
             unknown = sorted(set(doc) - {f.name for f in fields(cls)})
@@ -463,18 +460,22 @@ class Pipeline:
                         indices=list(indices), medians=medians)
         save_loss_log(self.art / "loss_log.csv", log)
 
-    def write_pieces(self, state: ModelState, bits: np.ndarray, out_dir: Path,
-                     prefix: str, seed_key: list[int], n: int):
-        """Generate ``n`` pieces conditioned on ``bits`` as
-        ``out_dir/<prefix>_<i>.mid``, piece i seeded from ``seed_key + [i]``;
-        yields each path with its note count."""
-        for i in range(n):
-            seed = int(np.random.SeedSequence(seed_key + [i]).generate_state(1)[0])
-            tokens = generate_from_bits(state, bits, self.config.sampler_config(seed))
+    def write_pieces(self, state: ModelState, requests: list, out_dir: Path,
+                     prefix: str, n: int):
+        """For each ``(name, bits, seed_key)`` in ``requests``, generate ``n``
+        pieces conditioned on ``bits`` as ``out_dir/<prefix>_<name>_<i>.mid``,
+        piece i seeded from ``seed_key + [i]``. All pieces are decoded before
+        any is written; yields each request name, path and note count."""
+        jobs = [(name, bits, i, self.config.sampler_config(
+                    int(np.random.SeedSequence(seed_key + [i]).generate_state(1)[0])))
+                for name, bits, seed_key in requests for i in range(n)]
+        pieces = generate_pieces(state, np.array([bits for _, bits, _, _ in jobs]),
+                                 [cfg for _, _, _, cfg in jobs])
+        for (name, _, i, _), tokens in zip(jobs, pieces):
             score, _ = tokens_to_score(tokens, self.grid)
-            path = out_dir / f"{prefix}_{i:04d}.mid"
+            path = out_dir / f"{prefix}_{name}_{i:04d}.mid"
             path.write_bytes(write_midi(score_to_midi(score)))
-            yield path, len(score.notes)
+            yield name, path, len(score.notes)
 
     @_stage
     def stage_generate(self):
@@ -483,14 +484,11 @@ class Pipeline:
         table = MappingTable.load(self.mapping_path)
         medians = np.asarray(manifest["medians"])
         self.generated_dir.mkdir(parents=True, exist_ok=True)
-        items = []
-        for quadrant in QUADRANTS:
-            bits = binarize(table.vector_for(quadrant), medians)
-            for path, _ in self.write_pieces(state, bits, self.generated_dir,
-                                             f"gen_{quadrant.name}",
-                                             [cfg.seed, 7, quadrant.value],
-                                             cfg.n_generate_per_quadrant):
-                items.append({"file": path.name, "label": quadrant.name})
+        requests = [(q.name, binarize(table.vector_for(q), medians), [cfg.seed, 7, q.value])
+                    for q in QUADRANTS]
+        items = [{"file": path.name, "label": name}
+                 for name, path, _ in self.write_pieces(state, requests, self.generated_dir,
+                                                        "gen", cfg.n_generate_per_quadrant)]
         (self.generated_dir / "manifest.json").write_text(
             json.dumps({"items": items}, indent=1) + "\n")
 

@@ -1,10 +1,10 @@
-"""Nucleus (top-p) sampling and incremental autoregressive generation.
+"""Nucleus (top-p) sampling and batched autoregressive generation.
 
-Generation keeps the running linear-attention prefix sums (one (dk, dv)
-matrix and one dk vector per head and layer), so each new token costs O(1)
-in sequence length. In inference mode (no dropout) the resulting logits
-match the batch forward pass within 1e-9 absolute on a float64 model, not
-bit for bit: the two paths sum in different orders.
+Decoding runs ``model.backbone`` one token per row at a time with a
+``DecodeCache``, in float64 on a float64 copy of the weights. Its logits match
+the full forward within 1e-9 absolute, not bit for bit: the two forms sum in
+different orders. Every product is taken row by row, so a piece does not
+depend on the rows decoded with it.
 """
 
 from __future__ import annotations
@@ -13,10 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Tensor
 from .errors import EmoMusicError
 from .mapping import binarize
-from .model import ModelState
+from .model import DecodeCache, ModelState, backbone, logits_from_hidden
 from .tokens import BOS, EOS
+
+MAX_DECODE_ROWS = 32  # rows decoded at once; a large-model row holds 1.5 MB of sums
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,79 +71,43 @@ def sample_top_p(logits: np.ndarray, cfg: SamplerConfig,
     return int(kept[min(i, kept.size - 1)])
 
 
-class _IncrementalModel:
-    """Inference-only forward that feeds one token at a time."""
-
-    def __init__(self, state: ModelState, bits: np.ndarray | None):
-        self.cfg = state.config
-        self.p = {k: t.data for k, t in state.params.items()}
-        self.t = 0
-        h, dk = self.cfg.n_heads, self.cfg.d_model // self.cfg.n_heads
-        self.s = [np.zeros((h, dk, dk)) for _ in range(self.cfg.n_layers)]
-        self.z = [np.zeros((h, dk)) for _ in range(self.cfg.n_layers)]
-        if bits is None:
-            self.attr_vec = np.zeros(self.cfg.d_model)
-        else:
-            bits = np.asarray(bits, dtype=float)
-            if bits.shape != (self.cfg.attr_dim,):
-                raise EmoMusicError(f"expected {self.cfg.attr_dim} attribute bits")
-            hidden = np.maximum(bits @ self.p["attr_w1"] + self.p["attr_b1"], 0.0)
-            self.attr_vec = hidden @ self.p["attr_w2"] + self.p["attr_b2"]
-
-    @staticmethod
-    def _phi(x: np.ndarray) -> np.ndarray:
-        return np.where(x > 0, x + 1.0, np.exp(np.minimum(x, 0.0)))
-
-    @staticmethod
-    def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                    eps: float = 1e-5) -> np.ndarray:
-        mu = x.mean()
-        inv = 1.0 / np.sqrt(x.var() + eps)
-        return (x - mu) * inv * gamma + beta
-
-    def step(self, token: int) -> np.ndarray:
-        """Consume one token; return next-token logits."""
-        if self.t >= self.cfg.max_len:
-            raise EmoMusicError("sequence exceeded max_len")
-        p = self.p
-        heads = self.cfg.n_heads
-        dk = self.cfg.d_model // heads
-        x = p["tok_emb"][token] + p["pos_emb"][self.t] + self.attr_vec
-        self.t += 1
-        for i in range(self.cfg.n_layers):
-            pre = f"l{i}."
-            y = self._layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
-            q = (y @ p[pre + "wq"] + p[pre + "bq"]).reshape(heads, dk)
-            k = (y @ p[pre + "wk"] + p[pre + "bk"]).reshape(heads, dk)
-            v = (y @ p[pre + "wv"] + p[pre + "bv"]).reshape(heads, dk)
-            phi_q, phi_k = self._phi(q), self._phi(k)
-            self.s[i] += phi_k[:, :, None] * v[:, None, :]
-            self.z[i] += phi_k
-            num = np.einsum("hd,hde->he", phi_q, self.s[i])
-            den = np.einsum("hd,hd->h", phi_q, self.z[i])
-            attn = (num / den[:, None]).reshape(-1)
-            x = x + attn @ p[pre + "wo"] + p[pre + "bo"]
-            y = self._layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
-            ffn = np.maximum(y @ p[pre + "ffn_w1"] + p[pre + "ffn_b1"], 0.0)
-            x = x + ffn @ p[pre + "ffn_w2"] + p[pre + "ffn_b2"]
-        final = self._layer_norm(x, p["ln_f_g"], p["ln_f_b"])
-        return final @ p["tok_emb"].T
+def generate_pieces(state: ModelState, bits: np.ndarray,
+                    cfgs: list[SamplerConfig]) -> list[list[int]]:
+    """One piece per row of ``bits`` (B, attr_dim), row i sampled under
+    ``cfgs[i]`` with a generator of its own, from BOS until EOS or its
+    ``max_tokens`` (both included). Rows are decoded ``MAX_DECODE_ROWS`` at a
+    time; a piece is the same whichever rows it is decoded with."""
+    bits = np.asarray(bits, dtype=float)
+    if len(bits) != len(cfgs):
+        raise EmoMusicError(f"{len(bits)} rows of bits but {len(cfgs)} sampler configs")
+    decoder = ModelState(state.config, {name: Tensor(p.data.astype(np.float64))
+                                        for name, p in state.params.items()})
+    rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
+    limits = [min(cfg.max_tokens, state.config.max_len) for cfg in cfgs]
+    pieces = [[BOS] for _ in cfgs]
+    for first in range(0, len(cfgs), MAX_DECODE_ROWS):
+        live = np.arange(first, min(first + MAX_DECODE_ROWS, len(cfgs)))  # still drawing
+        cache = DecodeCache(state.config, live.size)
+        while True:
+            running = np.array([pieces[row][-1] != EOS and len(pieces[row]) < limits[row]
+                                for row in live], dtype=bool)
+            if not running.all():
+                live = live[running]
+                cache.keep(running)
+            if not live.size:
+                break
+            ids = np.array([[pieces[row][-1]] for row in live])
+            hidden = backbone(decoder, ids, bits[live], cache=cache)
+            logits = logits_from_hidden(decoder, hidden).data[:, 0]
+            for row, row_logits in zip(live, logits):
+                pieces[row].append(sample_top_p(row_logits, cfgs[row], rngs[row]))
+    return pieces
 
 
 def generate_from_bits(state: ModelState, bits: np.ndarray,
                        cfg: SamplerConfig) -> list[int]:
-    """Sample tokens from BOS until EOS or max_tokens; output includes both."""
-    rng = np.random.default_rng(cfg.seed)
-    model = _IncrementalModel(state, bits)
-    max_tokens = min(cfg.max_tokens, state.config.max_len)
-    tokens = [BOS]
-    while len(tokens) < max_tokens:
-        logits = model.step(tokens[-1])
-        token = sample_top_p(logits, cfg, rng)
-        tokens.append(token)
-        if token == EOS:
-            break
-    return tokens
+    """One piece for the attribute bits (attr_dim,), sampled under ``cfg``."""
+    return generate_pieces(state, np.asarray(bits)[None, :], [cfg])[0]
 
 
 def generate(state: ModelState, attr_values: np.ndarray, medians: np.ndarray,

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmoMusicError
+from .errors import EmoMusicError, read_json
 from .model import ModelConfig, ModelState, forward_batch, init_state, next_token_loss
 from .tokens import PAD
 
@@ -176,7 +176,7 @@ def save_checkpoint(path: str | Path, state: ModelState, *, step: int = 0,
 def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
     path = Path(path)
     manifest_path = path.with_suffix(".json")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_json(manifest_path, "checkpoint manifest")
     config = dict(manifest["config"])
     # older manifests name the attention kind; linear is the only one there is
     attention = config.pop("attention", "linear")

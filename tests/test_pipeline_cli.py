@@ -421,6 +421,42 @@ class TestOlderArtifactFormats:
         assert (art / "selection.json").read_text() == selection
 
 
+class TestTruncatedArtifacts:
+    """A cut JSON artifact is bad input: exit 2 naming the file, not exit 3."""
+
+    @pytest.mark.parametrize("name", ["mapping.json", "checkpoint.json"])
+    def test_generate_exits_2(self, tmp_path, capsys, name):
+        art = tmp_path / "artifacts"
+        write_generate_artifacts(art)
+        path = art / name
+        path.write_text(path.read_text()[:45])
+        assert main(["generate", "--artifact-dir", str(art), "--n", "1"]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("until,name,command", [
+        ("train-forest", "forest.json", "select-attrs"),
+        ("select-attrs", "selection.json", "map-emotion"),
+    ], ids=["forest", "selection"])
+    def test_stage_command_exits_2(self, tmp_path, capsys, until, name, command):
+        config = tiny_config(tmp_path)
+        config.to_json(tmp_path / "config.json")
+        Pipeline(config).run(until=until)
+        path = tmp_path / "artifacts" / name
+        path.write_text(path.read_text()[:45])
+        assert main([command, "--config", str(tmp_path / "config.json")]) == 2
+        assert str(path) in capsys.readouterr().err
+
+
+def test_checkpoint_without_attribute_encoder_exits_2(tmp_path, capsys):
+    art = tmp_path / "artifacts"
+    write_generate_artifacts(art)
+    manifest = json.loads((art / "checkpoint.json").read_text())
+    manifest["config"]["attr_dim"] = 0
+    (art / "checkpoint.json").write_text(json.dumps(manifest))
+    assert main(["generate", "--artifact-dir", str(art), "--n", "1"]) == 2
+    assert "attr_dim" in capsys.readouterr().err
+
+
 def test_generate_on_nan_checkpoint_exits_2(tmp_path, capsys):
     art = tmp_path / "artifacts"
     write_generate_artifacts(art, edit=lambda state: state.params["ln_f_g"].data.fill(np.nan))

@@ -1,15 +1,23 @@
-"""Top-p sampling semantics and incremental generation correctness."""
+"""Top-p sampling semantics and batched recurrent generation correctness."""
 
 import numpy as np
 import pytest
 
+from emomusic import sampling
 from emomusic.errors import EmoMusicError
-from emomusic.model import ModelConfig, forward, init_state
+from emomusic.model import (
+    DecodeCache,
+    ModelConfig,
+    backbone,
+    forward,
+    init_state,
+    logits_from_hidden,
+)
 from emomusic.sampling import (
     SamplerConfig,
-    _IncrementalModel,
     generate,
     generate_from_bits,
+    generate_pieces,
     nucleus_probabilities,
     sample_top_p,
 )
@@ -118,17 +126,61 @@ class TestIncrementalEqualsBatch:
         state = tiny_state(5)
         bits = np.array([1, 0, 1])
         prefix = [BOS, 40, 170, 22, 199]
-        inc = _IncrementalModel(state, bits)
+        cache = DecodeCache(state.config, rows=1)
         for t, token in enumerate(prefix):
-            logits_inc = inc.step(token)
+            hidden = backbone(state, [[token]], bits[None, :], cache=cache)
+            logits_inc = logits_from_hidden(state, hidden).data[0, -1]
             logits_full = forward(state, prefix[:t + 1], bits)[-1]
             assert logits_inc == pytest.approx(logits_full, abs=1e-9)
 
-    def test_unconditioned_model_accepts_none_bits(self):
-        cfg = ModelConfig(n_layers=1, n_heads=1, d_model=8, d_ffn=16, max_len=8,
-                          dropout=0.0, attr_dim=0)
-        state = init_state(cfg, seed=6)
-        inc = _IncrementalModel(state, None)
-        logits_inc = inc.step(BOS)
-        logits_full = forward(state, [BOS], None)[-1]
-        assert logits_inc == pytest.approx(logits_full, abs=1e-12)
+    def test_decoding_step_takes_one_token_per_row(self):
+        state = tiny_state(5)
+        with pytest.raises(EmoMusicError, match="one token"):
+            backbone(state, [[BOS, 40]], np.zeros((1, 3)), cache=DecodeCache(state.config, 1))
+
+
+def eos_prone_state():
+    """A tiny model with a raised EOS logit: of 30 pieces of at most 16
+    tokens, some end at EOS and others run on to max_tokens."""
+    state = tiny_state(6)
+    state.params["ln_f_b"].data[0] = 1.0
+    state.params["tok_emb"].data[EOS, 0] = 2.0
+    return state
+
+
+class TestBatchedDecoding:
+    @pytest.mark.parametrize("cap", [32, 7])
+    def test_piece_does_not_depend_on_its_batch(self, monkeypatch, cap):
+        monkeypatch.setattr(sampling, "MAX_DECODE_ROWS", cap)
+        state = eos_prone_state()
+        rng = np.random.default_rng(7)
+        bits = rng.integers(0, 2, size=(30, 3))
+        cfgs = [SamplerConfig(p=0.95, max_tokens=16, seed=int(seed))
+                for seed in rng.integers(0, 2 ** 31, size=30)]
+        batch = generate_pieces(state, bits, cfgs)
+        alone = [generate_from_bits(state, b, cfg) for b, cfg in zip(bits, cfgs)]
+        assert batch == alone
+        # the batch held rows that stopped at EOS while others ran to the end
+        assert any(p[-1] == EOS and len(p) < 16 for p in batch)
+        assert any(len(p) == 16 and EOS not in p for p in batch)
+
+    def test_rows_stop_at_their_own_max_tokens(self):
+        state = tiny_state(7)
+        cfgs = [SamplerConfig(max_tokens=m, seed=3) for m in (1, 5, 16)]
+        pieces = generate_pieces(state, np.ones((3, 3)), cfgs)
+        assert pieces[0] == [BOS]
+        assert len(pieces[1]) <= 5
+        assert pieces[1] == pieces[2][:len(pieces[1])]
+
+    def test_float32_model_decodes_in_float64(self):
+        state = init_state(tiny_state().config, seed=8, dtype=np.float32)
+        wide = init_state(tiny_state().config, seed=8, dtype=np.float32)
+        for p in wide.params.values():
+            p.data = p.data.astype(np.float64)
+        cfgs = [SamplerConfig(max_tokens=16, seed=s) for s in range(6)]
+        bits = np.eye(3)[[0, 1, 2, 0, 1, 2]]
+        assert generate_pieces(state, bits, cfgs) == generate_pieces(wide, bits, cfgs)
+
+    def test_one_config_per_row_required(self):
+        with pytest.raises(EmoMusicError, match="rows of bits"):
+            generate_pieces(tiny_state(), np.ones((2, 3)), [SamplerConfig()])
