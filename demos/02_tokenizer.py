@@ -3,13 +3,13 @@ Score tokenization
 ==================
 
 Turn a score into REMI-style tokens and back: bars, positions on a
-sixteenth grid, pitch, binned duration/velocity, and tempo bins.
+sixteenth grid, pitch, binned duration/velocity, and tempo bins. The grid is
+fixed: its sizes are the constants at the top of ``emomusic.score``.
 """
 
-from emomusic.score import Note, QuantizationConfig, Score, quantize_score
+from emomusic.score import Note, Score, quantize_score
 from emomusic.tokens import score_to_tokens, token_name, tokens_to_score
 
-grid = QuantizationConfig()
 tpq = 480
 
 score = Score(
@@ -23,16 +23,16 @@ score = Score(
     tempo_map=[(0, 150.0)],
 )
 
-tokens = score_to_tokens(score, grid)
+tokens = score_to_tokens(score)
 print("token stream:")
 print("  " + " ".join(token_name(t) for t in tokens))
 
-back, dropped = tokens_to_score(tokens, grid)
+back, dropped = tokens_to_score(tokens)
 print(f"\ndecoded {len(back.notes)} notes, {dropped} dropped tokens")
 for note in back.notes:
     print(f"  onset {note.onset:5d}  dur {note.duration:4d}  "
           f"pitch {note.pitch}  vel {note.velocity}")
 
 # detokenize(tokenize(s)) reproduces the quantized score exactly
-assert back.notes == quantize_score(score, grid).notes
+assert back.notes == quantize_score(score).notes
 print("\nround trip matches the quantized score")

@@ -37,12 +37,11 @@ from .mapping import (
     compute_medians,
 )
 from .midi import MidiFile, MidiTrack, parse_midi, write_midi
-from .model import ModelConfig, ModelState, forward, init_state, next_token_loss
-from .pipeline import Pipeline, PipelineConfig, run_pipeline, split_dataset
-from .sampling import SamplerConfig, generate, sample_top_p
+from .model import ModelConfig, ModelState, init_state, next_token_loss
+from .pipeline import Pipeline, PipelineConfig, split_dataset
+from .sampling import SamplerConfig, generate_from_bits, sample_top_p
 from .score import (
     Note,
-    QuantizationConfig,
     Score,
     midi_to_score,
     quantize_score,

@@ -2,10 +2,9 @@
 
 Just enough ops for the attribute-conditioned transformer: broadcasted
 arithmetic, batched matmul, cumulative sums (the causal prefix sums of
-linear attention), embedding gathers, layer norm, softmax, and a masked
-cross-entropy head. Gradients are dense numpy arrays of the same dtype as
-the forward data; the whole graph is freed once the output goes out of
-scope.
+linear attention), embedding gathers, layer norm, and a masked cross-entropy
+head. Gradients are dense numpy arrays of the same dtype as the forward data;
+the whole graph is freed once the output goes out of scope.
 """
 
 from __future__ import annotations
@@ -236,17 +235,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     return Tensor(xhat * gamma.data + beta.data, parents=(x, gamma, beta),
                   backward=backward)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
-
-    return Tensor(y, parents=(x,), backward=backward)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray,

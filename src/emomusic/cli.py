@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmoMusicError
+from .errors import EmoMusicError, read_json
 from .mapping import EmotionQuadrant, MappingTable, binarize
 from .pipeline import STAGES, Pipeline, PipelineConfig
 from .synth import SynthSpec, synth_corpus
@@ -131,7 +131,12 @@ def _cmd_generate(args, config: PipelineConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.attr_file:
-        custom = json.loads(Path(args.attr_file).read_text())
+        path = Path(args.attr_file)
+        if not path.is_file():
+            raise EmoMusicError(f"attribute file {path} does not exist")
+        custom = read_json(path, "attribute file")
+        if not isinstance(custom, list):
+            raise EmoMusicError(f"attribute file {path} must hold a JSON list of values")
         values = {"custom": np.asarray(custom, dtype=float)}
     else:
         table = MappingTable.load(pipe.mapping_path)

@@ -33,7 +33,7 @@ from .mapping import (
 )
 from .model import ModelState
 from .sampling import SamplerConfig, generate_pieces
-from .score import QuantizationConfig, Score
+from .score import Score
 from .tokens import tokens_to_score
 
 
@@ -73,18 +73,8 @@ class DistanceReport:
     intra_mean: float
     inter_mean: float
     gap: float
-    per_class_intra: dict[EmotionQuadrant, float]
     intra_distances: np.ndarray  # sorted, for plotting
     inter_distances: np.ndarray
-
-    def to_json(self, path: str | Path) -> None:
-        doc = {
-            "intra_mean": self.intra_mean,
-            "inter_mean": self.inter_mean,
-            "gap": self.gap,
-            "per_class_intra": {q.name: v for q, v in self.per_class_intra.items()},
-        }
-        Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
     def curves_to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
@@ -113,13 +103,11 @@ def l1_distance_analysis(vectors: np.ndarray,
         raise EmoMusicError("vectors and labels differ in length")
     intra: list[float] = []
     inter: list[float] = []
-    per_class: dict[EmotionQuadrant, list[float]] = {}
     for i in range(n):
         for j in range(i + 1, n):
             d = float(np.abs(vectors[i] - vectors[j]).sum())
             if labels[i] == labels[j]:
                 intra.append(d)
-                per_class.setdefault(labels[i], []).append(d)
             else:
                 inter.append(d)
     for q in set(labels):
@@ -134,7 +122,6 @@ def l1_distance_analysis(vectors: np.ndarray,
         intra_mean=intra_mean,
         inter_mean=inter_mean,
         gap=inter_mean - intra_mean,
-        per_class_intra={q: fsum(ds) / len(ds) for q, ds in sorted(per_class.items())},
         intra_distances=np.sort(np.asarray(intra)),
         inter_distances=np.sort(np.asarray(inter)),
     )
@@ -174,8 +161,7 @@ def _accuracy_over(ids: list[int], predictions: np.ndarray,
 
 
 def bias_experiment(corpus: LabeledCorpus, indices: list[int], state: ModelState,
-                    medians: np.ndarray, clf, n: int, sampler: SamplerConfig,
-                    grid: QuantizationConfig | None = None) -> BiasReport:
+                    medians: np.ndarray, clf, n: int, sampler: SamplerConfig) -> BiasReport:
     """Center-vs-boundary probe.
 
     Real side: classify the corpus' own center and boundary samples (OOB votes
@@ -204,7 +190,7 @@ def bias_experiment(corpus: LabeledCorpus, indices: list[int], state: ModelState
             for _, _, row_id in jobs]
     hits = Counter((quadrant, kind) for (quadrant, kind, _), tokens
                    in zip(jobs, generate_pieces(state, bits, cfgs))
-                   if clf.predict_score(tokens_to_score(tokens, grid)[0]) == quadrant)
+                   if clf.predict_score(tokens_to_score(tokens)[0]) == quadrant)
 
     per_quadrant: dict[str, dict[str, float]] = {}
     rows: dict[str, list[int]] = {"center": [], "boundary": []}

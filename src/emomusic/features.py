@@ -6,8 +6,8 @@ texture, instrumentation). Extraction is deterministic: equal scores yield
 bitwise-equal vectors. Histogram blocks are normalized to sum 1 whenever
 they have at least one observation and are all-zero otherwise.
 
-Definitions that need pinning down are frozen here (and in the generated
-docs/feature_catalog.md):
+Definitions that need pinning down are frozen here and in
+docs/feature_catalog.md, which a test checks against ``default_catalog()``:
 
 * piece length = last note end, in quarter notes;
 * note density per quarter = note count / piece length in quarters;
@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmoMusicError
+from .errors import EmoMusicError, read_json
 from .score import Score
 
 CATALOG_VERSION = "v1"
@@ -482,27 +482,5 @@ def save_corpus_npz(path: str | Path, matrix: CorpusMatrix) -> None:
 def load_corpus_npz(path: str | Path) -> CorpusMatrix:
     path = Path(path)
     values = np.load(path if path.suffix == ".npz" else path.with_suffix(".npz"))["values"]
-    manifest = json.loads(path.with_suffix(".json").read_text())
+    manifest = read_json(path.with_suffix(".json"), "feature manifest")
     return CorpusMatrix(values, manifest["catalog_version"], manifest["empty_flags"])
-
-
-def catalog_reference_markdown(catalog: FeatureCatalog | None = None) -> str:
-    """Human-readable catalog reference (written to docs/feature_catalog.md)."""
-    catalog = catalog or default_catalog()
-    lines = [
-        "# Feature catalog reference",
-        "",
-        f"Catalog version `{catalog.version}`, {catalog.total_dim} dimensions, "
-        f"{len(catalog.entries)} features across {len(GROUPS)} groups.",
-        "",
-        "Flattened dimension order follows this table top to bottom; histogram",
-        "features occupy `dim` consecutive slots. Selection indices always refer",
-        "to this flattened order and are only meaningful for this version string.",
-        "",
-        "| id | group | dim | definition |",
-        "|----|-------|-----|------------|",
-    ]
-    for e in catalog.entries:
-        lines.append(f"| `{e.id}` | {e.group} | {e.dim} | {e.description} |")
-    lines.append("")
-    return "\n".join(lines)

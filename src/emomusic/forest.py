@@ -38,10 +38,10 @@ class KTooLarge(EmoMusicError):
 
 @dataclass(frozen=True, slots=True)
 class ForestConfig:
+    """Trees grow to pure or unsplittable leaves, drawing floor(sqrt(D))
+    candidate features per split."""
+
     n_trees: int = 500
-    max_depth: int | None = None
-    min_samples_leaf: int = 1
-    features_per_split: int | None = None  # None -> floor(sqrt(D))
     seed: int = 0
 
 
@@ -105,8 +105,8 @@ def _gini_rows(counts: np.ndarray) -> np.ndarray:
     return np.where(total == 0, 0.0, 1.0 - (p * p).sum(axis=1))
 
 
-def _best_split(x: np.ndarray, y_onehot: np.ndarray, candidates: np.ndarray,
-                min_leaf: int) -> tuple[int, float, float] | None:
+def _best_split(x: np.ndarray, y_onehot: np.ndarray,
+                candidates: np.ndarray) -> tuple[int, float, float] | None:
     """Best (feature, threshold, gini decrease) over a node's candidate block.
 
     ``x`` is the node's (n, m) block of candidate columns, in the ascending
@@ -128,8 +128,7 @@ def _best_split(x: np.ndarray, y_onehot: np.ndarray, candidates: np.ndarray,
     gini_left = 1.0 - ((left_counts / n_left[..., None]) ** 2).sum(axis=2)
     gini_right = 1.0 - ((right_counts / n_right[..., None]) ** 2).sum(axis=2)
     decrease = parent_gini - (n_left * gini_left + n_right * gini_right) / n_node
-    valid = (xs[:-1] < xs[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-    decrease[~valid] = -np.inf
+    decrease[~(xs[:-1] < xs[1:])] = -np.inf  # cut only between distinct values
     rows = np.argmax(decrease, axis=0)  # first max = lowest threshold
     col_best = decrease[rows, cols]
     thresholds = (xs[rows, cols] + xs[rows + 1, cols]) / 2.0
@@ -140,8 +139,8 @@ def _best_split(x: np.ndarray, y_onehot: np.ndarray, candidates: np.ndarray,
     return best
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, config: ForestConfig,
-               rng: np.random.Generator, mtry: int) -> DecisionTree:
+def _grow_tree(x: np.ndarray, y: np.ndarray, rng: np.random.Generator,
+               mtry: int) -> DecisionTree:
     n_features = x.shape[1]
     y_onehot = np.eye(N_CLASSES)[y]
     feature: list[int] = []
@@ -150,10 +149,10 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, config: ForestConfig,
     right: list[int] = []
     counts: list[np.ndarray] = []
 
-    # stack of (sample index array, depth, parent node, is_left_child)
-    stack: list[tuple[np.ndarray, int, int, bool]] = [(np.arange(len(y)), 0, -1, False)]
+    # stack of (sample index array, parent node, is_left_child)
+    stack: list[tuple[np.ndarray, int, bool]] = [(np.arange(len(y)), -1, False)]
     while stack:
-        samples, depth, parent, is_left = stack.pop()
+        samples, parent, is_left = stack.pop()
         node = len(feature)
         if parent >= 0:
             (left if is_left else right)[parent] = node
@@ -166,13 +165,8 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, config: ForestConfig,
 
         if (node_counts > 0).sum() <= 1:
             continue
-        if config.max_depth is not None and depth >= config.max_depth:
-            continue
-        if len(samples) < 2 * config.min_samples_leaf:
-            continue
         candidates = np.sort(rng.choice(n_features, size=mtry, replace=False))
-        best = _best_split(x[np.ix_(samples, candidates)], y_onehot[samples],
-                           candidates, config.min_samples_leaf)
+        best = _best_split(x[np.ix_(samples, candidates)], y_onehot[samples], candidates)
         if best is None:
             continue
         f, thr, _ = best
@@ -180,8 +174,8 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, config: ForestConfig,
         threshold[node] = thr
         goes_left = x[samples, f] <= thr
         # push right first so the left child is materialized first
-        stack.append((samples[~goes_left], depth + 1, node, False))
-        stack.append((samples[goes_left], depth + 1, node, True))
+        stack.append((samples[~goes_left], node, False))
+        stack.append((samples[goes_left], node, True))
 
     return DecisionTree(np.array(feature), np.array(threshold),
                         np.array(left), np.array(right), np.stack(counts))
@@ -195,8 +189,7 @@ def train_forest(corpus: LabeledCorpus, config: ForestConfig | None = None) -> R
     n, d = x.shape
     if np.unique(y).size < 2:
         raise DegenerateCorpus("training needs at least two distinct classes")
-    mtry = config.features_per_split or max(1, math.floor(math.sqrt(d)))
-    mtry = min(mtry, d)
+    mtry = max(1, math.floor(math.sqrt(d)))
 
     trees: list[DecisionTree] = []
     oob: list[np.ndarray] = []
@@ -205,7 +198,7 @@ def train_forest(corpus: LabeledCorpus, config: ForestConfig | None = None) -> R
         rng = np.random.default_rng(seeds[t])
         bootstrap = rng.integers(0, n, size=n)
         oob.append(np.setdiff1d(np.arange(n), bootstrap))
-        trees.append(_grow_tree(x[bootstrap], y[bootstrap], config, rng, mtry))
+        trees.append(_grow_tree(x[bootstrap], y[bootstrap], rng, mtry))
     return RandomForest(trees, config, d, corpus.matrix.catalog_version, oob)
 
 
@@ -214,10 +207,6 @@ def predict_class_index(forest: RandomForest, x: np.ndarray) -> int:
     for tree in forest.trees:
         votes[tree.predict_class(x)] += 1
     return int(np.argmax(votes))  # tie -> lowest class index, Q1 < Q2 < Q3 < Q4
-
-
-def predict_matrix(forest: RandomForest, x: np.ndarray) -> np.ndarray:
-    return np.array([predict_class_index(forest, row) for row in x])
 
 
 def oob_predictions(forest: RandomForest, x: np.ndarray) -> np.ndarray:
@@ -310,13 +299,7 @@ def select_attributes(ranking: ImportanceRanking, catalog: FeatureCatalog,
 
 def forest_to_json(forest: RandomForest, path: str | Path) -> None:
     doc = {
-        "config": {
-            "n_trees": forest.config.n_trees,
-            "max_depth": forest.config.max_depth,
-            "min_samples_leaf": forest.config.min_samples_leaf,
-            "features_per_split": forest.config.features_per_split,
-            "seed": forest.config.seed,
-        },
+        "config": {"n_trees": forest.config.n_trees, "seed": forest.config.seed},
         "n_features": forest.n_features,
         "catalog_version": forest.catalog_version,
         "trees": [

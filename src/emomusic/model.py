@@ -262,12 +262,6 @@ def forward_batch(state: ModelState, ids: np.ndarray, bits: np.ndarray,
     return logits_from_hidden(state, backbone(state, ids, bits, rng))
 
 
-def forward(state: ModelState, tokens: list[int], attr_bits: np.ndarray) -> np.ndarray:
-    """Per-position logits (T, vocab) for a single sequence, no dropout."""
-    ids = np.asarray(tokens)[None, :]
-    return forward_batch(state, ids, np.asarray(attr_bits)[None, :]).data[0]
-
-
 def next_token_loss(logits: Tensor, ids: np.ndarray) -> tuple[Tensor, int]:
     """Mean cross-entropy of position t against token t+1, PAD targets excluded.
 

@@ -69,7 +69,7 @@ from .mapping import (
 from .midi import parse_midi, write_midi
 from .model import ModelConfig, ModelState, init_state
 from .sampling import SamplerConfig, generate_pieces
-from .score import QuantizationConfig, Score, merge_tracks, midi_to_score, score_to_midi
+from .score import Score, merge_tracks, midi_to_score, score_to_midi
 from .tokens import score_to_tokens, save_vocabulary, tokens_to_score
 from .training import TrainConfig, load_checkpoint, save_checkpoint, save_loss_log, train
 
@@ -163,7 +163,7 @@ def default_artifact_dir() -> str:
 
 
 def load_manifest(path: str | Path) -> list[dict]:
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path, "manifest")
     items = doc["items"] if isinstance(doc, dict) else doc
     if not items:
         raise EmptyManifest(f"no corpus items in {path}")
@@ -232,7 +232,8 @@ STAGES = (
     Stage("split", "stage_split", ("split_ratios", "seed"), (), ("manifest",),
           ("splits.json",)),
     Stage("extract", "stage_extract", (), (), ("corpus",),
-          ("features.npz", "features.json", "features.csv", "labels.json")),
+          ("features.npz", "features.json", "features.csv", "labels.json",
+           "vocabulary.json")),
     Stage("train-forest", "stage_train_forest", ("forest_trees", "seed"),
           ("split", "extract"), ("features.npz", "labels.json", "splits.json"),
           ("forest.json",)),
@@ -281,7 +282,6 @@ class Pipeline:
         self.art.mkdir(parents=True, exist_ok=True)
         self.manifest_path = Path(config.corpus_manifest)
         self.catalog = default_catalog()
-        self.grid = QuantizationConfig()
 
     # artifact paths
     @property
@@ -379,7 +379,7 @@ class Pipeline:
             status[stage.name] = getattr(self, stage.method)()
             if stage.name == until:
                 break
-        report = json.loads(self.report_path.read_text()) if "evaluate" in status else None
+        report = read_json(self.report_path, "report") if "evaluate" in status else None
         return {"stages": status, "report": report, "artifact_dir": str(self.art)}
 
     # -- stages --------------------------------------------------------------
@@ -403,14 +403,14 @@ class Pipeline:
     def _labeled_corpus(self, rows: list[int] | None = None) -> LabeledCorpus:
         matrix = load_corpus_npz(self.features_path)
         labels = [EmotionQuadrant.from_name(name)
-                  for name in json.loads(self.labels_path.read_text())["labels"]]
+                  for name in read_json(self.labels_path, "labels file")["labels"]]
         if rows is not None:
             matrix = replace_rows(matrix, rows)
             labels = [labels[i] for i in rows]
         return LabeledCorpus(matrix, labels)
 
     def _train_rows(self) -> list[int]:
-        return json.loads(self.splits_path.read_text())["train"]
+        return read_json(self.splits_path, "splits file")["train"]
 
     @_stage
     def stage_train_forest(self):
@@ -449,7 +449,7 @@ class Pipeline:
         model_cfg = cfg.model_config(attr_dim=len(indices))
         dataset = []
         for local, row in enumerate(rows):
-            tokens = score_to_tokens(scores[row], self.grid)[:model_cfg.max_len]
+            tokens = score_to_tokens(scores[row])[:model_cfg.max_len]
             bits = binarize(corpus.matrix.values[local][indices], medians)
             dataset.append((tokens, bits))
         state = init_state(model_cfg, seed=cfg.seed, dtype=np.dtype(cfg.dtype).type)
@@ -472,7 +472,7 @@ class Pipeline:
         pieces = generate_pieces(state, np.array([bits for _, bits, _, _ in jobs]),
                                  [cfg for _, _, _, cfg in jobs])
         for (name, _, i, _), tokens in zip(jobs, pieces):
-            score, _ = tokens_to_score(tokens, self.grid)
+            score, _ = tokens_to_score(tokens)
             path = out_dir / f"{prefix}_{name}_{i:04d}.mid"
             path.write_bytes(write_midi(score_to_midi(score)))
             yield name, path, len(score.notes)
@@ -542,16 +542,12 @@ class Pipeline:
         indices = manifest["indices"]
         report = bias_experiment(
             corpus, indices, state, medians, clf, n or cfg.bias_n,
-            self.config.sampler_config(cfg.seed + 11), self.grid)
+            self.config.sampler_config(cfg.seed + 11))
         report.to_json(self.art / "bias_report.json")
-        return json.loads((self.art / "bias_report.json").read_text())
+        return read_json(self.art / "bias_report.json", "bias report")
 
 
 def replace_rows(matrix, rows: list[int]):
     from .features import CorpusMatrix
     return CorpusMatrix(matrix.values[rows], matrix.catalog_version,
                         [matrix.empty_flags[i] for i in rows])
-
-
-def run_pipeline(config: PipelineConfig) -> dict:
-    return Pipeline(config).run()

@@ -15,7 +15,6 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import EmoMusicError
-from .mapping import binarize
 from .model import DecodeCache, ModelState, backbone, logits_from_hidden
 from .tokens import BOS, EOS
 
@@ -108,10 +107,3 @@ def generate_from_bits(state: ModelState, bits: np.ndarray,
                        cfg: SamplerConfig) -> list[int]:
     """One piece for the attribute bits (attr_dim,), sampled under ``cfg``."""
     return generate_pieces(state, np.asarray(bits)[None, :], [cfg])[0]
-
-
-def generate(state: ModelState, attr_values: np.ndarray, medians: np.ndarray,
-             cfg: SamplerConfig) -> list[int]:
-    """Generate conditioned on raw attribute values (binarized with the
-    training-corpus medians)."""
-    return generate_from_bits(state, binarize(attr_values, medians), cfg)

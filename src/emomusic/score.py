@@ -65,9 +65,6 @@ class Score:
     def end_tick(self) -> int:
         return max((n.end for n in self.notes), default=0)
 
-    def length_quarters(self) -> float:
-        return self.end_tick / self.ticks_per_quarter
-
     def tempo_at(self, tick: int) -> float:
         bpm = self.tempo_map[0][1]
         for t, value in self.tempo_map:
@@ -125,73 +122,73 @@ def midi_to_score(midi: MidiFile) -> Score:
     return Score(notes, midi.division, tempo_map, time_signatures)
 
 
-@dataclass(frozen=True, slots=True)
-class QuantizationConfig:
-    """Sixteenth-note grid shared by the tokenizer and the quantizer.
-
-    16 position slots per 4/4 bar; other meters scale the bar's slot count
-    by numerator/denominator (slots_per_bar = 16 * num / den). Durations are
-    binned to 1..32 sixteenths, velocities to 32 uniform bins of width 4,
-    tempi to 32 log-spaced bins over 30..240 BPM.
-    """
-
-    ticks_per_quarter: int = 480
-    slots_per_quarter: int = 4
-    max_duration_slots: int = 32
-    velocity_bins: int = 32
-    tempo_bins: int = 32
-    tempo_min: float = 30.0
-    tempo_max: float = 240.0
-    max_position_slots: int = 16
-
-    def slots_per_bar(self, numerator: int, denominator: int) -> int:
-        return max(1, round(self.slots_per_quarter * 4 * numerator / denominator))
-
-    def velocity_bin(self, velocity: int) -> int:
-        return min(self.velocity_bins - 1, max(0, velocity // 4))
-
-    def velocity_from_bin(self, b: int) -> int:
-        return min(127, b * 4 + 2)
-
-    def tempo_bin(self, bpm: float) -> int:
-        span = math.log(self.tempo_max / self.tempo_min)
-        x = math.log(max(bpm, 1e-9) / self.tempo_min) / span
-        return min(self.tempo_bins - 1, max(0, round(x * (self.tempo_bins - 1))))
-
-    def tempo_from_bin(self, b: int) -> float:
-        ratio = self.tempo_max / self.tempo_min
-        return self.tempo_min * ratio ** (b / (self.tempo_bins - 1))
-
-    def duration_slots(self, duration_ticks: int, ticks_per_quarter: int) -> int:
-        ticks_per_slot = ticks_per_quarter / self.slots_per_quarter
-        return min(self.max_duration_slots, max(1, round(duration_ticks / ticks_per_slot)))
-
-    def onset_slot(self, onset_ticks: int, ticks_per_quarter: int) -> int:
-        ticks_per_slot = ticks_per_quarter / self.slots_per_quarter
-        return max(0, round(onset_ticks / ticks_per_slot))
+# The sixteenth-note grid shared by the quantizer and the tokenizer: 16
+# position slots per 4/4 bar, other meters scaling the bar's slot count by
+# numerator/denominator (slots_per_bar = 16 * num / den). Durations are binned
+# to 1..32 sixteenths, velocities to 32 uniform bins of width 4, tempi to 32
+# log-spaced bins over 30..240 BPM. tokens.py sizes its vocabulary from these.
+GRID_TICKS_PER_QUARTER = 480
+SLOTS_PER_QUARTER = 4
+MAX_DURATION_SLOTS = 32
+VELOCITY_BINS = 32
+TEMPO_BINS = 32
+TEMPO_MIN = 30.0
+TEMPO_MAX = 240.0
 
 
-def quantize_score(score: Score, grid: QuantizationConfig) -> Score:
+def slots_per_bar(numerator: int, denominator: int) -> int:
+    return max(1, round(SLOTS_PER_QUARTER * 4 * numerator / denominator))
+
+
+def velocity_bin(velocity: int) -> int:
+    return min(VELOCITY_BINS - 1, max(0, velocity // 4))
+
+
+def velocity_from_bin(b: int) -> int:
+    return min(127, b * 4 + 2)
+
+
+def tempo_bin(bpm: float) -> int:
+    span = math.log(TEMPO_MAX / TEMPO_MIN)
+    x = math.log(max(bpm, 1e-9) / TEMPO_MIN) / span
+    return min(TEMPO_BINS - 1, max(0, round(x * (TEMPO_BINS - 1))))
+
+
+def tempo_from_bin(b: int) -> float:
+    return TEMPO_MIN * (TEMPO_MAX / TEMPO_MIN) ** (b / (TEMPO_BINS - 1))
+
+
+def duration_slots(duration_ticks: int, ticks_per_quarter: int) -> int:
+    ticks_per_slot = ticks_per_quarter / SLOTS_PER_QUARTER
+    return min(MAX_DURATION_SLOTS, max(1, round(duration_ticks / ticks_per_slot)))
+
+
+def onset_slot(onset_ticks: int, ticks_per_quarter: int) -> int:
+    ticks_per_slot = ticks_per_quarter / SLOTS_PER_QUARTER
+    return max(0, round(onset_ticks / ticks_per_slot))
+
+
+def quantize_score(score: Score) -> Score:
     """Snap a score onto the grid. Idempotent; output uses the grid's tpq."""
-    tps = grid.ticks_per_quarter // grid.slots_per_quarter
+    tps = GRID_TICKS_PER_QUARTER // SLOTS_PER_QUARTER
     notes = []
     for n in score.notes:
-        slot = grid.onset_slot(n.onset, score.ticks_per_quarter)
-        dur = grid.duration_slots(n.duration, score.ticks_per_quarter)
-        vel = grid.velocity_from_bin(grid.velocity_bin(n.velocity))
+        slot = onset_slot(n.onset, score.ticks_per_quarter)
+        dur = duration_slots(n.duration, score.ticks_per_quarter)
+        vel = velocity_from_bin(velocity_bin(n.velocity))
         notes.append(Note(slot * tps, dur * tps, n.pitch, vel, n.track))
 
-    scale = grid.ticks_per_quarter / score.ticks_per_quarter
+    scale = GRID_TICKS_PER_QUARTER / score.ticks_per_quarter
     snapped: dict[int, float] = {}  # same tick: last change wins
     for tick, bpm in score.tempo_map:
-        snapped[round(tick * scale / tps) * tps] = grid.tempo_from_bin(grid.tempo_bin(bpm))
+        snapped[round(tick * scale / tps) * tps] = tempo_from_bin(tempo_bin(bpm))
     tempo_map: list[tuple[int, float]] = []
     for tick in sorted(snapped):
         if not tempo_map or tempo_map[-1][1] != snapped[tick]:  # drop no-op changes
             tempo_map.append((tick, snapped[tick]))
     time_signatures = [(round(t * scale / tps) * tps, num, den)
                        for t, num, den in score.time_signatures]
-    return Score(notes, grid.ticks_per_quarter, tempo_map, time_signatures)
+    return Score(notes, GRID_TICKS_PER_QUARTER, tempo_map, time_signatures)
 
 
 def merge_tracks(score: Score) -> Score:

@@ -9,6 +9,9 @@ Vocabulary (244 ids, fixed):
     180..211 Velocity_0..31        (uniform bins of width 4)
     212..243 Tempo_0..31           (log-spaced bins over 30..240 BPM)
 
+The position, duration, velocity and tempo block sizes are the grid
+constants of ``score.py``, so the grid is decided there and only there.
+
 Grammar emitted by the tokenizer (and required for lossless round-trips):
 BOS, then per bar a Bar token, a Tempo token when the binned tempo differs
 from the previously emitted one (always at the first bar), then per note
@@ -23,23 +26,39 @@ import json
 from pathlib import Path
 
 from .errors import EmoMusicError
-from .score import Note, QuantizationConfig, Score
+from .score import (
+    DEFAULT_TIME_SIGNATURE,
+    GRID_TICKS_PER_QUARTER,
+    MAX_DURATION_SLOTS,
+    SLOTS_PER_QUARTER,
+    TEMPO_BINS,
+    VELOCITY_BINS,
+    Note,
+    Score,
+    duration_slots,
+    onset_slot,
+    slots_per_bar,
+    tempo_bin,
+    tempo_from_bin,
+    velocity_bin,
+    velocity_from_bin,
+)
 
 PAD = 0
 BOS = 1
 EOS = 2
 BAR = 3
 POSITION_BASE = 4
-N_POSITIONS = 16
-PITCH_BASE = 20
+N_POSITIONS = slots_per_bar(*DEFAULT_TIME_SIGNATURE)
+PITCH_BASE = POSITION_BASE + N_POSITIONS
 N_PITCHES = 128
-DURATION_BASE = 148
-N_DURATIONS = 32
-VELOCITY_BASE = 180
-N_VELOCITIES = 32
-TEMPO_BASE = 212
-N_TEMPI = 32
-VOCAB_SIZE = 244
+DURATION_BASE = PITCH_BASE + N_PITCHES
+N_DURATIONS = MAX_DURATION_SLOTS
+VELOCITY_BASE = DURATION_BASE + N_DURATIONS
+N_VELOCITIES = VELOCITY_BINS
+TEMPO_BASE = VELOCITY_BASE + N_VELOCITIES
+N_TEMPI = TEMPO_BINS
+VOCAB_SIZE = TEMPO_BASE + N_TEMPI
 
 
 class EmptySequence(EmoMusicError):
@@ -97,20 +116,19 @@ def save_vocabulary(path: str | Path) -> None:
     Path(path).write_text(json.dumps(vocabulary_manifest(), indent=1) + "\n")
 
 
-def score_to_tokens(score: Score, grid: QuantizationConfig | None = None) -> list[int]:
+def score_to_tokens(score: Score) -> list[int]:
     """Tokenize a score. Quantization is total: values clamp to their nearest bin."""
-    grid = grid or QuantizationConfig()
     tokens = [BOS]
     if score.is_empty:
         tokens.append(EOS)
         return tokens
 
-    ticks_per_slot = score.ticks_per_quarter / grid.slots_per_quarter
+    ticks_per_slot = score.ticks_per_quarter / SLOTS_PER_QUARTER
     quantized = sorted(
-        ((grid.onset_slot(n.onset, score.ticks_per_quarter),
+        ((onset_slot(n.onset, score.ticks_per_quarter),
           n.pitch,
-          grid.duration_slots(n.duration, score.ticks_per_quarter),
-          grid.velocity_bin(n.velocity))
+          duration_slots(n.duration, score.ticks_per_quarter),
+          velocity_bin(n.velocity))
          for n in score.notes),
         key=lambda q: (q[0], q[1]))
 
@@ -121,9 +139,9 @@ def score_to_tokens(score: Score, grid: QuantizationConfig | None = None) -> lis
     while bar_start <= last_slot:
         bar_tick = round(bar_start * ticks_per_slot)
         num, den = score.time_signature_at(bar_tick)
-        bar_slots = grid.slots_per_bar(num, den)
+        bar_slots = slots_per_bar(num, den)
         tokens.append(BAR)
-        bin_now = grid.tempo_bin(score.tempo_at(bar_tick))
+        bin_now = tempo_bin(score.tempo_at(bar_tick))
         if bin_now != last_tempo_bin:
             tokens.append(tempo_token(bin_now))
             last_tempo_bin = bin_now
@@ -140,20 +158,18 @@ def score_to_tokens(score: Score, grid: QuantizationConfig | None = None) -> lis
     return tokens
 
 
-def tokens_to_score(tokens: list[int],
-                    grid: QuantizationConfig | None = None) -> tuple[Score, int]:
+def tokens_to_score(tokens: list[int]) -> tuple[Score, int]:
     """Decode a token sequence into a quantized 4/4 score.
 
     Malformed fragments (tokens out of grammar order) are skipped; the second
     return value counts the dropped tokens. Raises EmptySequence on an empty
     token list.
     """
-    grid = grid or QuantizationConfig()
     if not tokens:
         raise EmptySequence("cannot decode an empty token sequence")
 
-    tps = grid.ticks_per_quarter // grid.slots_per_quarter
-    bar_slots = grid.slots_per_bar(*_DEFAULT_METER)
+    tps = GRID_TICKS_PER_QUARTER // SLOTS_PER_QUARTER
+    bar_slots = N_POSITIONS  # one 4/4 bar
     notes: list[Note] = []
     tempo_map: dict[int, float] = {}
     dropped = 0
@@ -180,7 +196,7 @@ def tokens_to_score(tokens: list[int],
         elif TEMPO_BASE <= tok < TEMPO_BASE + N_TEMPI:
             flush_pending()
             tick = max(0, bar_start) * tps if seen_bar else 0
-            tempo_map[tick] = grid.tempo_from_bin(tok - TEMPO_BASE)
+            tempo_map[tick] = tempo_from_bin(tok - TEMPO_BASE)
         elif POSITION_BASE <= tok < POSITION_BASE + N_POSITIONS:
             flush_pending()
             if seen_bar:
@@ -205,7 +221,7 @@ def tokens_to_score(tokens: list[int],
                 pending.clear()
                 onset = (bar_start + slot) * tps
                 notes.append(Note(onset, dur * tps, pitch,
-                                  grid.velocity_from_bin(tok - VELOCITY_BASE), 0))
+                                  velocity_from_bin(tok - VELOCITY_BASE), 0))
             else:
                 flush_pending()
                 dropped += 1
@@ -214,18 +230,7 @@ def tokens_to_score(tokens: list[int],
             dropped += 1
     flush_pending()
 
-    score = Score(notes, grid.ticks_per_quarter,
-                  sorted(tempo_map.items()), [(0, *_DEFAULT_METER)])
+    score = Score(notes, GRID_TICKS_PER_QUARTER,
+                  sorted(tempo_map.items()), [(0, *DEFAULT_TIME_SIGNATURE)])
     return score, dropped
 
-
-_DEFAULT_METER = (4, 4)
-
-
-def write_token_file(path: str | Path, tokens: list[int]) -> None:
-    """Newline-delimited integer ids, one token per line."""
-    Path(path).write_text("".join(f"{t}\n" for t in tokens))
-
-
-def read_token_file(path: str | Path) -> list[int]:
-    return [int(line) for line in Path(path).read_text().split()]

@@ -15,6 +15,12 @@ from .model import ModelConfig, ModelState, forward_batch, init_state, next_toke
 from .tokens import PAD
 
 
+# Adam's moment decays and denominator guard (Vaswani et al. 2017)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.98
+ADAM_EPS = 1e-9
+
+
 class NonFiniteLoss(EmoMusicError):
     pass
 
@@ -25,9 +31,6 @@ class TrainConfig:
     base_lr: float = 1e-4
     warmup_steps: int = 16000
     max_steps: int = 100000
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-9
     grad_clip_norm: float = 1.0
     seed: int = 0
 
@@ -46,17 +49,14 @@ def lr_schedule(step: int, cfg: TrainConfig) -> float:
 
 @dataclass(slots=True)
 class Adam:
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-9
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
 
     def step(self, params: dict, lr: float) -> None:
         self.t += 1
-        correction1 = 1.0 - self.beta1 ** self.t
-        correction2 = 1.0 - self.beta2 ** self.t
+        correction1 = 1.0 - ADAM_BETA1 ** self.t
+        correction2 = 1.0 - ADAM_BETA2 ** self.t
         for name, p in params.items():
             g = p.grad
             if g is None:
@@ -64,11 +64,11 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
             m_hat = self.m[name] / correction1
             v_hat = self.v[name] / correction2
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def clip_gradients(params: dict, max_norm: float) -> float:
@@ -115,7 +115,7 @@ def train(state: ModelState, dataset: list[tuple[list[int], np.ndarray]],
     if not dataset:
         raise EmoMusicError("empty training dataset")
     params = state.params
-    optimizer = Adam(cfg.beta1, cfg.beta2, cfg.eps)
+    optimizer = Adam()
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     dropout_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
     log: list[tuple[int, float, float]] = []

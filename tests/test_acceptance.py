@@ -16,7 +16,7 @@ import pytest
 from emomusic.evaluation import l1_distance_analysis
 from emomusic.features import CorpusMatrix, default_catalog, extract_corpus, \
     extract_features
-from emomusic.forest import ForestConfig, feature_importance, predict_matrix, \
+from emomusic.forest import ForestConfig, feature_importance, predict_class_index, \
     train_forest
 from emomusic.mapping import (
     EmotionQuadrant,
@@ -29,8 +29,7 @@ from emomusic.mapping import (
 )
 from emomusic.midi import parse_midi, write_midi
 from emomusic.model import ModelConfig, forward_batch, init_state, next_token_loss
-from emomusic.pipeline import Pipeline, PipelineConfig, load_corpus_scores, \
-    run_pipeline
+from emomusic.pipeline import Pipeline, PipelineConfig, load_corpus_scores
 from emomusic.sampling import SamplerConfig, sample_top_p
 from emomusic.score import Note, Score
 from emomusic.synth import SynthSpec, synth_corpus
@@ -58,7 +57,7 @@ def pipeline8(tmp_path_factory):
         seed=11, forest_trees=200, selection_k=20, mapping_method="closest",
         model_size="small", train_steps=2500, batch_size=8, base_lr=1e-3,
         warmup_steps=100, n_generate_per_quadrant=25, max_generate_tokens=256)
-    result = run_pipeline(config)
+    result = Pipeline(config).run()
     return config, result, time.time() - start
 
 
@@ -73,7 +72,7 @@ def bias9(tmp_path_factory):
         seed=21, forest_trees=200, selection_k=20, model_size="small",
         train_steps=1500, batch_size=8, base_lr=1e-3, warmup_steps=100,
         n_generate_per_quadrant=2, max_generate_tokens=256, bias_n=15)
-    run_pipeline(config)
+    Pipeline(config).run()
     return Pipeline(config).analyze_bias(n=15)
 
 
@@ -157,7 +156,8 @@ def test_criterion_3_forest_sanity():
     forest = train_forest(LabeledCorpus(CorpusMatrix(values), quads),
                           ForestConfig(n_trees=500, seed=5))
     probe, truth = draw(10)
-    holdout = (predict_matrix(forest, probe) == truth).mean()
+    preds = np.array([predict_class_index(forest, row) for row in probe])
+    holdout = (preds == truth).mean()
     assert holdout >= 0.95
     ranking = feature_importance(forest)
     assert ranking.order[0] == 3

@@ -11,8 +11,9 @@ from emomusic.autodiff import (
     embedding,
     layer_norm,
     relu,
-    softmax,
 )
+
+from reference import softmax
 
 RNG = np.random.default_rng(31)
 

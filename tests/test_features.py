@@ -2,6 +2,7 @@
 from the definitions in the catalog reference."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,25 @@ class TestCatalogShape:
 
     def test_manual_selection_is_17_dims(self):
         assert len(manual_indices(CATALOG)) == 17
+
+    def test_reference_doc_matches_the_catalog(self):
+        lines = [
+            "# Feature catalog reference",
+            "",
+            f"Catalog version `{CATALOG.version}`, {CATALOG.total_dim} dimensions, "
+            f"{len(CATALOG.entries)} features across {len(GROUPS)} groups.",
+            "",
+            "Flattened dimension order follows this table top to bottom; histogram",
+            "features occupy `dim` consecutive slots. Selection indices always refer",
+            "to this flattened order and are only meaningful for this version string.",
+            "",
+            "| id | group | dim | definition |",
+            "|----|-------|-----|------------|",
+        ]
+        lines += [f"| `{e.id}` | {e.group} | {e.dim} | {e.description} |"
+                  for e in CATALOG.entries]
+        doc = Path(__file__).resolve().parents[1] / "docs" / "feature_catalog.md"
+        assert doc.read_text() == "\n".join(lines + [""])
 
 
 class TestFourNoteFixture:

@@ -17,7 +17,6 @@ from emomusic.forest import (
     forest_to_json,
     oob_accuracy,
     predict_class_index,
-    predict_matrix,
     select_attributes,
     train_forest,
 )
@@ -57,7 +56,7 @@ class TestTraining:
     def test_two_class_fixture_fits_its_own_samples(self):
         corpus = separable_two_class()
         forest = train_forest(corpus, ForestConfig(n_trees=25, seed=1))
-        preds = predict_matrix(forest, corpus.matrix.values)
+        preds = np.array([predict_class_index(forest, row) for row in corpus.matrix.values])
         assert (preds == corpus.label_indices()).all()
 
     def test_identical_rows_mixed_labels_predict_majority(self):
@@ -98,7 +97,8 @@ class TestTraining:
         corpus = make_corpus(values, labels.tolist())
         forest = train_forest(corpus, ForestConfig(n_trees=200, seed=5))
         probe, truth = draw(10)
-        assert (predict_matrix(forest, probe) == truth).mean() >= 0.95
+        preds = np.array([predict_class_index(forest, row) for row in probe])
+        assert (preds == truth).mean() >= 0.95
 
     def test_oob_accuracy_on_separable_fixture(self):
         corpus = planted_corpus(n_per_class=16)
@@ -214,4 +214,5 @@ class TestSerialization:
         assert loaded.n_features == forest.n_features
         assert loaded.catalog_version == forest.catalog_version
         probe = np.random.default_rng(19).uniform(0, 4, size=(16, 10))
-        assert (predict_matrix(loaded, probe) == predict_matrix(forest, probe)).all()
+        assert all(predict_class_index(loaded, row) == predict_class_index(forest, row)
+                   for row in probe)

@@ -24,7 +24,7 @@ def gini_oracle(counts: np.ndarray) -> float:
     return float(1.0 - (p * p).sum())
 
 
-def best_split_oracle(x, y_onehot, candidates, min_leaf):
+def best_split_oracle(x, y_onehot, candidates):
     """Per-feature scan; column j of the node block ``x`` holds feature
     candidates[j], candidates ascend, the lowest threshold wins ties."""
     n_node = x.shape[0]
@@ -41,11 +41,6 @@ def best_split_oracle(x, y_onehot, candidates, min_leaf):
             continue
         n_left = cut.astype(float)
         n_right = n_node - n_left
-        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not valid.any():
-            continue
-        cut = cut[valid]
-        n_left, n_right = n_left[valid], n_right[valid]
         left_counts = cum[cut - 1]
         right_counts = parent_counts - left_counts
         gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
@@ -114,9 +109,7 @@ def assert_same_trees(a, b):
             assert va.tobytes() == vb.tobytes(), name
 
 
-@pytest.mark.parametrize("overrides", [
-    {}, {"min_samples_leaf": 3}, {"max_depth": 2},
-], ids=["default", "min_leaf_3", "max_depth_2"])
+@pytest.mark.parametrize("overrides", [{}], ids=["default"])
 def test_forest_matches_per_feature_oracle(monkeypatch, overrides):
     corpus = awkward_corpus()
     config = ForestConfig(n_trees=12, seed=21, **overrides)
@@ -139,26 +132,23 @@ def onehot(labels):
     return np.eye(4)[np.asarray(labels)]
 
 
-@pytest.mark.parametrize("x, labels, min_leaf, expected", [
+@pytest.mark.parametrize("x, labels, expected", [
     # node of size 2: the only cut separates the two classes
-    ([[0.0, 1.0], [1.0, 1.0]], [0, 1], 1, (3, 0.5, 0.5)),
+    ([[0.0, 1.0], [1.0, 1.0]], [0, 1], (3, 0.5, 0.5)),
     # node of size 2 with tied values in every column: no cut exists
-    ([[1.0, 4.0], [1.0, 4.0]], [0, 1], 1, None),
-    # cuts exist but none leaves three rows on each side
-    ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], [0, 1, 2, 3], 3, None),
+    ([[1.0, 4.0], [1.0, 4.0]], [0, 1], None),
     # valid cuts, none lowers the impurity
-    ([[0.0, 5.0], [0.0, 5.0], [1.0, 5.0], [1.0, 5.0]], [0, 1, 0, 1], 1, None),
+    ([[0.0, 5.0], [0.0, 5.0], [1.0, 5.0], [1.0, 5.0]], [0, 1, 0, 1], None),
     # same class mix on both sides: the decrease is rounding noise (~1e-16)
-    ([[0.0, 5.0]] * 3 + [[1.0, 5.0]] * 6, [0, 1, 2, 0, 0, 1, 1, 2, 2], 1, None),
+    ([[0.0, 5.0]] * 3 + [[1.0, 5.0]] * 6, [0, 1, 2, 0, 0, 1, 1, 2, 2], None),
     # duplicated columns tie: the lower feature index wins
-    ([[0.0, 0.0], [0.0, 0.0], [2.0, 2.0], [2.0, 2.0]], [0, 0, 1, 1], 1, (3, 1.0, 0.5)),
-], ids=["size2", "size2_tied", "no_valid_cut", "no_decrease", "rounding_noise",
-        "duplicate_tie"])
-def test_edge_nodes_match_oracle(x, labels, min_leaf, expected):
+    ([[0.0, 0.0], [0.0, 0.0], [2.0, 2.0], [2.0, 2.0]], [0, 0, 1, 1], (3, 1.0, 0.5)),
+], ids=["size2", "size2_tied", "no_decrease", "rounding_noise", "duplicate_tie"])
+def test_edge_nodes_match_oracle(x, labels, expected):
     x = np.asarray(x)
     candidates = np.array([3, 8])
-    got = forest_mod._best_split(x, onehot(labels), candidates, min_leaf)
-    assert got == best_split_oracle(x, onehot(labels), candidates, min_leaf)
+    got = forest_mod._best_split(x, onehot(labels), candidates)
+    assert got == best_split_oracle(x, onehot(labels), candidates)
     assert got == expected
 
 
@@ -170,6 +160,6 @@ def test_random_nodes_match_oracle():
         x = rng.integers(0, int(rng.integers(1, 6)), size=(n, m)).astype(float)
         labels = rng.integers(0, int(rng.integers(2, 5)), size=n)
         candidates = np.sort(rng.choice(50, size=m, replace=False))
-        min_leaf = int(rng.integers(1, 4))
-        got = forest_mod._best_split(x, onehot(labels), candidates, min_leaf)
-        assert got == best_split_oracle(x, onehot(labels), candidates, min_leaf)
+        rng.integers(1, 4)  # the former min_leaf draw; keeps the later nodes as they were
+        got = forest_mod._best_split(x, onehot(labels), candidates)
+        assert got == best_split_oracle(x, onehot(labels), candidates)

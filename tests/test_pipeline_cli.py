@@ -18,7 +18,6 @@ from emomusic.pipeline import (
     EmptyManifest,
     Pipeline,
     PipelineConfig,
-    run_pipeline,
     split_dataset,
 )
 from emomusic.synth import SynthSpec, synth_corpus
@@ -80,7 +79,7 @@ class TestSplitDataset:
 class TestPipeline:
     def test_fresh_run_produces_all_artifacts(self, tmp_path):
         config = tiny_config(tmp_path)
-        result = run_pipeline(config)
+        result = Pipeline(config).run()
         assert all(state == "ran" for state in result["stages"].values())
         art = tmp_path / "artifacts"
         for name in ("splits.json", "features.npz", "features.csv", "forest.json",
@@ -93,29 +92,29 @@ class TestPipeline:
 
     def test_rerun_skips_every_stage(self, tmp_path):
         config = tiny_config(tmp_path)
-        run_pipeline(config)
-        result = run_pipeline(config)
+        Pipeline(config).run()
+        result = Pipeline(config).run()
         assert all(state == "skipped" for state in result["stages"].values())
 
     def test_retrain_reruns_evaluate(self, tmp_path):
-        run_pipeline(tiny_config(tmp_path))
-        result = run_pipeline(tiny_config(tmp_path, train_steps=12))
+        Pipeline(tiny_config(tmp_path)).run()
+        result = Pipeline(tiny_config(tmp_path, train_steps=12)).run()
         assert result["stages"]["generate"] == "ran"
         assert result["stages"]["evaluate"] == "ran"
-        fresh = run_pipeline(tiny_config(tmp_path / "fresh", train_steps=12))
+        fresh = Pipeline(tiny_config(tmp_path / "fresh", train_steps=12)).run()
         assert result["report"] == fresh["report"]
 
     @pytest.mark.parametrize("field, value", [("dtype", "float64"),
                                               ("grad_clip_norm", 0.5)])
     def test_training_setting_change_reruns_train(self, tmp_path, field, value):
-        run_pipeline(tiny_config(tmp_path))
-        result = run_pipeline(tiny_config(tmp_path, **{field: value}))
+        Pipeline(tiny_config(tmp_path)).run()
+        result = Pipeline(tiny_config(tmp_path, **{field: value})).run()
         assert result["stages"]["map-emotion"] == "skipped"
         assert result["stages"]["train"] == "ran"
 
     def test_artifacts_embed_catalog_version(self, tmp_path):
         config = tiny_config(tmp_path)
-        run_pipeline(config)
+        Pipeline(config).run()
         art = tmp_path / "artifacts"
         assert json.loads((art / "selection.json").read_text())["catalog_version"] == "v1"
         assert json.loads((art / "mapping.json").read_text())["catalog_version"] == "v1"
@@ -123,7 +122,7 @@ class TestPipeline:
 
     def test_analyze_bias_writes_report(self, tmp_path):
         config = tiny_config(tmp_path)
-        run_pipeline(config)
+        Pipeline(config).run()
         report = Pipeline(config).analyze_bias(n=2)
         assert set(report["real"]) == {"center", "boundary"}
         assert set(report["generated"]) == {"center", "boundary"}
@@ -260,7 +259,7 @@ class TestStageTable:
     @pytest.fixture(scope="class")
     def base_run(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("base")
-        run_pipeline(tiny_config(root))
+        Pipeline(tiny_config(root)).run()
         return root
 
     @pytest.mark.parametrize("changed", list(FIELD_CHANGES))
@@ -269,7 +268,7 @@ class TestStageTable:
         shutil.copytree(base_run / "artifacts", tmp_path / "artifacts")
         field, value = FIELD_CHANGES[changed]
         config = dataclasses.replace(tiny_config(tmp_path), **{field: value})
-        status = run_pipeline(config)["stages"]
+        status = Pipeline(config).run()["stages"]
         position = [s.name for s in STAGES].index(changed)
         for i, stage in enumerate(STAGES):
             want = "ran" if i >= position else "skipped"
@@ -289,6 +288,12 @@ class TestStageTable:
         for method, name in spans.STAGES.items():
             assert callable(getattr(Pipeline, method, None)), method
             assert methods.get(name) == method, name
+        # every traced function too: a deleted one would read zero
+        for module, path, name, _ in spans.LAYERS:
+            owner = importlib.import_module(module)
+            for part in path.split("."):
+                owner = getattr(owner, part, None)
+            assert callable(owner), f"{module}.{path} ({name})"
 
 
 class TestCacheAndConfigErrors:
@@ -325,6 +330,17 @@ class TestCacheAndConfigErrors:
         record.write_text(text)
         assert main(["extract", "--config", str(tmp_path / "config.json")]) == 2
         assert str(record) in capsys.readouterr().err
+
+    def test_missing_vocabulary_reruns_extract(self, tmp_path, capsys):
+        config = tiny_config(tmp_path)
+        config.to_json(tmp_path / "config.json")
+        command = ["extract", "--config", str(tmp_path / "config.json")]
+        assert main(command) == 0
+        vocabulary = tmp_path / "artifacts" / "vocabulary.json"
+        vocabulary.unlink()
+        assert main(command) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "extract: ran"
+        assert vocabulary.exists()
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
     def test_config_file_not_a_json_object_exits_2(self, tmp_path, capsys, text):
@@ -414,7 +430,8 @@ class TestOlderArtifactFormats:
         art = tmp_path / "artifacts"
         selection = (art / "selection.json").read_text()
         doc = json.loads((art / "forest.json").read_text())
-        doc["config"]["canonical_order"] = False
+        doc["config"].update(canonical_order=False, max_depth=None, min_samples_leaf=1,
+                             features_per_split=None)
         (art / "forest.json").write_text(json.dumps(doc) + "\n")
         assert main(["select-attrs", "--config", str(tmp_path / "config.json")]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "select-attrs: ran"
@@ -445,6 +462,45 @@ class TestTruncatedArtifacts:
         path.write_text(path.read_text()[:45])
         assert main([command, "--config", str(tmp_path / "config.json")]) == 2
         assert str(path) in capsys.readouterr().err
+
+
+class TestBadJsonInputs:
+    """A JSON input cut short, or an attribute file that is missing or not a
+    list, is bad input: exit 2 naming the file, not exit 3."""
+
+    @pytest.fixture(scope="class")
+    def base_run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("base")
+        Pipeline(tiny_config(root)).run(until="generate")
+        return root
+
+    @pytest.mark.parametrize("name,command", [
+        ("corpus/manifest.json", "extract"),
+        ("artifacts/generated/manifest.json", "evaluate"),
+        ("artifacts/splits.json", "train-forest"),
+        ("artifacts/labels.json", "train-forest"),
+        ("artifacts/features.json", "analyze-bias"),
+    ], ids=["corpus-manifest", "generated-manifest", "splits", "labels", "features"])
+    def test_cut_file_exits_2(self, base_run, tmp_path, capsys, name, command):
+        shutil.copytree(base_run / "artifacts", tmp_path / "artifacts")
+        tiny_config(tmp_path).to_json(tmp_path / "config.json")
+        path = tmp_path / name
+        path.write_text(path.read_text()[:30])
+        assert main([command, "--config", str(tmp_path / "config.json")]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{not json", None, '{"values": [1, 2, 3]}'],
+                             ids=["not-json", "missing", "object"])
+    def test_bad_attr_file_exits_2(self, tmp_path, capsys, text):
+        art = tmp_path / "artifacts"
+        write_generate_artifacts(art)
+        attr_file = tmp_path / "attrs.json"
+        if text is not None:
+            attr_file.write_text(text)
+        assert main(["generate", "--artifact-dir", str(art),
+                     "--attr-file", str(attr_file)]) == 2
+        assert str(attr_file) in capsys.readouterr().err
+        assert not list((art / "generated").glob("*.mid"))
 
 
 def test_checkpoint_without_attribute_encoder_exits_2(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from emomusic.midi import EndOfTrack, MidiFile, MidiTrack, NoteOff, NoteOn, parse_midi
-from emomusic.score import Note, QuantizationConfig, Score, midi_to_score, quantize_score
+from emomusic.score import Note, Score, midi_to_score, quantize_score
 from emomusic.tokens import (
     BAR,
     BOS,
@@ -17,18 +17,13 @@ from emomusic.tokens import (
     VELOCITY_BASE,
     VOCAB_SIZE,
     EmptySequence,
-    read_token_file,
     score_to_tokens,
     token_name,
     tokens_to_score,
     vocabulary_manifest,
-    write_token_file,
 )
 
 from conftest import random_quantized_score
-
-
-GRID = QuantizationConfig()
 
 
 class TestMidiToScore:
@@ -80,32 +75,32 @@ class TestVocabulary:
 class TestScoreToTokens:
     def test_single_quarter_note(self):
         score = Score([Note(0, 480, 60, 64)], 480, [(0, 120.0)], [(0, 4, 4)])
-        tokens = score_to_tokens(score, GRID)
+        tokens = score_to_tokens(score)
         assert tokens == [BOS, BAR, TEMPO_BASE + 21, POSITION_BASE + 0,
                           PITCH_BASE + 60, DURATION_BASE + 4 - 1,
                           VELOCITY_BASE + 16, EOS]
 
     def test_note_in_second_bar_gets_two_bar_tokens(self):
         score = Score([Note(4 * 480, 480, 60, 64)], 480)
-        tokens = score_to_tokens(score, GRID)
+        tokens = score_to_tokens(score)
         assert tokens[:3] == [BOS, BAR, TEMPO_BASE + 21]
         assert tokens[3] == BAR
         assert tokens[4] == POSITION_BASE + 0
 
     def test_duration_clamps_to_32_sixteenths(self):
         score = Score([Note(0, 10 * 480, 60, 64)], 480)
-        tokens = score_to_tokens(score, GRID)
+        tokens = score_to_tokens(score)
         assert DURATION_BASE + 32 - 1 in tokens
 
     def test_tempo_token_only_on_bin_change(self):
         notes = [Note(0, 480, 60, 64), Note(4 * 480 * 4, 480, 62, 64)]
         same = Score(notes, 480, [(0, 120.0)], [(0, 4, 4)])
-        tokens = same, score_to_tokens(same, GRID)
+        tokens = same, score_to_tokens(same)
         n_tempo = sum(1 for t in tokens[1] if TEMPO_BASE <= t < TEMPO_BASE + 32)
         assert n_tempo == 1  # no change, only the first bar announces tempo
 
         changed = Score(notes, 480, [(0, 120.0), (4 * 480 * 4, 60.0)], [(0, 4, 4)])
-        tokens = score_to_tokens(changed, GRID)
+        tokens = score_to_tokens(changed)
         n_tempo = sum(1 for t in tokens if TEMPO_BASE <= t < TEMPO_BASE + 32)
         assert n_tempo == 2
 
@@ -113,7 +108,7 @@ class TestScoreToTokens:
         # in 3/4 a bar is 12 slots: a note at slot 12 sits in bar 2 position 0
         score = Score([Note(3 * 480, 480, 60, 64)], 480,
                       time_signatures=[(0, 3, 4)])
-        tokens = score_to_tokens(score, GRID)
+        tokens = score_to_tokens(score)
         bars_before_position = 0
         for t in tokens:
             if t == BAR:
@@ -128,8 +123,8 @@ class TestScoreToTokens:
 class TestTokensToScore:
     def test_inverse_of_single_note_example(self):
         score = Score([Note(0, 480, 60, 64)], 480, [(0, 120.0)], [(0, 4, 4)])
-        tokens = score_to_tokens(score, GRID)
-        back, dropped = tokens_to_score(tokens, GRID)
+        tokens = score_to_tokens(score)
+        back, dropped = tokens_to_score(tokens)
         assert dropped == 0
         assert len(back.notes) == 1
         note = back.notes[0]
@@ -138,17 +133,17 @@ class TestTokensToScore:
 
     def test_pitch_without_position_dropped_and_counted(self):
         tokens = [BOS, BAR, TEMPO_BASE + 21, PITCH_BASE + 60, EOS]
-        score, dropped = tokens_to_score(tokens, GRID)
+        score, dropped = tokens_to_score(tokens)
         assert dropped == 1
         assert score.is_empty
 
     def test_empty_sequence_raises(self):
         with pytest.raises(EmptySequence):
-            tokens_to_score([], GRID)
+            tokens_to_score([])
 
     def test_interior_pad_dropped(self):
         tokens = [BOS, BAR, TEMPO_BASE + 21, PAD, EOS]
-        _, dropped = tokens_to_score(tokens, GRID)
+        _, dropped = tokens_to_score(tokens)
         assert dropped == 1
 
 
@@ -157,8 +152,8 @@ class TestRoundTrips:
         rng = np.random.default_rng(11)
         for _ in range(50):
             score = random_quantized_score(rng)
-            quantized = quantize_score(score, GRID)
-            back, dropped = tokens_to_score(score_to_tokens(quantized, GRID), GRID)
+            quantized = quantize_score(score)
+            back, dropped = tokens_to_score(score_to_tokens(quantized))
             assert dropped == 0
             assert back.notes == quantized.notes
             assert back.tempo_map == pytest.approx(quantized.tempo_map)
@@ -166,26 +161,16 @@ class TestRoundTrips:
     def test_detokenize_tokenize_identity_on_token_streams(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
-            tokens = score_to_tokens(quantize_score(random_quantized_score(rng), GRID),
-                                     GRID)
-            score, _ = tokens_to_score(tokens, GRID)
-            assert score_to_tokens(score, GRID) == tokens
+            tokens = score_to_tokens(quantize_score(random_quantized_score(rng)))
+            score, _ = tokens_to_score(tokens)
+            assert score_to_tokens(score) == tokens
 
     def test_quantization_idempotent(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
             score = random_quantized_score(rng)
-            once = quantize_score(score, GRID)
-            twice = quantize_score(once, GRID)
+            once = quantize_score(score)
+            twice = quantize_score(once)
             assert once.notes == twice.notes
             assert once.tempo_map == twice.tempo_map
 
-
-class TestTokenFiles:
-    def test_newline_delimited_round_trip(self, tmp_path):
-        tokens = [BOS, BAR, TEMPO_BASE + 5, POSITION_BASE, PITCH_BASE + 72,
-                  DURATION_BASE + 3, VELOCITY_BASE + 10, EOS]
-        path = tmp_path / "tokens.txt"
-        write_token_file(path, tokens)
-        assert read_token_file(path) == tokens
-        assert path.read_text().count("\n") == len(tokens)
