@@ -27,11 +27,17 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False,
                  parents: tuple = (), backward=None):
-        self.data = np.asarray(data)
+        self.data = data if type(data) is np.ndarray else np.asarray(data)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._parents = parents if self.requires_grad else ()
-        self._backward = backward if self.requires_grad else None
+        if not requires_grad:
+            for parent in parents:
+                if parent.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = requires_grad
+        # without a parent that needs a gradient the graph stops here
+        self._parents = parents if requires_grad else ()
+        self._backward = backward if requires_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -163,10 +169,8 @@ class Tensor:
         return Tensor(self.data.reshape(*shape), parents=(self,), backward=backward)
 
     def transpose(self, *axes):
-        inverse = np.argsort(axes)
-
         def backward(g):
-            return (g.transpose(*inverse),)
+            return (g.transpose(*np.argsort(axes)),)
 
         return Tensor(self.data.transpose(*axes), parents=(self,), backward=backward)
 
@@ -201,6 +205,8 @@ def elu_plus_one(x: Tensor) -> Tensor:
     """phi(x) = elu(x) + 1: x+1 for x > 0, exp(x) otherwise. Always positive."""
     pos = x.data > 0
     out_data = np.where(pos, x.data + 1.0, np.exp(np.minimum(x.data, 0.0)))
+    if not x.requires_grad:
+        return Tensor(out_data)
     deriv = np.where(pos, 1.0, out_data)  # d/dx exp(x) = exp(x) on the left branch
     return Tensor(out_data, parents=(x,), backward=lambda g: (g * deriv,))
 
@@ -218,12 +224,16 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    """Normalize over the last axis, then scale and shift.
+
+    The moments are ``np.mean``/``np.var``'s own arithmetic, bit for bit,
+    with the input centred once.
+    """
     d = x.data.shape[-1]
+    xc = x.data - np.add.reduce(x.data, -1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, -1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
 
     def backward(g):
         dxhat = g * gamma.data

@@ -137,7 +137,11 @@ def _cmd_generate(args, config: PipelineConfig) -> int:
         custom = read_json(path, "attribute file")
         if not isinstance(custom, list):
             raise EmoMusicError(f"attribute file {path} must hold a JSON list of values")
-        values = {"custom": np.asarray(custom, dtype=float)}
+        try:
+            values = {"custom": np.asarray(custom, dtype=float)}
+        except (TypeError, ValueError) as exc:
+            raise EmoMusicError(f"attribute file {path} must hold a JSON list of "
+                                f"numbers ({exc})") from exc
     else:
         table = MappingTable.load(pipe.mapping_path)
         quadrants = [EmotionQuadrant[args.emotion]] if args.emotion \

@@ -177,17 +177,22 @@ def _linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
 class DecodeCache:
     """Per-row, per-layer prefix sums S = sum_j phi(k_j) v_j^T (B, H, dk, dk) and
-    z = sum_j phi(k_j) (B, H, 1, dk) of B decoded rows; ``t`` is the next position."""
+    z = sum_j phi(k_j) (B, H, 1, dk) of B decoded rows, plus each row's
+    attribute embedding (B, 1, d_model), computed at the first step from that
+    step's bits and kept for the rest; ``t`` is the next position."""
 
     def __init__(self, config: ModelConfig, rows: int):
         h, dk = config.n_heads, config.d_model // config.n_heads
         self.s = np.zeros((config.n_layers, rows, h, dk, dk))
         self.z = np.zeros((config.n_layers, rows, h, 1, dk))
+        self.attr: Tensor | None = None
         self.t = 0
 
     def keep(self, rows: np.ndarray) -> None:
         """Drop every row that the boolean mask ``rows`` does not select."""
         self.s, self.z = self.s[:, rows], self.z[:, rows]
+        if self.attr is not None:
+            self.attr = self.attr[rows]
 
     def attend(self, layer: int, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         """``_linear_attention`` for one new position: q, k, v are (B, H, 1, dk)."""
@@ -224,7 +229,8 @@ def backbone(state: ModelState, ids: np.ndarray, bits: np.ndarray,
 
     ``bits`` is the (B, attr_dim) binarized attribute matrix. ``rng`` enables
     dropout; pass None for deterministic inference. With a ``cache``, ids (B, 1)
-    are each row's token at position ``cache.t``, and the step moves it on.
+    are each row's token at position ``cache.t``, and the step moves it on;
+    the rows' attribute embedding comes from the first step's ``bits``.
     """
     cfg = state.config
     p = state.params
@@ -244,7 +250,9 @@ def backbone(state: ModelState, ids: np.ndarray, bits: np.ndarray,
     else:
         if t != 1:
             raise ShapeMismatch("a decoding step takes one token per row")
-        x = x + attribute_embedding(state, bits[:, None, :])  # row by row
+        if cache.attr is None:
+            cache.attr = attribute_embedding(state, bits[:, None, :])  # row by row
+        x = x + cache.attr
         cache.t += 1
     x = dropout(x, cfg.dropout, rng)
     for layer in range(cfg.n_layers):

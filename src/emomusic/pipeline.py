@@ -13,9 +13,11 @@ sha256 over
 - the name and bytes of each file it reads;
 - the signatures recorded for its ``deps``.
 
-A stage is skipped when its signature matches the record and its outputs
-exist. Through the ``deps`` chain no output file can stand in for a model it
-did not come from. Records written by older versions never match, so their
+The record also holds the sha256 of each output file. A stage is skipped
+when its signature matches the record and every output still has its
+recorded hash, so a missing or damaged output is rebuilt, not served.
+Through the ``deps`` chain no output file can stand in for a model it did
+not come from. Records written by older versions never match, so their
 stages re-run once.
 """
 
@@ -235,19 +237,21 @@ STAGES = (
           ("features.npz", "features.json", "features.csv", "labels.json",
            "vocabulary.json")),
     Stage("train-forest", "stage_train_forest", ("forest_trees", "seed"),
-          ("split", "extract"), ("features.npz", "labels.json", "splits.json"),
+          ("split", "extract"),
+          ("features.npz", "features.json", "labels.json", "splits.json"),
           ("forest.json",)),
     Stage("select-attrs", "stage_select", ("selection_method", "selection_k", "seed"),
           ("train-forest",), ("forest.json",), ("selection.json",)),
     Stage("map-emotion", "stage_map", ("mapping_method", "kmeans_clusters", "seed"),
           ("split", "extract", "select-attrs"),
-          ("selection.json", "features.npz", "labels.json", "splits.json"),
+          ("selection.json", "features.npz", "features.json", "labels.json",
+           "splits.json"),
           ("mapping.json",)),
     Stage("train", "stage_train",
           ("model_size", "dtype", "dropout", "train_steps", "batch_size", "base_lr",
            "warmup_steps", "grad_clip_norm", "seed"),
           ("split", "extract", "map-emotion"),
-          ("mapping.json", "features.npz", "splits.json", "corpus"),
+          ("mapping.json", "features.npz", "features.json", "splits.json", "corpus"),
           ("checkpoint.npz", "checkpoint.json", "loss_log.csv")),
     Stage("generate", "stage_generate",
           ("n_generate_per_quadrant", "sampler_p", "sampler_temperature",
@@ -334,22 +338,35 @@ class Pipeline:
                 paths.append(self.art / name)
         return paths
 
-    def _recorded_signature(self, name: str) -> str | None:
+    def _record(self, name: str) -> dict:
+        """The stage's meta record; empty when it has none."""
         path = self.art / "stage_meta" / f"{name}.json"
         if not path.exists():
-            return None
+            return {}
         try:
-            return json.loads(path.read_text())["signature"]
-        except (ValueError, KeyError, TypeError) as exc:
+            record = json.loads(path.read_text())
+            if not isinstance(record, dict) or "signature" not in record:
+                raise ValueError("no signature")
+        except ValueError as exc:
             raise EmoMusicError(f"corrupt cache record {path} ({exc!r}); "
                                 "delete it to re-run the stage") from exc
+        return record
+
+    def _output_hashes(self, stage: Stage) -> dict[str, str | None]:
+        """sha256 of each output file; None for one that is missing."""
+        hashes = {}
+        for name in stage.outputs:
+            path = self.art / name
+            hashes[name] = hashlib.sha256(path.read_bytes()).hexdigest() \
+                if path.exists() else None
+        return hashes
 
     def _signature(self, stage: Stage) -> str:
         h = hashlib.sha256()
         h.update(json.dumps({
             "fields": {f: getattr(self.config, f) for f in stage.fields},
             "catalog": self.catalog.version,
-            "deps": {d: self._recorded_signature(d) for d in stage.deps},
+            "deps": {d: self._record(d).get("signature") for d in stage.deps},
         }, sort_keys=True).encode())
         for p in sorted(self._input_paths(stage.inputs), key=str):
             h.update(p.name.encode())
@@ -358,8 +375,9 @@ class Pipeline:
 
     def _run_stage(self, stage: Stage, body) -> str:
         signature = self._signature(stage)
-        if self._recorded_signature(stage.name) == signature and \
-                all((self.art / p).exists() for p in stage.outputs):
+        record = self._record(stage.name)
+        if record.get("signature") == signature and \
+                record.get("outputs") == self._output_hashes(stage):
             return "skipped"
         try:
             body()
@@ -368,7 +386,7 @@ class Pipeline:
         meta_path = self.art / "stage_meta" / f"{stage.name}.json"
         meta_path.parent.mkdir(parents=True, exist_ok=True)
         meta_path.write_text(json.dumps(
-            {"signature": signature, "outputs": list(stage.outputs)}) + "\n")
+            {"signature": signature, "outputs": self._output_hashes(stage)}) + "\n")
         return "ran"
 
     def run(self, until: str | None = None) -> dict:

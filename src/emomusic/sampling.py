@@ -1,14 +1,16 @@
 """Nucleus (top-p) sampling and batched autoregressive generation.
 
 Decoding runs ``model.backbone`` one token per row at a time with a
-``DecodeCache``, in float64 on a float64 copy of the weights. Its logits match
-the full forward within 1e-9 absolute, not bit for bit: the two forms sum in
-different orders. Every product is taken row by row, so a piece does not
-depend on the rows decoded with it.
+``DecodeCache``, in float64 on a float64 copy of the weights. The copy's
+tensors do not require gradients, so no op in a step builds a backward
+graph. Its logits match the full forward within 1e-9 absolute, not bit for
+bit: the two forms sum in different orders. Every product is taken row by
+row, so a piece does not depend on the rows decoded with it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +41,13 @@ def nucleus_probabilities(probs: np.ndarray, p: float) -> np.ndarray:
     """Zero out everything outside the smallest prefix of descending-sorted
     probabilities whose cumulative mass reaches p, then renormalize."""
     probs = np.asarray(probs, dtype=float)
-    order = np.argsort(-probs, kind="stable")
-    cumulative = np.cumsum(probs[order])
-    cutoff = int(np.searchsorted(cumulative, p)) + 1  # smallest prefix >= p
-    keep = order[:cutoff]
-    out = np.zeros_like(probs)
-    out[keep] = probs[keep] / probs[keep].sum()
+    # array methods rather than their np.* wrappers: this runs for every token
+    order = (-probs).argsort(kind="stable")
+    ranked = probs[order]
+    cutoff = int(ranked.cumsum().searchsorted(p)) + 1  # smallest prefix >= p
+    top = ranked[:cutoff]
+    out = np.zeros(probs.shape)
+    out[order[:cutoff]] = top / top.sum()
     return out
 
 
@@ -60,13 +63,13 @@ def sample_top_p(logits: np.ndarray, cfg: SamplerConfig,
     scaled -= scaled.max()
     probs = np.exp(scaled)
     total = probs.sum()
-    if not np.isfinite(total):
+    if not math.isfinite(total):
         raise EmoMusicError("logits are NaN, +inf or all -inf; cannot sample")
     probs /= total
     probs = nucleus_probabilities(probs, cfg.p)
-    kept = np.flatnonzero(probs)
-    cumulative = np.cumsum(probs[kept])
-    i = np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right")
+    kept = probs.nonzero()[0]
+    cumulative = probs[kept].cumsum()
+    i = cumulative.searchsorted(rng.random() * cumulative[-1], side="right")
     return int(kept[min(i, kept.size - 1)])
 
 

@@ -1,7 +1,10 @@
 """Reference calls the model tests share; no pipeline path uses them.
 
 ``softmax`` serves the softmax-attention oracle and a gradient check;
-``forward`` is the single-sequence form of ``model.forward_batch``.
+``layer_norm`` is the ``np.mean``/``np.var`` form that ``autodiff.layer_norm``
+must match bit for bit, and ``sample_top_p`` the form whose draws
+``sampling.sample_top_p`` must repeat; ``forward`` is the single-sequence
+form of ``model.forward_batch``.
 """
 
 import numpy as np
@@ -19,6 +22,42 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
 
     return Tensor(y, parents=(x,), backward=backward)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mu) * inv
+    d = x.data.shape[-1]
+
+    def backward(g):
+        dxhat = g * gamma.data
+        dx = inv / d * (d * dxhat
+                        - dxhat.sum(axis=-1, keepdims=True)
+                        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
+        axes = tuple(range(g.ndim - 1))
+        return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+    return Tensor(xhat * gamma.data + beta.data, parents=(x, gamma, beta),
+                  backward=backward)
+
+
+def sample_top_p(logits: np.ndarray, p: float, temperature: float,
+                 rng: np.random.Generator) -> int:
+    scaled = np.asarray(logits, dtype=float) / temperature
+    scaled -= scaled.max()
+    probs = np.exp(scaled)
+    probs /= probs.sum()
+    order = np.argsort(-probs, kind="stable")
+    cutoff = int(np.searchsorted(np.cumsum(probs[order]), p)) + 1
+    keep = order[:cutoff]
+    nucleus = np.zeros_like(probs)
+    nucleus[keep] = probs[keep] / probs[keep].sum()
+    kept = np.flatnonzero(nucleus)
+    cumulative = np.cumsum(nucleus[kept])
+    i = np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right")
+    return int(kept[min(i, kept.size - 1)])
 
 
 def forward(state: ModelState, tokens: list[int], attr_bits: np.ndarray) -> np.ndarray:

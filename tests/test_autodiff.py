@@ -13,6 +13,7 @@ from emomusic.autodiff import (
     relu,
 )
 
+import reference
 from reference import softmax
 
 RNG = np.random.default_rng(31)
@@ -119,6 +120,26 @@ class TestNeuralOps:
         b = RNG.normal(size=6)
         check_grad(lambda a, c, d: (layer_norm(a, c, d) ** 2.0).sum(), x, g, b,
                    tol=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("grad", [False, True], ids=["no-grad", "grad"])
+    def test_layer_norm_matches_mean_var_oracle_bitwise(self, dtype, grad):
+        rng = np.random.default_rng(5)
+        arrays = [(rng.normal(size=(3, 5, 64)) * 7 + 2).astype(dtype),
+                  rng.uniform(0.5, 1.5, size=64).astype(dtype),
+                  rng.normal(size=64).astype(dtype)]
+        upstream = rng.normal(size=(3, 5, 64)).astype(dtype)
+        results = []
+        for op in (layer_norm, reference.layer_norm):
+            inputs = [Tensor(a.copy(), requires_grad=grad) for a in arrays]
+            out = op(*inputs)
+            assert out.requires_grad is grad
+            if grad:
+                out.backward(upstream)
+            results.append([out.data] + [t.grad for t in inputs if grad])
+        for new, old in zip(*results):
+            assert new.dtype == old.dtype == dtype
+            assert new.tobytes() == old.tobytes()
 
     def test_softmax(self):
         x = RNG.normal(size=(3, 5))

@@ -276,6 +276,22 @@ class TestStageTable:
                 want = "skipped"  # it reads no config field, only the corpus
             assert status[stage.name] == want, stage.name
 
+    def test_features_sidecar_is_an_input_wherever_features_are(self):
+        for stage in STAGES:
+            if "features.npz" in stage.inputs:
+                assert "features.json" in stage.inputs, stage.name
+
+    def test_features_sidecar_change_reruns_train_forest(self, base_run, tmp_path):
+        # Through the table, extract would rebuild the changed sidecar first
+        # (its recorded hash no longer matches); on its own, train-forest
+        # must see the change in its own signature.
+        shutil.copytree(base_run / "artifacts", tmp_path / "artifacts")
+        sidecar = tmp_path / "artifacts" / "features.json"
+        doc = json.loads(sidecar.read_text())
+        doc["catalog_version"] = "v0"
+        sidecar.write_text(json.dumps(doc))
+        assert Pipeline(tiny_config(tmp_path)).stage_train_forest() == "ran"
+
     def test_benchmark_stage_hooks_exist(self, monkeypatch):
         # perfbench/spans.py patches these methods to time each stage; a
         # renamed method would silently zero its pipeline.stage.* metric.
@@ -423,9 +439,8 @@ class TestOlderArtifactFormats:
         assert self.generate(art) == 2
         assert str(art / "mapping.json") in capsys.readouterr().err
 
-    def test_select_attrs_reruns_on_older_forest_file(self, tmp_path, capsys):
+    def test_select_attrs_reruns_on_older_forest_file(self, tmp_path):
         config = tiny_config(tmp_path)
-        config.to_json(tmp_path / "config.json")
         Pipeline(config).run(until="select-attrs")
         art = tmp_path / "artifacts"
         selection = (art / "selection.json").read_text()
@@ -433,8 +448,9 @@ class TestOlderArtifactFormats:
         doc["config"].update(canonical_order=False, max_depth=None, min_samples_leaf=1,
                              features_per_split=None)
         (art / "forest.json").write_text(json.dumps(doc) + "\n")
-        assert main(["select-attrs", "--config", str(tmp_path / "config.json")]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "select-attrs: ran"
+        # on its own: through the table, train-forest would first rebuild the
+        # file, whose bytes no longer match its recorded hash
+        assert Pipeline(config).stage_select() == "ran"
         assert (art / "selection.json").read_text() == selection
 
 
@@ -450,23 +466,11 @@ class TestTruncatedArtifacts:
         assert main(["generate", "--artifact-dir", str(art), "--n", "1"]) == 2
         assert str(path) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("until,name,command", [
-        ("train-forest", "forest.json", "select-attrs"),
-        ("select-attrs", "selection.json", "map-emotion"),
-    ], ids=["forest", "selection"])
-    def test_stage_command_exits_2(self, tmp_path, capsys, until, name, command):
-        config = tiny_config(tmp_path)
-        config.to_json(tmp_path / "config.json")
-        Pipeline(config).run(until=until)
-        path = tmp_path / "artifacts" / name
-        path.write_text(path.read_text()[:45])
-        assert main([command, "--config", str(tmp_path / "config.json")]) == 2
-        assert str(path) in capsys.readouterr().err
-
 
 class TestBadJsonInputs:
     """A JSON input cut short, or an attribute file that is missing or not a
-    list, is bad input: exit 2 naming the file, not exit 3."""
+    list of numbers, is bad input: exit 2 naming the file, not exit 3. A stage
+    output cut short fails its recorded hash and is rebuilt."""
 
     @pytest.fixture(scope="class")
     def base_run(self, tmp_path_factory):
@@ -474,13 +478,13 @@ class TestBadJsonInputs:
         Pipeline(tiny_config(root)).run(until="generate")
         return root
 
+    # analyze-bias reads labels.json and features.json without the cache;
+    # a stage output cut short is rebuilt instead (test_cut_output_is_rebuilt)
     @pytest.mark.parametrize("name,command", [
         ("corpus/manifest.json", "extract"),
-        ("artifacts/generated/manifest.json", "evaluate"),
-        ("artifacts/splits.json", "train-forest"),
-        ("artifacts/labels.json", "train-forest"),
+        ("artifacts/labels.json", "analyze-bias"),
         ("artifacts/features.json", "analyze-bias"),
-    ], ids=["corpus-manifest", "generated-manifest", "splits", "labels", "features"])
+    ], ids=["corpus-manifest", "labels", "features"])
     def test_cut_file_exits_2(self, base_run, tmp_path, capsys, name, command):
         shutil.copytree(base_run / "artifacts", tmp_path / "artifacts")
         tiny_config(tmp_path).to_json(tmp_path / "config.json")
@@ -489,8 +493,24 @@ class TestBadJsonInputs:
         assert main([command, "--config", str(tmp_path / "config.json")]) == 2
         assert str(path) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["{not json", None, '{"values": [1, 2, 3]}'],
-                             ids=["not-json", "missing", "object"])
+    @pytest.mark.parametrize("name,stage,command", [
+        ("splits.json", "split", "train-forest"),
+        ("forest.json", "train-forest", "select-attrs"),
+        ("selection.json", "select-attrs", "map-emotion"),
+        ("generated/manifest.json", "generate", "evaluate"),
+    ], ids=["splits", "forest", "selection", "generated-manifest"])
+    def test_cut_output_is_rebuilt(self, base_run, tmp_path, name, stage, command):
+        shutil.copytree(base_run / "artifacts", tmp_path / "artifacts")
+        path = tmp_path / "artifacts" / name
+        whole = path.read_bytes()
+        path.write_bytes(whole[:30])
+        status = Pipeline(tiny_config(tmp_path)).run(until=command)["stages"]
+        assert status[stage] == "ran"
+        assert path.read_bytes() == whole
+
+    @pytest.mark.parametrize("text", ["{not json", None, '{"values": [1, 2, 3]}',
+                                      '["a", "b", "c"]'],
+                             ids=["not-json", "missing", "object", "not-numbers"])
     def test_bad_attr_file_exits_2(self, tmp_path, capsys, text):
         art = tmp_path / "artifacts"
         write_generate_artifacts(art)

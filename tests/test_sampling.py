@@ -5,9 +5,12 @@ import pytest
 
 from emomusic import sampling
 from emomusic.errors import EmoMusicError
+from emomusic.autodiff import Tensor
 from emomusic.model import (
     DecodeCache,
     ModelConfig,
+    ModelState,
+    attribute_embedding,
     backbone,
     init_state,
     logits_from_hidden,
@@ -21,6 +24,7 @@ from emomusic.sampling import (
 )
 from emomusic.tokens import BOS, EOS
 
+import reference
 from reference import forward
 
 
@@ -70,6 +74,21 @@ class TestNucleus:
         logits = np.array([0.5, bad, -1.0])
         with pytest.raises(EmoMusicError, match="logits"):
             sample_top_p(logits, SamplerConfig(), np.random.default_rng(0))
+
+    def test_draws_repeat_the_reference_sampler(self):
+        rng = np.random.default_rng(12)
+        for i in range(300):
+            logits = rng.normal(size=244) * rng.choice([0.1, 1.0, 4.0, 40.0])
+            if i % 3 == 0:
+                logits = np.round(logits)  # ties in the descending sort
+            if i % 5 == 0:
+                logits[rng.integers(0, 244, size=60)] = -np.inf
+            cfg = SamplerConfig(p=float(rng.choice([0.3, 0.9, 0.999, 1.0])),
+                                temperature=float(rng.choice([0.7, 1.0])), seed=i)
+            ours, theirs = np.random.default_rng(i), np.random.default_rng(i)
+            for _ in range(3):
+                assert sample_top_p(logits, cfg, ours) == \
+                    reference.sample_top_p(logits, cfg.p, cfg.temperature, theirs)
 
     def test_minus_inf_logits_never_drawn(self):
         logits = np.array([-np.inf, 0.0, -np.inf, 0.5])
@@ -129,6 +148,38 @@ class TestIncrementalEqualsBatch:
         state = tiny_state(5)
         with pytest.raises(EmoMusicError, match="one token"):
             backbone(state, [[BOS, 40]], np.zeros((1, 3)), cache=DecodeCache(state.config, 1))
+
+
+def constant_state(seed=0):
+    """tiny_state's weights as plain Tensors, as generate_pieces decodes them."""
+    state = tiny_state(seed)
+    return ModelState(state.config, {name: Tensor(p.data.copy())
+                                     for name, p in state.params.items()})
+
+
+class TestDecodeCache:
+    def test_step_on_constant_weights_builds_no_graph(self):
+        state = constant_state(2)
+        cache = DecodeCache(state.config, rows=2)
+        for token in (BOS, 40):
+            hidden = backbone(state, [[token], [token]], np.eye(3)[:2], cache=cache)
+            assert hidden.requires_grad is False
+            assert hidden._parents == ()
+            assert hidden._backward is None
+        assert cache.attr.requires_grad is False
+
+    def test_keep_leaves_attribute_embedding_aligned(self):
+        state = constant_state(3)
+        bits = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], dtype=float)
+        cache = DecodeCache(state.config, rows=4)
+        backbone(state, [[BOS]] * 4, bits, cache=cache)
+        rows = np.array([False, True, False, True])
+        cache.keep(rows)
+        want = attribute_embedding(state, bits[rows][:, None, :]).data
+        assert cache.attr.data.tobytes() == want.tobytes()
+        assert cache.s.shape[1] == cache.z.shape[1] == 2
+        hidden = backbone(state, [[40], [40]], bits[rows], cache=cache)
+        assert hidden.shape == (2, 1, state.config.d_model)
 
 
 def eos_prone_state():
