@@ -227,7 +227,7 @@ class Stage:
     # manifest), "corpus" (that manifest and every MIDI file it lists) or
     # "generated" (generated/manifest.json and every piece it lists).
     inputs: tuple[str, ...]
-    outputs: tuple[str, ...]  # files it writes, under artifact_dir
+    outputs: tuple[str, ...]  # files it writes, named as inputs are
 
 
 STAGES = (
@@ -257,7 +257,7 @@ STAGES = (
           ("n_generate_per_quadrant", "sampler_p", "sampler_temperature",
            "max_generate_tokens", "seed"),
           ("train", "map-emotion"), ("checkpoint.npz", "mapping.json"),
-          ("generated/manifest.json",)),
+          ("generated",)),
     Stage("evaluate", "stage_evaluate", (), ("generate", "train-forest", "select-attrs"),
           ("generated", "forest.json", "selection.json"),
           ("report.json", "distances.csv", "pca.csv")),
@@ -353,12 +353,18 @@ class Pipeline:
         return record
 
     def _output_hashes(self, stage: Stage) -> dict[str, str | None]:
-        """sha256 of each output file; None for one that is missing."""
+        """sha256 of each output file; None for one that is missing, and for
+        "generated" when its manifest is missing or does not parse."""
         hashes = {}
         for name in stage.outputs:
-            path = self.art / name
-            hashes[name] = hashlib.sha256(path.read_bytes()).hexdigest() \
-                if path.exists() else None
+            try:
+                paths = self._input_paths((name,))
+            except (EmoMusicError, OSError):
+                hashes[name] = None
+                continue
+            for path in paths:
+                hashes[str(path.relative_to(self.art))] = \
+                    hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
         return hashes
 
     def _signature(self, stage: Stage) -> str:

@@ -498,7 +498,8 @@ class TestBadJsonInputs:
         ("forest.json", "train-forest", "select-attrs"),
         ("selection.json", "select-attrs", "map-emotion"),
         ("generated/manifest.json", "generate", "evaluate"),
-    ], ids=["splits", "forest", "selection", "generated-manifest"])
+        ("generated/gen_Q1_0000.mid", "generate", "evaluate"),
+    ], ids=["splits", "forest", "selection", "generated-manifest", "generated-piece"])
     def test_cut_output_is_rebuilt(self, base_run, tmp_path, name, stage, command):
         shutil.copytree(base_run / "artifacts", tmp_path / "artifacts")
         path = tmp_path / "artifacts" / name
