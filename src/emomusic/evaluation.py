@@ -2,9 +2,9 @@
 intra/inter L1 distance analysis, and a deterministic 2-D PCA export.
 
 The objective classifier is the random forest over full attribute vectors.
-Real-sample center/boundary accuracy uses out-of-bag votes when the forest was
-trained on the very rows being scored, because an unlimited-depth forest
-memorizes its training set and plain predictions would mask the label-noise
+Real-sample center/boundary accuracy uses the forest's out-of-bag votes, so the
+forest must be trained on the very rows being scored: an unlimited-depth forest
+memorizes its training set, and plain predictions would mask the label-noise
 signal the probe looks for.
 """
 
@@ -161,24 +161,20 @@ def _accuracy_over(ids: list[int], predictions: np.ndarray,
 
 
 def bias_experiment(corpus: LabeledCorpus, indices: list[int], state: ModelState,
-                    medians: np.ndarray, clf, n: int, sampler: SamplerConfig) -> BiasReport:
+                    medians: np.ndarray, clf: ForestObjectiveClassifier, n: int,
+                    sampler: SamplerConfig) -> BiasReport:
     """Center-vs-boundary probe.
 
-    Real side: classify the corpus' own center and boundary samples (OOB votes
-    when available, see module docstring). Generated side: condition the model
-    on each center/boundary sample's raw attribute values (binarized with the
-    training medians), classify the generated pieces against the source
-    sample's label.
+    Real side: classify the corpus' own center and boundary samples by the
+    OOB votes of ``clf.forest``, trained on ``corpus`` (see module docstring).
+    Generated side: condition the model on each center/boundary sample's raw
+    attribute values (binarized with the training medians), classify the
+    generated pieces against the source sample's label.
     """
     split = center_boundary_split(corpus, indices, n)
     truth = corpus.label_indices()
 
-    oob = clf.forest.oob_indices if isinstance(clf, ForestObjectiveClassifier) else None
-    if oob is not None and len(oob) == clf.forest.config.n_trees:
-        real_preds = oob_predictions(clf.forest, corpus.matrix.values)
-    else:
-        real_preds = np.array([clf.predict_vector(row).class_index
-                               for row in corpus.matrix.values])
+    real_preds = oob_predictions(clf.forest, corpus.matrix.values)
 
     # one piece per center and boundary sample, all decoded together
     jobs = [(quadrant, kind, row_id) for quadrant in QUADRANTS

@@ -2,23 +2,25 @@
 model training -> generation -> evaluation, with content-hash stage skipping.
 
 ``STAGES`` describes the pipeline once: one row per stage, in run order,
-naming the config fields the stage reads, the stages it depends on and the
-files it reads and writes. ``Pipeline.run`` and the CLI stage commands
-iterate it. Every stage writes its outputs into ``artifact_dir`` together
-with a meta record ``stage_meta/<stage>.json`` holding its signature, the
-sha256 over
+naming the config fields the stage reads, the stages it depends on, the
+files outside ``artifact_dir`` it reads and the files it writes. ``Pipeline.run``
+and the CLI stage commands iterate it. Every stage writes its outputs into
+``artifact_dir`` together with a meta record ``stage_meta/<stage>.json``
+holding its signature, the sha256 over
 
 - ``{field: value}`` for each config field in its row, plus the feature
   catalog version;
-- the name and bytes of each file it reads;
+- the name and bytes of each of its sources (the corpus manifest, and
+  for "corpus" every MIDI file it lists);
+- the name and bytes of every output of every stage in its ``deps``;
 - the signatures recorded for its ``deps``.
 
-The record also holds the sha256 of each output file. A stage is skipped
-when its signature matches the record and every output still has its
+A stage reads no artifact that is not an output of one of its ``deps``, so
+the graph is stated once and no file a stage reads is left out of its
+signature. The record also holds the sha256 of each output file. A stage is
+skipped when its signature matches the record and every output still has its
 recorded hash, so a missing or damaged output is rebuilt, not served.
-Through the ``deps`` chain no output file can stand in for a model it did
-not come from. Records written by older versions never match, so their
-stages re-run once.
+Records written by older versions never match, so their stages re-run once.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import functools
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -140,11 +142,6 @@ class PipelineConfig:
             doc["split_ratios"] = tuple(doc["split_ratios"])
         return cls(**doc)
 
-    def to_json(self, path: str | Path) -> None:
-        doc = asdict(self)
-        doc["split_ratios"] = list(self.split_ratios)
-        Path(path).write_text(json.dumps(doc, indent=1) + "\n")
-
     def model_config(self, attr_dim: int) -> ModelConfig:
         if self.model_size == "small":
             return ModelConfig.small(attr_dim, dropout=self.dropout)
@@ -165,10 +162,19 @@ def default_artifact_dir() -> str:
 
 
 def load_manifest(path: str | Path) -> list[dict]:
+    """The manifest's items, each a JSON object with a string "file" (relative
+    to the manifest) and a string "label"."""
     doc = read_json(path, "manifest")
-    items = doc["items"] if isinstance(doc, dict) else doc
+    items = doc.get("items") if isinstance(doc, dict) else doc
+    if not isinstance(items, list):
+        raise EmoMusicError(f"manifest {path} must hold a list of items")
     if not items:
         raise EmptyManifest(f"no corpus items in {path}")
+    for i, item in enumerate(items):
+        if not (isinstance(item, dict) and isinstance(item.get("file"), str)
+                and isinstance(item.get("label"), str)):
+            raise EmoMusicError(f"manifest {path}: item {i} must be an object with "
+                                'a string "file" and a string "label"')
     return items
 
 
@@ -187,19 +193,14 @@ def load_corpus_scores(manifest_path: str | Path,
 
 def split_dataset(items: list[dict], ratios: tuple[float, float, float],
                   seed: int) -> dict[str, list[int]]:
-    """Seeded shuffle + contiguous cut, stratified per quadrant when labels
-    exist. Returns manifest item indices per split."""
+    """Seeded shuffle + contiguous cut within each label. Returns manifest
+    item indices per split."""
     if not items:
         raise EmptyManifest("cannot split an empty manifest")
     rng = np.random.default_rng(seed)
-    labeled = all("label" in item for item in items)
-    groups: dict[str, list[int]]
-    if labeled:
-        groups = {}
-        for i, item in enumerate(items):
-            groups.setdefault(item["label"], []).append(i)
-    else:
-        groups = {"all": list(range(len(items)))}
+    groups: dict[str, list[int]] = {}
+    for i, item in enumerate(items):
+        groups.setdefault(item["label"], []).append(i)
 
     splits: dict[str, list[int]] = {"train": [], "valid": [], "test": []}
     cum = np.cumsum(ratios)
@@ -222,12 +223,13 @@ class Stage:
     name: str                 # as the CLI and stage_meta spell it
     method: str               # the Pipeline method, looked up when called
     fields: tuple[str, ...]   # PipelineConfig fields the stage reads
-    deps: tuple[str, ...]     # earlier stages whose signatures it chains
-    # Files it reads: paths under artifact_dir, or "manifest" (the corpus
-    # manifest), "corpus" (that manifest and every MIDI file it lists) or
-    # "generated" (generated/manifest.json and every piece it lists).
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]  # files it writes, named as inputs are
+    deps: tuple[str, ...]     # earlier stages whose outputs it reads
+    # Files outside artifact_dir it reads: "manifest" (the corpus manifest)
+    # or "corpus" (that manifest and every MIDI file it lists).
+    sources: tuple[str, ...]
+    # Files it writes: paths under artifact_dir, or "generated"
+    # (generated/manifest.json and every piece it lists).
+    outputs: tuple[str, ...]
 
 
 STAGES = (
@@ -237,30 +239,22 @@ STAGES = (
           ("features.npz", "features.json", "features.csv", "labels.json",
            "vocabulary.json")),
     Stage("train-forest", "stage_train_forest", ("forest_trees", "seed"),
-          ("split", "extract"),
-          ("features.npz", "features.json", "labels.json", "splits.json"),
-          ("forest.json",)),
+          ("split", "extract"), (), ("forest.json",)),
     Stage("select-attrs", "stage_select", ("selection_method", "selection_k", "seed"),
-          ("train-forest",), ("forest.json",), ("selection.json",)),
+          ("train-forest",), (), ("selection.json",)),
     Stage("map-emotion", "stage_map", ("mapping_method", "kmeans_clusters", "seed"),
-          ("split", "extract", "select-attrs"),
-          ("selection.json", "features.npz", "features.json", "labels.json",
-           "splits.json"),
-          ("mapping.json",)),
+          ("split", "extract", "select-attrs"), (), ("mapping.json",)),
     Stage("train", "stage_train",
           ("model_size", "dtype", "dropout", "train_steps", "batch_size", "base_lr",
            "warmup_steps", "grad_clip_norm", "seed"),
-          ("split", "extract", "map-emotion"),
-          ("mapping.json", "features.npz", "features.json", "splits.json", "corpus"),
+          ("split", "extract", "map-emotion"), ("corpus",),
           ("checkpoint.npz", "checkpoint.json", "loss_log.csv")),
     Stage("generate", "stage_generate",
           ("n_generate_per_quadrant", "sampler_p", "sampler_temperature",
            "max_generate_tokens", "seed"),
-          ("train", "map-emotion"), ("checkpoint.npz", "mapping.json"),
-          ("generated",)),
+          ("train", "map-emotion"), (), ("generated",)),
     Stage("evaluate", "stage_evaluate", (), ("generate", "train-forest", "select-attrs"),
-          ("generated", "forest.json", "selection.json"),
-          ("report.json", "distances.csv", "pca.csv")),
+          (), ("report.json", "distances.csv", "pca.csv")),
 )
 
 
@@ -324,7 +318,8 @@ class Pipeline:
     def report_path(self) -> Path:
         return self.art / "report.json"
 
-    def _input_paths(self, names: tuple[str, ...]) -> list[Path]:
+    def _paths(self, names: tuple[str, ...]) -> list[Path]:
+        """The files behind row names: sources or outputs."""
         paths = []
         for name in names:
             if name == "manifest":
@@ -358,7 +353,7 @@ class Pipeline:
         hashes = {}
         for name in stage.outputs:
             try:
-                paths = self._input_paths((name,))
+                paths = self._paths((name,))
             except (EmoMusicError, OSError):
                 hashes[name] = None
                 continue
@@ -374,7 +369,9 @@ class Pipeline:
             "catalog": self.catalog.version,
             "deps": {d: self._record(d).get("signature") for d in stage.deps},
         }, sort_keys=True).encode())
-        for p in sorted(self._input_paths(stage.inputs), key=str):
+        names = stage.sources + tuple(name for dep in STAGES if dep.name in stage.deps
+                                      for name in dep.outputs)
+        for p in self._paths(names):
             h.update(p.name.encode())
             h.update(p.read_bytes())
         return h.hexdigest()

@@ -19,7 +19,7 @@ mislabeled-looking samples concentrated far from their class centroid.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .score import Note, Score, score_to_midi
 
 MAJOR = (0, 2, 4, 5, 7, 9, 11)
 MINOR = (0, 2, 3, 5, 7, 8, 10)
+TONIC = 0  # pitch class of the scale root
 TICKS_PER_QUARTER = 480
 DURATION_CHOICES = (1, 2, 3, 4, 6, 8)  # sixteenths
 DURATION_WEIGHTS = (0.25, 0.3, 0.1, 0.2, 0.1, 0.05)
@@ -46,37 +47,7 @@ class Archetype:
     bars: tuple[int, int]
 
 
-@dataclass(slots=True)
-class SynthSpec:
-    archetypes: dict[EmotionQuadrant, Archetype] = field(default_factory=dict)
-    noise: float = 0.0
-    boundary_label_noise: float = 0.0
-    tonic: int = 0  # pitch class of the scale root
-
-    def __post_init__(self) -> None:
-        if not self.archetypes:
-            self.archetypes = dict(DEFAULT_ARCHETYPES)
-        if not 0.0 <= self.noise <= 1.0:
-            raise EmoMusicError("noise must lie in [0, 1]")
-        if not 0.0 <= self.boundary_label_noise <= 1.0:
-            raise EmoMusicError("boundary_label_noise must lie in [0, 1]")
-        self.validate_separable()
-
-    def validate_separable(self) -> None:
-        """Base (tempo, density) boxes must be pairwise disjoint in at least
-        one of the two axes, so archetypes are separable at noise 0."""
-        quads = list(self.archetypes)
-        for i, qa in enumerate(quads):
-            for qb in quads[i + 1:]:
-                a, b = self.archetypes[qa], self.archetypes[qb]
-                tempo_apart = a.tempo[1] < b.tempo[0] or b.tempo[1] < a.tempo[0]
-                density_apart = a.density[1] < b.density[0] or b.density[1] < a.density[0]
-                if not (tempo_apart or density_apart):
-                    raise EmoMusicError(
-                        f"{qa.name} and {qb.name} overlap in both tempo and density")
-
-
-DEFAULT_ARCHETYPES: dict[EmotionQuadrant, Archetype] = {
+ARCHETYPES: dict[EmotionQuadrant, Archetype] = {
     EmotionQuadrant.Q1: Archetype((150, 170), (2.4, 3.0), (92, 116), (60, 84), True, (4, 8)),
     EmotionQuadrant.Q2: Archetype((120, 140), (1.7, 2.2), (72, 96), (48, 76), False, (4, 8)),
     EmotionQuadrant.Q3: Archetype((50, 70), (0.4, 0.7), (40, 62), (40, 66), False, (4, 8)),
@@ -84,9 +55,21 @@ DEFAULT_ARCHETYPES: dict[EmotionQuadrant, Archetype] = {
 }
 
 
-def _union_range(spec: SynthSpec, attr: str) -> tuple[float, float]:
-    los = [getattr(a, attr)[0] for a in spec.archetypes.values()]
-    his = [getattr(a, attr)[1] for a in spec.archetypes.values()]
+@dataclass(slots=True)
+class SynthSpec:
+    noise: float = 0.0
+    boundary_label_noise: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.noise <= 1.0:
+            raise EmoMusicError("noise must lie in [0, 1]")
+        if not 0.0 <= self.boundary_label_noise <= 1.0:
+            raise EmoMusicError("boundary_label_noise must lie in [0, 1]")
+
+
+def _union_range(attr: str) -> tuple[float, float]:
+    los = [getattr(a, attr)[0] for a in ARCHETYPES.values()]
+    his = [getattr(a, attr)[1] for a in ARCHETYPES.values()]
     return min(los), max(his)
 
 
@@ -108,10 +91,10 @@ class _Draw:
 
 def _draw_params(spec: SynthSpec, quadrant: EmotionQuadrant,
                  rng: np.random.Generator) -> _Draw:
-    arch = spec.archetypes[quadrant]
+    arch = ARCHETYPES[quadrant]
 
     def sample(attr: str) -> float:
-        lo, hi = _widened(getattr(arch, attr), _union_range(spec, attr), spec.noise)
+        lo, hi = _widened(getattr(arch, attr), _union_range(attr), spec.noise)
         return float(rng.uniform(lo, hi))
 
     tempo = sample("tempo")
@@ -123,9 +106,9 @@ def _draw_params(spec: SynthSpec, quadrant: EmotionQuadrant,
 
     if rng.random() < spec.boundary_label_noise:
         # drift most of the way toward another quadrant, keep the label
-        others = [q for q in spec.archetypes if q != quadrant]
+        others = [q for q in ARCHETYPES if q != quadrant]
         other = others[int(rng.integers(len(others)))]
-        o = spec.archetypes[other]
+        o = ARCHETYPES[other]
         t = float(rng.uniform(0.6, 0.95))
 
         def drift(value: float, rng_pair: tuple[float, float]) -> float:
@@ -151,7 +134,7 @@ def synth_score(spec: SynthSpec, quadrant: EmotionQuadrant,
     draw = _draw_params(spec, quadrant, rng)
     scale = MAJOR if draw.major else MINOR
     pitch_pool = [p for p in range(draw.register[0], draw.register[1] + 1)
-                  if (p - spec.tonic) % 12 in scale]
+                  if (p - TONIC) % 12 in scale]
     if not pitch_pool:
         pitch_pool = [60]
     tps = TICKS_PER_QUARTER // 4

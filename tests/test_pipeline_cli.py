@@ -1,10 +1,14 @@
 """Pipeline orchestration (stage skipping, artifacts, split rules) and the CLI."""
 
+import builtins
 import dataclasses
 import importlib.util
+import io
 import json
+import os
 import shutil
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +40,11 @@ def tiny_config(tmp_path, n_per_quadrant=6, **overrides):
     )
     defaults.update(overrides)
     return PipelineConfig(**defaults)
+
+
+def write_config(config: PipelineConfig, path: Path) -> None:
+    """Write ``config`` as a --config file."""
+    path.write_text(json.dumps(dataclasses.asdict(config), indent=1) + "\n")
 
 
 class TestSplitDataset:
@@ -130,13 +139,13 @@ class TestPipeline:
 
     def test_config_json_round_trip(self, tmp_path):
         config = tiny_config(tmp_path)
-        config.to_json(tmp_path / "config.json")
+        write_config(config, tmp_path / "config.json")
         loaded = PipelineConfig.from_json(tmp_path / "config.json")
         assert loaded == config
 
     def test_flag_overrides_win(self, tmp_path):
         config = tiny_config(tmp_path)
-        config.to_json(tmp_path / "config.json")
+        write_config(config, tmp_path / "config.json")
         loaded = PipelineConfig.from_json(tmp_path / "config.json", seed=77)
         assert loaded.seed == 77
 
@@ -212,6 +221,21 @@ class TestCli:
                      "--corpus-manifest", str(empty)])
         assert code == 2
 
+    @pytest.mark.parametrize("item", [
+        {"file": "Q1_0000.mid"}, "Q1_0000.mid", {"file": 3, "label": "Q1"},
+        {"file": "Q1_0000.mid", "label": ["Q1"]},
+    ], ids=["no-label", "not-an-object", "file-not-a-string", "label-not-a-string"])
+    def test_bad_manifest_item_exits_2(self, tmp_path, capsys, item):
+        manifest = synth_corpus(SynthSpec(), 1, seed=4, out_dir=tmp_path / "corpus")
+        doc = json.loads(manifest.read_text())
+        doc["items"][1] = item
+        manifest.write_text(json.dumps(doc))
+        code = main(["extract", "--artifact-dir", str(tmp_path / "a"),
+                     "--corpus-manifest", str(manifest)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(manifest) in err and "item 1" in err
+
     def test_internal_error_exits_3(self, tmp_path, capsys):
         code = main(["extract", "--artifact-dir", str(tmp_path / "a"),
                      "--corpus-manifest", str(tmp_path / "missing.json")])
@@ -235,6 +259,22 @@ FIELD_CHANGES = {
     "train": ("train_steps", 12),
     "generate": ("n_generate_per_quadrant", 1),
 }
+
+
+class RecordingConfig:
+    """A PipelineConfig stand-in that records the fields read through it,
+    also those its own methods read."""
+
+    def __init__(self, config: PipelineConfig):
+        self.config = config
+        self.read = set()
+
+    def __getattr__(self, name):
+        method = getattr(PipelineConfig, name, None)
+        if callable(method):
+            return types.MethodType(method, self)
+        self.read.add(name)
+        return getattr(self.config, name)
 
 
 class TestStageTable:
@@ -276,10 +316,37 @@ class TestStageTable:
                 want = "skipped"  # it reads no config field, only the corpus
             assert status[stage.name] == want, stage.name
 
-    def test_features_sidecar_is_an_input_wherever_features_are(self):
-        for stage in STAGES:
-            if "features.npz" in stage.inputs:
-                assert "features.json" in stage.inputs, stage.name
+    @pytest.mark.parametrize("stage", STAGES, ids=lambda stage: stage.name)
+    def test_row_matches_stage_body(self, base_run, tmp_path, monkeypatch, stage):
+        # The body alone, without the cache: every file it reads is a source
+        # or an output of one of its deps, it writes exactly its outputs, and
+        # it reads no config field outside its row.
+        shutil.copytree(base_run / "artifacts", tmp_path / "artifacts")
+        pipe = Pipeline(tiny_config(tmp_path))
+        pipe.config = config = RecordingConfig(pipe.config)
+        opened = []
+        real_open = io.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opened.append((Path(file).resolve(), mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        monkeypatch.setattr(io, "open", recording_open)
+        getattr(Pipeline, stage.method).__wrapped__(pipe)
+        monkeypatch.undo()
+
+        def files(names):
+            return {path.resolve() for path in pipe._paths(names)}
+
+        upstream = tuple(name for dep in STAGES if dep.name in stage.deps
+                         for name in dep.outputs)
+        written = {path for path, mode in opened if set(mode) & set("wax+")}
+        read = {path for path, mode in opened if not set(mode) & set("wax+")}
+        assert read <= files(stage.sources + upstream)
+        assert written == files(stage.outputs)
+        assert config.read <= set(stage.fields)
 
     def test_features_sidecar_change_reruns_train_forest(self, base_run, tmp_path):
         # Through the table, extract would rebuild the changed sidecar first
@@ -291,6 +358,29 @@ class TestStageTable:
         doc["catalog_version"] = "v0"
         sidecar.write_text(json.dumps(doc))
         assert Pipeline(tiny_config(tmp_path)).stage_train_forest() == "ran"
+
+    @pytest.mark.parametrize("name,method,edit", [
+        ("checkpoint.json", "stage_generate",
+         lambda doc: doc.update(medians=[m + 1.0 for m in doc["medians"]])),
+        ("labels.json", "stage_train",
+         lambda doc: doc.update(labels=doc["labels"][::-1])),
+    ], ids=["checkpoint-medians", "labels"])
+    def test_upstream_file_change_reruns_stage(self, base_run, tmp_path, name, method,
+                                               edit):
+        # on its own, like the sidecar test above: the stage must see the
+        # edited upstream output in its own signature
+        shutil.copytree(base_run / "artifacts", tmp_path / "artifacts")
+        path = tmp_path / "artifacts" / name
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        assert getattr(Pipeline(tiny_config(tmp_path)), method)() == "ran"
+
+    def test_readme_lists_every_stage_output(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Artifacts", 1)[1].split("```")[1]
+        listed = {line.split()[0].rstrip("/") for line in block.splitlines() if line.strip()}
+        assert {name for stage in STAGES for name in stage.outputs} <= listed
 
     def test_benchmark_stage_hooks_exist(self, monkeypatch):
         # perfbench/spans.py patches these methods to time each stage; a
@@ -315,7 +405,7 @@ class TestStageTable:
 class TestCacheAndConfigErrors:
     def test_split_command_goes_through_the_cache(self, tmp_path, capsys):
         config = tiny_config(tmp_path, n_per_quadrant=10)
-        config.to_json(tmp_path / "config.json")
+        write_config(config, tmp_path / "config.json")
         splits_path = tmp_path / "artifacts" / "splits.json"
 
         def cli(*args):
@@ -340,7 +430,7 @@ class TestCacheAndConfigErrors:
     @pytest.mark.parametrize("text", ["{not json", "{}", "[1]"])
     def test_corrupt_stage_record_exits_2(self, tmp_path, capsys, text):
         config = tiny_config(tmp_path)
-        config.to_json(tmp_path / "config.json")
+        write_config(config, tmp_path / "config.json")
         assert main(["extract", "--config", str(tmp_path / "config.json")]) == 0
         record = tmp_path / "artifacts" / "stage_meta" / "extract.json"
         record.write_text(text)
@@ -349,7 +439,7 @@ class TestCacheAndConfigErrors:
 
     def test_missing_vocabulary_reruns_extract(self, tmp_path, capsys):
         config = tiny_config(tmp_path)
-        config.to_json(tmp_path / "config.json")
+        write_config(config, tmp_path / "config.json")
         command = ["extract", "--config", str(tmp_path / "config.json")]
         assert main(command) == 0
         vocabulary = tmp_path / "artifacts" / "vocabulary.json"
@@ -367,7 +457,7 @@ class TestCacheAndConfigErrors:
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = tiny_config(tmp_path)
-        config.to_json(tmp_path / "config.json")
+        write_config(config, tmp_path / "config.json")
         doc = json.loads((tmp_path / "config.json").read_text())
         doc["workers"] = 2  # a field of older versions
         (tmp_path / "config.json").write_text(json.dumps(doc))
@@ -487,7 +577,7 @@ class TestBadJsonInputs:
     ], ids=["corpus-manifest", "labels", "features"])
     def test_cut_file_exits_2(self, base_run, tmp_path, capsys, name, command):
         shutil.copytree(base_run / "artifacts", tmp_path / "artifacts")
-        tiny_config(tmp_path).to_json(tmp_path / "config.json")
+        write_config(tiny_config(tmp_path), tmp_path / "config.json")
         path = tmp_path / name
         path.write_text(path.read_text()[:30])
         assert main([command, "--config", str(tmp_path / "config.json")]) == 2

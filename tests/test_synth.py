@@ -3,16 +3,13 @@
 import json
 
 import numpy as np
-import pytest
 
-from emomusic.errors import EmoMusicError
 from emomusic.features import default_catalog, extract_features
 from emomusic.mapping import EmotionQuadrant
 from emomusic.midi import parse_midi
 from emomusic.score import midi_to_score
 from emomusic.synth import (
-    Archetype,
-    DEFAULT_ARCHETYPES,
+    ARCHETYPES,
     SynthSpec,
     _widened,
     synth_corpus,
@@ -58,17 +55,16 @@ class TestSynthCorpus:
 
 class TestNoiseModel:
     def test_noise_one_widens_to_union(self):
-        spec = SynthSpec(noise=1.0)
-        union = (min(a.tempo[0] for a in spec.archetypes.values()),
-                 max(a.tempo[1] for a in spec.archetypes.values()))
+        union = (min(a.tempo[0] for a in ARCHETYPES.values()),
+                 max(a.tempo[1] for a in ARCHETYPES.values()))
         for quadrant in EmotionQuadrant:
-            own = spec.archetypes[quadrant].tempo
+            own = ARCHETYPES[quadrant].tempo
             assert _widened(own, union, 1.0) == union
 
     def test_noise_zero_keeps_archetype_ranges(self):
         spec = SynthSpec(noise=0.0)
         rng = np.random.default_rng(6)
-        arch = spec.archetypes[Q3]
+        arch = ARCHETYPES[Q3]
         for _ in range(20):
             score = synth_score(spec, Q3, rng)
             assert arch.tempo[0] - 0.5 <= score.tempo_map[0][1] <= arch.tempo[1] + 0.5
@@ -91,13 +87,6 @@ class TestNoiseModel:
                 tempo_apart = a[1] < b[0] or b[1] < a[0]
                 density_apart = a[3] < b[2] or b[3] < a[2]
                 assert tempo_apart or density_apart
-
-    def test_overlapping_archetypes_rejected(self):
-        bad = dict(DEFAULT_ARCHETYPES)
-        bad[Q2] = Archetype(bad[Q1].tempo, bad[Q1].density, (60, 80), (50, 70),
-                            False, (4, 8))
-        with pytest.raises(EmoMusicError):
-            SynthSpec(archetypes=bad)
 
     def test_boundary_label_noise_creates_outliers(self):
         spec_clean = SynthSpec(noise=0.0, boundary_label_noise=0.0)
