@@ -82,12 +82,16 @@ class Tensor:
 
     # -- operators ---------------------------------------------------------
 
+    # __add__ and __mul__ leave a constant operand's gradient as None, so a
+    # mask or guard costs no backward work
     def __add__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data + other.data, parents=(self, other),
-                     backward=lambda g: (_unbroadcast(g, self.shape),
-                                         _unbroadcast(g, other.shape)))
-        return out
+
+        def backward(g):
+            return (_unbroadcast(g, self.shape) if self.requires_grad else None,
+                    _unbroadcast(g, other.shape) if other.requires_grad else None)
+
+        return Tensor(self.data + other.data, parents=(self, other), backward=backward)
 
     __radd__ = __add__
 
@@ -102,9 +106,14 @@ class Tensor:
 
     def __mul__(self, other):
         other = as_tensor(other)
-        return Tensor(self.data * other.data, parents=(self, other),
-                      backward=lambda g: (_unbroadcast(g * other.data, self.shape),
-                                          _unbroadcast(g * self.data, other.shape)))
+
+        def backward(g):
+            return (_unbroadcast(g * other.data, self.shape)
+                    if self.requires_grad else None,
+                    _unbroadcast(g * self.data, other.shape)
+                    if other.requires_grad else None)
+
+        return Tensor(self.data * other.data, parents=(self, other), backward=backward)
 
     __rmul__ = __mul__
 
@@ -195,20 +204,27 @@ def pad_axis(x: Tensor, axis: int, after: int) -> Tensor:
     return Tensor(np.pad(x.data, widths), parents=(x,), backward=backward)
 
 
+# relu and elu_plus_one avoid np.where, which is several times slower than an
+# arithmetic pass when its mask is irregular; both stay bit-identical to the
+# np.where forms kept in tests/reference.py
+
+
 def relu(x: Tensor) -> Tensor:
+    out_data = np.maximum(x.data, 0.0)
+    if not x.requires_grad:
+        return Tensor(out_data)
     mask = x.data > 0
-    return Tensor(np.where(mask, x.data, 0.0), parents=(x,),
-                  backward=lambda g: (g * mask,))
+    return Tensor(out_data, parents=(x,), backward=lambda g: (g * mask,))
 
 
 def elu_plus_one(x: Tensor) -> Tensor:
     """phi(x) = elu(x) + 1: x+1 for x > 0, exp(x) otherwise. Always positive."""
-    pos = x.data > 0
-    out_data = np.where(pos, x.data + 1.0, np.exp(np.minimum(x.data, 0.0)))
+    e = np.exp(np.minimum(x.data, 0.0))  # exactly 1 where x > 0
+    out_data = e + np.maximum(x.data, 0.0)
     if not x.requires_grad:
         return Tensor(out_data)
-    deriv = np.where(pos, 1.0, out_data)  # d/dx exp(x) = exp(x) on the left branch
-    return Tensor(out_data, parents=(x,), backward=lambda g: (g * deriv,))
+    # d/dx is 1 for x > 0 and exp(x) otherwise: e on both branches
+    return Tensor(out_data, parents=(x,), backward=lambda g: (g * e,))
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -280,5 +296,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout; identity when rate is 0 or rng is None (inference)."""
     if rate <= 0.0 or rng is None:
         return x
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(keep.astype(x.data.dtype))
+    # the float64 draws fix which units drop; the kept scale is rounded to
+    # x's dtype, as a float64 mask cast to that dtype would be
+    keep = (rng.random(x.shape) >= rate) * x.data.dtype.type(1.0 / (1.0 - rate))
+    return Tensor(x.data * keep, parents=(x,), backward=lambda g: (g * keep,))

@@ -552,7 +552,10 @@ class Pipeline:
 
     def analyze_bias(self, n: int | None = None) -> dict:
         """Center/boundary probe over the full corpus; retrains a forest on all
-        rows so out-of-bag votes are available for the real-sample side."""
+        rows so out-of-bag votes are available for the real-sample side.
+        Brings extract and train up to date first, so a changed corpus is not
+        reported on from the old one's features and checkpoint."""
+        self.run(until="train")
         cfg = self.config
         corpus = self._labeled_corpus()
         forest = train_forest(corpus, ForestConfig(n_trees=cfg.forest_trees,

@@ -86,10 +86,18 @@ def clip_gradients(params: dict, max_norm: float) -> float:
     return norm
 
 
-def make_batches(n_samples: int, batch_size: int,
+def make_batches(lengths: list[int], batch_size: int,
                  rng: np.random.Generator) -> list[np.ndarray]:
-    order = rng.permutation(n_samples)
-    return [order[i:i + batch_size] for i in range(0, n_samples, batch_size)]
+    """One epoch of index batches, each of pieces with similar ``lengths``.
+
+    A random order is stable-sorted by length, cut into batches and the
+    batch order shuffled, so a batch pads little and the epoch still visits
+    lengths in random order (sequence bucketing, Khomenko et al. 2016).
+    """
+    order = rng.permutation(len(lengths))
+    order = order[np.argsort(np.asarray(lengths)[order], kind="stable")]
+    batches = [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
+    return [batches[i] for i in rng.permutation(len(batches))]
 
 
 def pad_batch(sequences: list[list[int]], max_len: int) -> np.ndarray:
@@ -119,9 +127,10 @@ def train(state: ModelState, dataset: list[tuple[list[int], np.ndarray]],
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     dropout_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
     log: list[tuple[int, float, float]] = []
+    lengths = [min(len(seq), state.config.max_len) for seq, _ in dataset]
     step = 0
     while step < cfg.max_steps:
-        for batch_idx in make_batches(len(dataset), cfg.batch_size, shuffle_rng):
+        for batch_idx in make_batches(lengths, cfg.batch_size, shuffle_rng):
             step += 1
             ids = pad_batch([dataset[i][0] for i in batch_idx], state.config.max_len)
             bits = np.stack([dataset[i][1] for i in batch_idx]).astype(float)

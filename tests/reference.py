@@ -2,7 +2,9 @@
 
 ``softmax`` serves the softmax-attention oracle and a gradient check;
 ``layer_norm`` is the ``np.mean``/``np.var`` form that ``autodiff.layer_norm``
-must match bit for bit, and ``sample_top_p`` the form whose draws
+must match bit for bit, as ``relu`` and ``elu_plus_one`` are the ``np.where``
+forms and ``dropout`` the two-node float64-mask form that their ``autodiff``
+namesakes must match; ``sample_top_p`` is the form whose draws
 ``sampling.sample_top_p`` must repeat; ``forward`` is the single-sequence
 form of ``model.forward_batch``.
 """
@@ -41,6 +43,24 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     return Tensor(xhat * gamma.data + beta.data, parents=(x, gamma, beta),
                   backward=backward)
+
+
+def relu(x: Tensor) -> Tensor:
+    mask = x.data > 0
+    return Tensor(np.where(mask, x.data, 0.0), parents=(x,),
+                  backward=lambda g: (g * mask,))
+
+
+def elu_plus_one(x: Tensor) -> Tensor:
+    pos = x.data > 0
+    out_data = np.where(pos, x.data + 1.0, np.exp(np.minimum(x.data, 0.0)))
+    deriv = np.where(pos, 1.0, out_data)
+    return Tensor(out_data, parents=(x,), backward=lambda g: (g * deriv,))
+
+
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    return x * Tensor(keep.astype(x.data.dtype))
 
 
 def sample_top_p(logits: np.ndarray, p: float, temperature: float,

@@ -141,6 +141,47 @@ class TestNeuralOps:
             assert new.dtype == old.dtype == dtype
             assert new.tobytes() == old.tobytes()
 
+    @pytest.mark.parametrize("ops", [(relu, reference.relu),
+                                     (elu_plus_one, reference.elu_plus_one)],
+                             ids=["relu", "elu_plus_one"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("grad", [False, True], ids=["no-grad", "grad"])
+    def test_activation_matches_where_oracle_bitwise(self, ops, dtype, grad):
+        rng = np.random.default_rng(6)
+        x = (rng.normal(size=(4, 5, 64)) * 3).astype(dtype)
+        x.reshape(-1)[:8] = [0.0, -0.0, np.inf, -np.inf, 0.0, -0.0, np.inf, -np.inf]
+        upstream = rng.normal(size=x.shape).astype(dtype)
+        results = []
+        for op in ops:
+            inputs = Tensor(x.copy(), requires_grad=grad)
+            out = op(inputs)
+            assert out.requires_grad is grad
+            if grad:
+                out.backward(upstream)
+            results.append([out.data] + ([inputs.grad] if grad else []))
+        for new, old in zip(*results):
+            assert new.dtype == old.dtype == dtype
+            assert new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dropout_matches_two_node_oracle_bitwise(self, dtype):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(4, 5, 64)).astype(dtype)
+        # values that overflow once scaled: a dropped one must still give 0
+        x.reshape(-1)[:64] = np.finfo(dtype).max * np.resize([1, -1], 64)
+        x.reshape(-1)[64:66] = [0.0, -0.0]
+        upstream = rng.normal(size=x.shape).astype(dtype)
+        results = []
+        for op in (dropout, reference.dropout):
+            inputs = Tensor(x.copy(), requires_grad=True)
+            with np.errstate(over="ignore"):
+                out = op(inputs, 0.1, np.random.default_rng(3))
+            out.backward(upstream)
+            results.append([out.data, inputs.grad])
+        for new, old in zip(*results):
+            assert new.dtype == old.dtype == dtype
+            assert new.tobytes() == old.tobytes()
+
     def test_softmax(self):
         x = RNG.normal(size=(3, 5))
         w = RNG.normal(size=(3, 5))
@@ -191,6 +232,14 @@ class TestGraph:
         y = (x * x + x).sum()  # dy/dx = 2x + 1
         y.backward()
         assert x.grad == pytest.approx([5.0, 7.0])
+
+    @pytest.mark.parametrize("op", ["add", "mul"])
+    def test_constant_operand_gets_no_gradient_work(self, op):
+        x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+        mask = Tensor(np.tril(np.ones((2, 3))))
+        for out in (getattr(x, f"__{op}__")(mask), getattr(mask, f"__{op}__")(x)):
+            grads = out._backward(np.ones((2, 3)))
+            assert [g is None for g in grads] == [p is mask for p in out._parents]
 
     def test_no_grad_for_constants(self):
         x = Tensor(np.ones(3))

@@ -22,6 +22,7 @@ from emomusic.training import (
     TrainConfig,
     load_checkpoint,
     lr_schedule,
+    make_batches,
     save_checkpoint,
     train,
 )
@@ -245,6 +246,38 @@ class TestTraining:
         with pytest.raises(NonFiniteLoss):
             train(state, two_sequence_dataset(),
                   TrainConfig(batch_size=2, base_lr=1e-3, warmup_steps=5, max_steps=5))
+
+
+class TestMakeBatches:
+    LENGTHS = np.random.default_rng(4).integers(20, 257, size=101)
+
+    @staticmethod
+    def padded(batches, lengths) -> int:
+        return sum(len(b) * int(lengths[b].max()) - int(lengths[b].sum())
+                   for b in batches)
+
+    def test_every_index_once_per_epoch(self):
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            batches = make_batches(list(self.LENGTHS), 8, rng)
+            assert sorted(np.concatenate(batches).tolist()) == list(range(101))
+
+    def test_batches_hold_at_most_batch_size(self):
+        batches = make_batches(list(self.LENGTHS), 8, np.random.default_rng(1))
+        assert max(len(b) for b in batches) == 8
+        assert len(batches) == 13
+
+    def test_same_seed_same_batches(self):
+        a = make_batches(list(self.LENGTHS), 8, np.random.default_rng(2))
+        b = make_batches(list(self.LENGTHS), 8, np.random.default_rng(2))
+        assert [x.tolist() for x in a] == [x.tolist() for x in b]
+
+    def test_pads_far_less_than_random_batches(self):
+        rng = np.random.default_rng(3)
+        order = rng.permutation(101)
+        random = [order[i:i + 8] for i in range(0, 101, 8)]
+        bucketed = make_batches(list(self.LENGTHS), 8, rng)
+        assert self.padded(bucketed, self.LENGTHS) < 0.2 * self.padded(random, self.LENGTHS)
 
 
 class TestGradientCheck:

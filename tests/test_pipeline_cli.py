@@ -137,6 +137,16 @@ class TestPipeline:
         assert set(report["generated"]) == {"center", "boundary"}
         assert (tmp_path / "artifacts" / "bias_report.json").exists()
 
+    def test_analyze_bias_follows_a_resynthesised_corpus(self, tmp_path):
+        config = tiny_config(tmp_path)
+        Pipeline(config).run(until="train")
+        report = tmp_path / "artifacts" / "bias_report.json"
+        Pipeline(config).analyze_bias(n=2)
+        before = report.read_bytes()
+        synth_corpus(SynthSpec(noise=0.9), 6, seed=4, out_dir=tmp_path / "corpus")
+        Pipeline(config).analyze_bias(n=2)
+        assert report.read_bytes() != before
+
     def test_config_json_round_trip(self, tmp_path):
         config = tiny_config(tmp_path)
         write_config(config, tmp_path / "config.json")
@@ -568,13 +578,10 @@ class TestBadJsonInputs:
         Pipeline(tiny_config(root)).run(until="generate")
         return root
 
-    # analyze-bias reads labels.json and features.json without the cache;
     # a stage output cut short is rebuilt instead (test_cut_output_is_rebuilt)
     @pytest.mark.parametrize("name,command", [
         ("corpus/manifest.json", "extract"),
-        ("artifacts/labels.json", "analyze-bias"),
-        ("artifacts/features.json", "analyze-bias"),
-    ], ids=["corpus-manifest", "labels", "features"])
+    ], ids=["corpus-manifest"])
     def test_cut_file_exits_2(self, base_run, tmp_path, capsys, name, command):
         shutil.copytree(base_run / "artifacts", tmp_path / "artifacts")
         write_config(tiny_config(tmp_path), tmp_path / "config.json")
@@ -582,6 +589,18 @@ class TestBadJsonInputs:
         path.write_text(path.read_text()[:30])
         assert main([command, "--config", str(tmp_path / "config.json")]) == 2
         assert str(path) in capsys.readouterr().err
+
+    # analyze-bias brings extract up to date before it reads these
+    @pytest.mark.parametrize("name", ["labels.json", "features.json"],
+                             ids=["labels", "features"])
+    def test_analyze_bias_rebuilds_cut_extract_output(self, base_run, tmp_path, name):
+        shutil.copytree(base_run / "artifacts", tmp_path / "artifacts")
+        write_config(tiny_config(tmp_path), tmp_path / "config.json")
+        path = tmp_path / "artifacts" / name
+        whole = path.read_bytes()
+        path.write_bytes(whole[:30])
+        assert main(["analyze-bias", "--config", str(tmp_path / "config.json")]) == 0
+        assert path.read_bytes() == whole
 
     @pytest.mark.parametrize("name,stage,command", [
         ("splits.json", "split", "train-forest"),
