@@ -1,10 +1,13 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Just enough ops for the attribute-conditioned transformer: broadcasted
-arithmetic, batched matmul, cumulative sums (the causal prefix sums of
-linear attention), embedding gathers, layer norm, and a masked cross-entropy
-head. Gradients are dense numpy arrays of the same dtype as the forward data;
-the whole graph is freed once the output goes out of scope.
+arithmetic, batched matmul, embedding gathers, layer norm, and a masked
+cross-entropy head; ``model`` adds causal linear attention as one node.
+Gradients are dense numpy arrays of the same dtype as the forward data.
+``backward`` frees the graph as it goes: once a node has passed its gradient
+to its parents it drops that gradient, its parents and its backward closure,
+and with them the activations only it kept alive. Leaves keep their gradients;
+a second ``backward`` through a spent graph raises.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ class Tensor:
             self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor (defaults to d(self)/d(self) = 1)."""
+        """Backpropagate from this tensor (defaults to d(self)/d(self) = 1),
+        freeing the graph behind it; only the leaves keep their gradients."""
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -65,6 +69,9 @@ class Tensor:
                 continue
             if id(node) in seen or not node.requires_grad:
                 continue
+            if node._parents is None:
+                raise RuntimeError("backward() through a graph that an earlier "
+                                   "backward() freed; run the forward pass again")
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -73,12 +80,17 @@ class Tensor:
         if grad is None:
             grad = np.ones_like(self.data)
         self.grad = np.asarray(grad, dtype=self.data.dtype)
-        for node in reversed(topo):
-            if node._backward is None or node.grad is None:
+        while topo:
+            # popping drops the list's reference, so a node's data goes as
+            # soon as its last child has run
+            node = topo.pop()
+            if node._backward is None:  # a leaf
                 continue
-            for parent, parent_grad in zip(node._parents, node._backward(node.grad)):
-                if parent.requires_grad and parent_grad is not None:
-                    parent._accumulate(parent_grad, source=node.grad)
+            if node.grad is not None:
+                for parent, parent_grad in zip(node._parents, node._backward(node.grad)):
+                    if parent.requires_grad and parent_grad is not None:
+                        parent._accumulate(parent_grad, source=node.grad)
+            node.grad = node._backward = node._parents = None
 
     # -- operators ---------------------------------------------------------
 
@@ -165,12 +177,6 @@ class Tensor:
         count = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def cumsum(self, axis: int):
-        def backward(g):
-            return (np.flip(np.cumsum(np.flip(g, axis=axis), axis=axis), axis=axis),)
-
-        return Tensor(np.cumsum(self.data, axis=axis), parents=(self,), backward=backward)
-
     def reshape(self, *shape):
         def backward(g):
             return (g.reshape(self.shape),)
@@ -188,22 +194,6 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def pad_axis(x: Tensor, axis: int, after: int) -> Tensor:
-    """Zero-pad the end of one axis; backward slices the padding back off."""
-    if after == 0:
-        return x
-    widths = [(0, 0)] * x.data.ndim
-    widths[axis] = (0, after)
-    index = [slice(None)] * x.data.ndim
-    index[axis] = slice(0, x.data.shape[axis])
-    index = tuple(index)
-
-    def backward(g):
-        return (g[index],)
-
-    return Tensor(np.pad(x.data, widths), parents=(x,), backward=backward)
-
-
 # relu and elu_plus_one avoid np.where, which is several times slower than an
 # arithmetic pass when its mask is irregular; both stay bit-identical to the
 # np.where forms kept in tests/reference.py
@@ -217,14 +207,18 @@ def relu(x: Tensor) -> Tensor:
     return Tensor(out_data, parents=(x,), backward=lambda g: (g * mask,))
 
 
+def phi_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """elu(x) + 1 of an array, and its derivative: 1 for x > 0, exp(x) otherwise."""
+    e = np.exp(np.minimum(x, 0.0))  # exactly 1 where x > 0
+    return e + np.maximum(x, 0.0), e
+
+
 def elu_plus_one(x: Tensor) -> Tensor:
     """phi(x) = elu(x) + 1: x+1 for x > 0, exp(x) otherwise. Always positive."""
-    e = np.exp(np.minimum(x.data, 0.0))  # exactly 1 where x > 0
-    out_data = e + np.maximum(x.data, 0.0)
+    out_data, slope = phi_and_slope(x.data)
     if not x.requires_grad:
         return Tensor(out_data)
-    # d/dx is 1 for x > 0 and exp(x) otherwise: e on both branches
-    return Tensor(out_data, parents=(x,), backward=lambda g: (g * e,))
+    return Tensor(out_data, parents=(x,), backward=lambda g: (g * slope,))
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

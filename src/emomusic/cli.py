@@ -34,10 +34,16 @@ from .synth import SynthSpec, synth_corpus
 from .training import load_checkpoint
 
 # PipelineConfig fields the stage commands take as flags: a stage command
-# takes those its table row reads, and `run` takes all but split_ratios.
+# takes those its table row reads, `analyze-bias` those the rows it brings up
+# to date read, and `run` takes all but split_ratios.
 _STAGE_FLAGS = ("split_ratios", "forest_trees", "selection_method", "selection_k",
                 "mapping_method", "model_size", "train_steps", "batch_size",
                 "base_lr", "warmup_steps", "sampler_p", "n_generate_per_quadrant")
+
+
+def _flags_of(rows) -> list[str]:
+    """The stage flags that any of the table rows ``rows`` reads."""
+    return [f for f in _STAGE_FLAGS if any(f in row.fields for row in rows)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,14 +105,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze-bias", help="center/boundary accuracy probe")
     _add_common(p)
-    _add_fields(p, ["bias_n"])
+    # Pipeline.analyze_bias brings the table through train up to date
+    through_train = [s.name for s in STAGES].index("train") + 1
+    _add_fields(p, _flags_of(STAGES[:through_train]) + ["bias_n"])
 
     for stage in STAGES:
         if stage.name in sub.choices:  # the generate stage has no command of its own
             continue
         p = sub.add_parser(stage.name, help=f"pipeline stage: {stage.name}")
         _add_common(p)
-        _add_fields(p, [f for f in _STAGE_FLAGS if f in stage.fields])
+        _add_fields(p, _flags_of([stage]))
     p = sub.add_parser("run", help="every pipeline stage")
     _add_common(p)
     _add_fields(p, [f for f in _STAGE_FLAGS if f != "split_ratios"])

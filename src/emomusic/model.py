@@ -26,7 +26,7 @@ from .autodiff import (
     elu_plus_one,
     embedding,
     layer_norm,
-    pad_axis,
+    phi_and_slope,
     relu,
 )
 from .errors import EmoMusicError
@@ -134,45 +134,73 @@ def _merge_heads(x: Tensor) -> Tensor:
 _CHUNK = 32
 
 
+def _sums_after(x: np.ndarray) -> np.ndarray:
+    """Exclusive suffix sums over chunks (axis 2): out[n] = sum of x[m], m > n.
+    The backward of an exclusive prefix sum."""
+    out = np.zeros_like(x)
+    out[:, :, :-1] = np.cumsum(x[:, :, :0:-1], axis=2)[:, :, ::-1]
+    return out
+
+
 def _linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Chunked evaluation of the causal linear-attention formula (matmul-heavy,
-    low memory).
+    low memory) as one graph node.
 
-    Keys before the current chunk enter through carried prefix sums; keys
-    inside it through a causally masked C x C score matrix. Padded tail
-    positions contribute nothing (their phi(k) is zeroed) and their bogus
-    outputs are sliced off.
+    Keys before the current chunk enter through carried exclusive prefix sums
+    S = sum phi(k)^T v and z = sum phi(k); keys inside it through a causally
+    masked C x C score matrix. Padded tail positions contribute nothing
+    (their phi(k) is zeroed); their rows get a harmless denominator and their
+    outputs are sliced off. The backward is written out: the prefix sums'
+    gradients are exclusive suffix sums over chunks.
     """
     b, h, t, hd = q.shape
     pad = (-t) % _CHUNK
-    phi_q = pad_axis(elu_plus_one(q), 2, pad)
-    phi_k = pad_axis(elu_plus_one(k), 2, pad)
-    v = pad_axis(v, 2, pad)
     n_chunks = (t + pad) // _CHUNK
     cshape = (b, h, n_chunks, _CHUNK, hd)
-    phi_q = phi_q.reshape(*cshape)
-    phi_k = phi_k.reshape(*cshape)
-    v = v.reshape(*cshape)
 
-    dtype = q.data.dtype
-    causal = Tensor(np.tril(np.ones((_CHUNK, _CHUNK), dtype=dtype)))
-    scores = (phi_q @ phi_k.transpose(0, 1, 2, 4, 3)) * causal  # (B,H,nC,C,C)
+    def chunked(x: np.ndarray) -> np.ndarray:
+        if pad:
+            x = np.pad(x, ((0, 0), (0, 0), (0, pad), (0, 0)))
+        return x.reshape(cshape)
 
-    kv = phi_k.transpose(0, 1, 2, 4, 3) @ v                 # per-chunk phi(k)^T v
-    s_prev = kv.cumsum(axis=2) - kv                         # exclusive prefix
-    z_prev = phi_k.sum(axis=3).cumsum(axis=2) - phi_k.sum(axis=3)
+    phi_q, slope_q = phi_and_slope(q.data)
+    phi_k, slope_k = phi_and_slope(k.data)
+    phi_q, phi_k, vc = chunked(phi_q), chunked(phi_k), chunked(v.data)
+    phi_kt = phi_k.transpose(0, 1, 2, 4, 3)
 
-    num = scores @ v + phi_q @ s_prev
+    causal = np.tril(np.ones((_CHUNK, _CHUNK), dtype=q.data.dtype))
+    scores = (phi_q @ phi_kt) * causal                      # (B,H,nC,C,C)
+    kv = phi_kt @ vc                                        # per-chunk phi(k)^T v
+    s_prev = np.cumsum(kv, axis=2) - kv                     # exclusive prefix
+    k_sum = phi_k.sum(axis=3)
+    z_prev = (np.cumsum(k_sum, axis=2) - k_sum).reshape(b, h, n_chunks, 1, hd)
+
+    num = scores @ vc + phi_q @ s_prev
     den = scores.sum(axis=4, keepdims=True) \
-        + (phi_q * z_prev.reshape(b, h, n_chunks, 1, hd)).sum(axis=4, keepdims=True)
+        + (phi_q * z_prev).sum(axis=4, keepdims=True)
     if pad:
-        # padded rows have phi(q) > 0 but may face an all-zero prefix; give
-        # them a harmless denominator before slicing them away
-        guard = np.zeros((b, h, n_chunks, _CHUNK, 1), dtype=dtype)
-        guard[:, :, -1, _CHUNK - pad:] = 1.0
-        den = den + Tensor(guard)
-    out = (num / den).reshape(b, h, t + pad, hd)
-    return out[:, :, :t, :]
+        # padded rows have phi(q) > 0 but may face an all-zero prefix
+        den[:, :, -1, _CHUNK - pad:] += 1.0
+    out = num / den
+
+    def backward(g):
+        g_num = chunked(g) / den
+        g_den = -(g_num * out).sum(axis=4, keepdims=True)
+        g_raw = (g_num @ vc.swapaxes(-1, -2) + g_den) * causal
+        g_q = g_raw @ phi_k + g_num @ s_prev.swapaxes(-1, -2) + g_den * z_prev
+        g_kv = _sums_after(phi_q.swapaxes(-1, -2) @ g_num)
+        g_k_sum = _sums_after((g_den * phi_q).sum(axis=3))
+        g_k = g_raw.swapaxes(-1, -2) @ phi_q + vc @ g_kv.swapaxes(-1, -2) \
+            + g_k_sum[:, :, :, None, :]
+        g_v = scores.swapaxes(-1, -2) @ g_num + phi_k @ g_kv
+
+        def unchunked(x):
+            return x.reshape(b, h, t + pad, hd)[:, :, :t]
+
+        return unchunked(g_q) * slope_q, unchunked(g_k) * slope_k, unchunked(g_v)
+
+    return Tensor(out.reshape(b, h, t + pad, hd)[:, :, :t, :], parents=(q, k, v),
+                  backward=backward)
 
 
 class DecodeCache:

@@ -136,9 +136,11 @@ def train(state: ModelState, dataset: list[tuple[list[int], np.ndarray]],
             bits = np.stack([dataset[i][1] for i in batch_idx]).astype(float)
             for p in params.values():
                 p.grad = None
-            logits = forward_batch(state, ids, bits,
-                                   rng=dropout_rng if state.config.dropout > 0 else None)
-            loss, _ = next_token_loss(logits, ids)
+            # no name holds the logits, so backward can free them with the graph
+            loss, _ = next_token_loss(
+                forward_batch(state, ids, bits,
+                              rng=dropout_rng if state.config.dropout > 0 else None),
+                ids)
             value = float(loss.data)
             if not math.isfinite(value):
                 raise NonFiniteLoss(f"loss became {value} at step {step}")

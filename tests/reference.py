@@ -6,13 +6,15 @@ must match bit for bit, as ``relu`` and ``elu_plus_one`` are the ``np.where``
 forms and ``dropout`` the two-node float64-mask form that their ``autodiff``
 namesakes must match; ``sample_top_p`` is the form whose draws
 ``sampling.sample_top_p`` must repeat; ``forward`` is the single-sequence
-form of ``model.forward_batch``.
+form of ``model.forward_batch``. ``linear_attention`` is the graph form of
+``model._linear_attention``, built from ``pad_axis``, ``cumsum`` and
+``Tensor`` ops, whose forward the fused op must repeat bit for bit.
 """
 
 import numpy as np
 
-from emomusic.autodiff import Tensor
-from emomusic.model import ModelState, forward_batch
+from emomusic.autodiff import Tensor, elu_plus_one
+from emomusic.model import _CHUNK, ModelState, forward_batch
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -84,3 +86,57 @@ def forward(state: ModelState, tokens: list[int], attr_bits: np.ndarray) -> np.n
     """Per-position logits (T, vocab) for a single sequence, no dropout."""
     ids = np.asarray(tokens)[None, :]
     return forward_batch(state, ids, np.asarray(attr_bits)[None, :]).data[0]
+
+
+def cumsum(x: Tensor, axis: int) -> Tensor:
+    def backward(g):
+        return (np.flip(np.cumsum(np.flip(g, axis=axis), axis=axis), axis=axis),)
+
+    return Tensor(np.cumsum(x.data, axis=axis), parents=(x,), backward=backward)
+
+
+def pad_axis(x: Tensor, axis: int, after: int) -> Tensor:
+    """Zero-pad the end of one axis; backward slices the padding back off."""
+    if after == 0:
+        return x
+    widths = [(0, 0)] * x.data.ndim
+    widths[axis] = (0, after)
+    index = [slice(None)] * x.data.ndim
+    index[axis] = slice(0, x.data.shape[axis])
+    index = tuple(index)
+
+    def backward(g):
+        return (g[index],)
+
+    return Tensor(np.pad(x.data, widths), parents=(x,), backward=backward)
+
+
+def linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    b, h, t, hd = q.shape
+    pad = (-t) % _CHUNK
+    phi_q = pad_axis(elu_plus_one(q), 2, pad)
+    phi_k = pad_axis(elu_plus_one(k), 2, pad)
+    v = pad_axis(v, 2, pad)
+    n_chunks = (t + pad) // _CHUNK
+    cshape = (b, h, n_chunks, _CHUNK, hd)
+    phi_q = phi_q.reshape(*cshape)
+    phi_k = phi_k.reshape(*cshape)
+    v = v.reshape(*cshape)
+
+    dtype = q.data.dtype
+    causal = Tensor(np.tril(np.ones((_CHUNK, _CHUNK), dtype=dtype)))
+    scores = (phi_q @ phi_k.transpose(0, 1, 2, 4, 3)) * causal  # (B,H,nC,C,C)
+
+    kv = phi_k.transpose(0, 1, 2, 4, 3) @ v                 # per-chunk phi(k)^T v
+    s_prev = cumsum(kv, axis=2) - kv                        # exclusive prefix
+    z_prev = cumsum(phi_k.sum(axis=3), axis=2) - phi_k.sum(axis=3)
+
+    num = scores @ v + phi_q @ s_prev
+    den = scores.sum(axis=4, keepdims=True) \
+        + (phi_q * z_prev.reshape(b, h, n_chunks, 1, hd)).sum(axis=4, keepdims=True)
+    if pad:
+        guard = np.zeros((b, h, n_chunks, _CHUNK, 1), dtype=dtype)
+        guard[:, :, -1, _CHUNK - pad:] = 1.0
+        den = den + Tensor(guard)
+    out = (num / den).reshape(b, h, t + pad, hd)
+    return out[:, :, :t, :]

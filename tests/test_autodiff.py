@@ -100,7 +100,7 @@ class TestShapes:
 
     def test_cumsum(self):
         a = RNG.normal(size=(2, 5, 3))
-        check_grad(lambda x: (x.cumsum(axis=1) ** 2.0).sum(), a)
+        check_grad(lambda x: (reference.cumsum(x, axis=1) ** 2.0).sum(), a)
 
     def test_sum_axis_keepdims(self):
         a = RNG.normal(size=(3, 4, 5))
@@ -240,6 +240,14 @@ class TestGraph:
         for out in (getattr(x, f"__{op}__")(mask), getattr(mask, f"__{op}__")(x)):
             grads = out._backward(np.ones((2, 3)))
             assert [g is None for g in grads] == [p is mask for p in out._parents]
+
+    def test_second_backward_through_a_spent_graph_raises(self):
+        x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+        y = (x * x).sum()
+        y.backward()
+        with pytest.raises(RuntimeError, match="freed"):
+            y.backward()
+        assert x.grad == pytest.approx([4.0, 6.0])
 
     def test_no_grad_for_constants(self):
         x = Tensor(np.ones(3))

@@ -219,6 +219,17 @@ class TestCli:
         assert code == 0
         assert len(list((art / "generated").glob("cli_custom_*.mid"))) == 1
 
+    def test_analyze_bias_keeps_a_run_configured_by_flags(self, tmp_path):
+        config = tiny_config(tmp_path)  # the file says train_steps 8
+        write_config(config, tmp_path / "config.json")
+        common = ["--config", str(tmp_path / "config.json"), "--train-steps", "4"]
+        assert main(["run"] + common) == 0
+        art = Path(config.artifact_dir)
+        checkpoint = (art / "checkpoint.npz").read_bytes()
+        assert main(["analyze-bias"] + common) == 0
+        assert len((art / "loss_log.csv").read_text().splitlines()) == 1 + 4
+        assert (art / "checkpoint.npz").read_bytes() == checkpoint
+
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["not-a-command"])
