@@ -60,12 +60,12 @@ def sample_top_p(logits: np.ndarray, cfg: SamplerConfig,
     +inf logits raise EmoMusicError.
     """
     scaled = np.asarray(logits, dtype=float) / cfg.temperature
-    scaled -= scaled.max()
-    probs = np.exp(scaled)
-    total = probs.sum()
-    if not math.isfinite(total):
+    m = scaled.max()
+    if not math.isfinite(m):  # a NaN or +inf, or every logit -inf
         raise EmoMusicError("logits are NaN, +inf or all -inf; cannot sample")
-    probs /= total
+    scaled -= m
+    probs = np.exp(scaled)
+    probs /= probs.sum()
     probs = nucleus_probabilities(probs, cfg.p)
     kept = probs.nonzero()[0]
     cumulative = probs[kept].cumsum()

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import math
+import platform
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,6 +21,12 @@ from .tokens import PAD
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.98
 ADAM_EPS = 1e-9
+
+# glibc mallopt parameters, and the largest values a 64-bit glibc and a C int take
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_MAX = 32 * 1024 * 1024
+TRIM_THRESHOLD_MAX = 2**31 - 1
 
 
 class NonFiniteLoss(EmoMusicError):
@@ -110,6 +118,29 @@ def pad_batch(sequences: list[list[int]], max_len: int) -> np.ndarray:
     return ids
 
 
+def _keep_heap() -> tuple[int, ...]:
+    """Have glibc keep freed heap pages for reuse; returns mallopt's results.
+
+    Backward frees the graph as it goes, so the heap is nearly empty when a
+    step ends. By default glibc then trims it, and puts large arrays in
+    mmaps of their own, so every step would fault its pages in again. With
+    arrays up to 32 MiB on the heap and the trim threshold at its maximum,
+    the heap stays at its peak and later steps reuse it. The settings hold
+    for the whole process from this call on, not for training alone. With
+    a C library other than glibc this does nothing and returns ().
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return ()
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+    except OSError:
+        return ()
+    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    libc.mallopt.restype = ctypes.c_int
+    return (libc.mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_MAX),
+            libc.mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_MAX))
+
+
 def train(state: ModelState, dataset: list[tuple[list[int], np.ndarray]],
           cfg: TrainConfig, log_every: int = 1,
           ) -> tuple[ModelState, list[tuple[int, float, float]]]:
@@ -122,6 +153,7 @@ def train(state: ModelState, dataset: list[tuple[list[int], np.ndarray]],
     """
     if not dataset:
         raise EmoMusicError("empty training dataset")
+    _keep_heap()
     params = state.params
     optimizer = Adam()
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))

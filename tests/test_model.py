@@ -1,12 +1,17 @@
 """Transformer model: linear-attention oracles, causality, loss, schedule,
 training behavior, and checkpointing."""
 
+import ctypes
+import platform
+import resource
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import emomusic.model
+import emomusic.training
 from emomusic.autodiff import Tensor, elu_plus_one
 from emomusic.errors import EmoMusicError
 from emomusic.model import (
@@ -265,9 +270,42 @@ class TestTraining:
     def test_non_finite_loss_aborts(self):
         state = init_state(tiny_config(), seed=12)
         state.params["tok_emb"].data[:] = np.inf
-        with pytest.raises(NonFiniteLoss):
+        with pytest.raises(NonFiniteLoss), np.errstate(invalid="ignore", over="ignore"):
             train(state, two_sequence_dataset(),
                   TrainConfig(batch_size=2, base_lr=1e-3, warmup_steps=5, max_steps=5))
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+    def test_later_steps_fault_in_no_heap_pages(self):
+        rng = np.random.default_rng(16)
+        dataset = [([BOS, *rng.integers(BOS + 1, VOCAB_SIZE, size=int(n)), EOS],
+                    rng.integers(0, 2, size=20))
+                   for n in rng.integers(190, 200, size=16)]
+        state = init_state(ModelConfig.small(attr_dim=20), seed=17)
+        cfg = TrainConfig(batch_size=8, base_lr=1e-3, warmup_steps=10, max_steps=5)
+        train(state, dataset, cfg)  # steps 1-5 grow the heap to its peak
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train(state, dataset, replace(cfg, max_steps=10))  # steps 6-15
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        # about 216k when glibc trims the heap after every step, about 230 kept
+        assert faults < 5000
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+    def test_glibc_takes_both_heap_settings(self):
+        assert emomusic.training._keep_heap() == (1, 1)
+
+    @pytest.mark.parametrize("lookup", ["libc_ver", "cdll"])
+    def test_other_c_libraries_train_unchanged(self, monkeypatch, lookup):
+        cfg = TrainConfig(batch_size=2, base_lr=1e-3, warmup_steps=10, max_steps=12, seed=18)
+        _, expected = train(init_state(tiny_config(), seed=19), two_sequence_dataset(), cfg)
+        if lookup == "libc_ver":
+            monkeypatch.setattr(platform, "libc_ver", lambda: ("", ""))
+        else:
+            def missing(name):
+                raise OSError(f"{name}: cannot open shared object file")
+            monkeypatch.setattr(ctypes, "CDLL", missing)
+        assert emomusic.training._keep_heap() == ()
+        _, log = train(init_state(tiny_config(), seed=19), two_sequence_dataset(), cfg)
+        assert log == expected
 
 
 class TestMakeBatches:
