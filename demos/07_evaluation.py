@@ -10,9 +10,9 @@ concentrated far from the class centroids.
 import numpy as np
 
 from emomusic.evaluation import (
-    ForestObjectiveClassifier,
     l1_distance_analysis,
     pca_project,
+    predict_quadrants,
 )
 from emomusic.features import default_catalog, extract_corpus
 from emomusic.forest import ForestConfig, oob_predictions, train_forest
@@ -60,8 +60,9 @@ for quadrant in EmotionQuadrant:
     cx, cy = coords[rows].mean(axis=0)
     print(f"  {quadrant.name}: ({cx:6.2f}, {cy:6.2f})")
 
-clf = ForestObjectiveClassifier(forest, catalog)
 print("\nclassifier on a fresh archetypal piece per quadrant:")
-for quadrant in EmotionQuadrant:
-    probe = synth_score(SynthSpec(noise=0.0), quadrant, np.random.default_rng(99))
-    print(f"  intended {quadrant.name} -> predicted {clf.predict_score(probe).name}")
+probes = [synth_score(SynthSpec(noise=0.0), quadrant, np.random.default_rng(99))
+          for quadrant in EmotionQuadrant]
+predicted = predict_quadrants(forest, extract_corpus(probes, catalog))
+for quadrant, guess in zip(EmotionQuadrant, predicted):
+    print(f"  intended {quadrant.name} -> predicted {guess.name}")

@@ -132,6 +132,8 @@ def _cmd_synth(args, config: PipelineConfig) -> int:
 
 
 def _cmd_generate(args, config: PipelineConfig) -> int:
+    if args.n < 1:
+        raise EmoMusicError(f"--n must be at least 1, not {args.n}")
     pipe = Pipeline(config)
     state, manifest = load_checkpoint(pipe.checkpoint_path)
     medians = np.asarray(manifest["medians"])

@@ -8,9 +8,15 @@ class EmoMusicError(Exception):
     """Base class for all data/contract errors raised by this package."""
 
 
-def read_json(path: str | Path, what: str):
-    """The JSON document at ``path``; a file that does not parse raises EmoMusicError."""
+def read_json(path: str | Path, what: str, keys: tuple[str, ...] = ()):
+    """The JSON document at ``path``. A file that does not parse, or, when
+    ``keys`` are given, one that is not an object holding each of them,
+    raises EmoMusicError."""
     try:
-        return json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text())
     except ValueError as exc:
         raise EmoMusicError(f"{what} {path} is not valid JSON: {exc}") from exc
+    missing = [key for key in keys if not (isinstance(doc, dict) and key in doc)]
+    if missing:
+        raise EmoMusicError(f"{what} {path} lacks key(s) {', '.join(missing)}")
+    return doc

@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import Counter
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import fsum
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EmoMusicError
-from .features import FeatureCatalog, default_catalog, extract_features
+from .features import CorpusMatrix, extract_corpus
 from .forest import RandomForest, oob_predictions, predict_class_index
 from .mapping import (
     EmotionQuadrant,
@@ -33,7 +32,6 @@ from .mapping import (
 )
 from .model import ModelState
 from .sampling import SamplerConfig, generate_pieces
-from .score import Score
 from .tokens import tokens_to_score
 
 
@@ -41,31 +39,21 @@ class SingletonClass(UserWarning):
     pass
 
 
-class ForestObjectiveClassifier:
-    """Forest-backed emotion classifier over full attribute vectors."""
-
-    def __init__(self, forest: RandomForest, catalog: FeatureCatalog | None = None):
-        self.forest = forest
-        self.catalog = catalog or default_catalog()
-        if self.catalog.version != forest.catalog_version:
-            raise EmoMusicError("classifier catalog does not match the forest")
-
-    def predict_vector(self, values: np.ndarray) -> EmotionQuadrant:
-        return EmotionQuadrant(predict_class_index(self.forest, np.asarray(values)) + 1)
-
-    def predict_score(self, score: Score) -> EmotionQuadrant:
-        return self.predict_vector(extract_features(score, self.catalog).values)
+def predict_quadrants(forest: RandomForest, matrix: CorpusMatrix) -> list[EmotionQuadrant]:
+    """The forest's emotion for each row of ``matrix``."""
+    if matrix.catalog_version != forest.catalog_version:
+        raise EmoMusicError("feature catalog does not match the forest")
+    return [EmotionQuadrant(predict_class_index(forest, row) + 1) for row in matrix.values]
 
 
-def objective_accuracy(scores: list[Score], intended: list[EmotionQuadrant],
-                       clf) -> float:
-    """Fraction of generated scores whose predicted emotion matches the input."""
-    if not scores:
-        raise EmoMusicError("no scores to evaluate")
-    if len(scores) != len(intended):
-        raise EmoMusicError("scores and intended labels differ in length")
-    hits = sum(clf.predict_score(s) == q for s, q in zip(scores, intended))
-    return hits / len(scores)
+def objective_accuracy(predicted: list[EmotionQuadrant],
+                       intended: list[EmotionQuadrant]) -> float:
+    """Fraction of predicted emotions that match the intended ones."""
+    if not predicted:
+        raise EmoMusicError("no predictions to evaluate")
+    if len(predicted) != len(intended):
+        raise EmoMusicError("predicted and intended labels differ in length")
+    return sum(p == q for p, q in zip(predicted, intended)) / len(predicted)
 
 
 @dataclass(slots=True)
@@ -127,31 +115,6 @@ def l1_distance_analysis(vectors: np.ndarray,
     )
 
 
-@dataclass(slots=True)
-class BiasReport:
-    """Objective accuracy on center vs boundary samples, real and generated."""
-
-    real_center_accuracy: float
-    real_boundary_accuracy: float
-    generated_center_accuracy: float
-    generated_boundary_accuracy: float
-    per_quadrant: dict[str, dict[str, float]] = field(default_factory=dict)
-    n_center: int = 0
-    n_boundary: int = 0
-
-    def to_json(self, path: str | Path) -> None:
-        doc = {
-            "real": {"center": self.real_center_accuracy,
-                     "boundary": self.real_boundary_accuracy},
-            "generated": {"center": self.generated_center_accuracy,
-                          "boundary": self.generated_boundary_accuracy},
-            "per_quadrant": self.per_quadrant,
-            "n_center": self.n_center,
-            "n_boundary": self.n_boundary,
-        }
-        Path(path).write_text(json.dumps(doc, indent=1) + "\n")
-
-
 def _accuracy_over(ids: list[int], predictions: np.ndarray,
                    truth: np.ndarray) -> float:
     if not ids:
@@ -161,54 +124,52 @@ def _accuracy_over(ids: list[int], predictions: np.ndarray,
 
 
 def bias_experiment(corpus: LabeledCorpus, indices: list[int], state: ModelState,
-                    medians: np.ndarray, clf: ForestObjectiveClassifier, n: int,
-                    sampler: SamplerConfig) -> BiasReport:
+                    medians: np.ndarray, forest: RandomForest, n: int,
+                    sampler: SamplerConfig) -> dict:
     """Center-vs-boundary probe.
 
     Real side: classify the corpus' own center and boundary samples by the
-    OOB votes of ``clf.forest``, trained on ``corpus`` (see module docstring).
+    OOB votes of ``forest``, trained on ``corpus`` (see module docstring).
     Generated side: condition the model on each center/boundary sample's raw
     attribute values (binarized with the training medians), classify the
     generated pieces against the source sample's label.
+
+    Returns the bias report's JSON document: "real" and "generated" each map
+    "center" and "boundary" to an accuracy, "per_quadrant" maps each quadrant
+    to the same four figures, and "n_center"/"n_boundary" count the samples.
     """
     split = center_boundary_split(corpus, indices, n)
     truth = corpus.label_indices()
+    real_preds = oob_predictions(forest, corpus.matrix.values)
 
-    real_preds = oob_predictions(clf.forest, corpus.matrix.values)
-
-    # one piece per center and boundary sample, all decoded together
-    jobs = [(quadrant, kind, row_id) for quadrant in QUADRANTS
-            for kind, ids in zip(("center", "boundary"), split[quadrant]) for row_id in ids]
+    # one piece per center and boundary sample, all decoded together; its
+    # predicted class index is stored at its source sample's row
+    rows = [row_id for quadrant in QUADRANTS for ids in split[quadrant] for row_id in ids]
     bits = np.array([binarize(corpus.matrix.values[row_id][indices], medians)
-                     for _, _, row_id in jobs])
+                     for row_id in rows])
     cfgs = [SamplerConfig(sampler.p, sampler.temperature, sampler.max_tokens,
                           (sampler.seed * 1_000_003 + row_id) % (2 ** 31))
-            for _, _, row_id in jobs]
-    hits = Counter((quadrant, kind) for (quadrant, kind, _), tokens
-                   in zip(jobs, generate_pieces(state, bits, cfgs))
-                   if clf.predict_score(tokens_to_score(tokens)[0]) == quadrant)
+            for row_id in rows]
+    scores = [tokens_to_score(tokens)[0] for tokens in generate_pieces(state, bits, cfgs)]
+    generated_preds = np.full(len(truth), -1)
+    if scores:
+        generated_preds[rows] = [q.class_index for q in
+                                 predict_quadrants(forest, extract_corpus(scores))]
 
-    per_quadrant: dict[str, dict[str, float]] = {}
-    rows: dict[str, list[int]] = {"center": [], "boundary": []}
+    sides = {"real": real_preds, "generated": generated_preds}
+    center = [row_id for quadrant in QUADRANTS for row_id in split[quadrant][0]]
+    boundary = [row_id for quadrant in QUADRANTS for row_id in split[quadrant][1]]
+    report = {side: {"center": _accuracy_over(center, preds, truth),
+                     "boundary": _accuracy_over(boundary, preds, truth)}
+              for side, preds in sides.items()}
+    report["per_quadrant"] = {}
     for quadrant in QUADRANTS:
-        pairs = list(zip(rows, split[quadrant]))
-        q_report = {f"real_{k}": _accuracy_over(ids, real_preds, truth) for k, ids in pairs}
-        for kind, ids in pairs:
-            q_report[f"generated_{kind}"] = hits[quadrant, kind] / len(ids) if ids else 0.0
-            rows[kind] += ids
-        per_quadrant[quadrant.name] = q_report
-    generated = {kind: sum(hits[q, kind] for q in QUADRANTS) / max(1, len(ids))
-                 for kind, ids in rows.items()}
-
-    return BiasReport(
-        real_center_accuracy=_accuracy_over(rows["center"], real_preds, truth),
-        real_boundary_accuracy=_accuracy_over(rows["boundary"], real_preds, truth),
-        generated_center_accuracy=generated["center"],
-        generated_boundary_accuracy=generated["boundary"],
-        per_quadrant=per_quadrant,
-        n_center=len(rows["center"]),
-        n_boundary=len(rows["boundary"]),
-    )
+        report["per_quadrant"][quadrant.name] = {
+            f"{side}_{kind}": _accuracy_over(ids, preds, truth)
+            for side, preds in sides.items()
+            for kind, ids in zip(("center", "boundary"), split[quadrant])}
+    report["n_center"], report["n_boundary"] = len(center), len(boundary)
+    return report
 
 
 def pca_project(vectors: np.ndarray) -> np.ndarray:

@@ -117,7 +117,12 @@ class MappingTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "MappingTable":
-        doc = read_json(path, "mapping file")
+        doc = read_json(path, "mapping file",
+                        keys=("method", "catalog_version", "indices", "vectors", "medians"))
+        if not isinstance(doc["vectors"], dict) or \
+                sorted(doc["vectors"]) != [q.name for q in EmotionQuadrant]:
+            raise EmoMusicError(f"mapping file {path}: vectors must map each of "
+                                f"{', '.join(q.name for q in EmotionQuadrant)} to a vector")
         vectors = {}
         for name, v in doc["vectors"].items():
             v = np.asarray(v, dtype=float)

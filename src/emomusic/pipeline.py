@@ -36,11 +36,11 @@ import numpy as np
 
 from .errors import EmoMusicError, read_json
 from .evaluation import (
-    ForestObjectiveClassifier,
     bias_experiment,
     l1_distance_analysis,
     objective_accuracy,
     pca_project,
+    predict_quadrants,
     save_projection_csv,
 )
 from .features import (
@@ -84,6 +84,11 @@ class EmptyManifest(EmoMusicError):
     pass
 
 
+# the types a PipelineConfig field of each annotation accepts
+_FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float),
+                "tuple[float, float, float]": (list, tuple)}
+
+
 @dataclass(slots=True)
 class PipelineConfig:
     artifact_dir: str
@@ -114,10 +119,24 @@ class PipelineConfig:
     bias_n: int = 25
 
     def __post_init__(self) -> None:
-        if len(self.split_ratios) != 3 or abs(sum(self.split_ratios) - 1.0) > 1e-9:
-            raise EmoMusicError("split ratios must be three numbers summing to 1")
-        if self.model_size not in ("small", "large"):
-            raise EmoMusicError("model_size must be 'small' or 'large'")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise EmoMusicError(f"config field {f.name} must be of type {f.type}, "
+                                    f"not {value!r}")
+        ratios = self.split_ratios = tuple(self.split_ratios)
+        for name, ok, rule in (
+                ("split_ratios", len(ratios) == 3
+                 and all(type(r) in (int, float) for r in ratios)
+                 and abs(sum(ratios) - 1.0) <= 1e-9, "three numbers summing to 1"),
+                ("model_size", self.model_size in ("small", "large"), "'small' or 'large'"),
+                ("dtype", self.dtype in ("float32", "float64"), "'float32' or 'float64'"),
+                ("batch_size", self.batch_size >= 1, "at least 1"),
+                ("forest_trees", self.forest_trees >= 1, "at least 1"),
+                ("dropout", 0 <= self.dropout < 1, "at least 0 and below 1")):
+            if not ok:
+                raise EmoMusicError(f"config field {name} must be {rule}, "
+                                    f"not {getattr(self, name)!r}")
 
     @classmethod
     def from_json(cls, path: str | Path | None, **overrides) -> "PipelineConfig":
@@ -138,8 +157,6 @@ class PipelineConfig:
         doc.setdefault("artifact_dir", default_artifact_dir())
         doc.setdefault("corpus_manifest",
                        str(Path(doc["artifact_dir"]) / "corpus" / "manifest.json"))
-        if "split_ratios" in doc:
-            doc["split_ratios"] = tuple(doc["split_ratios"])
         return cls(**doc)
 
     def model_config(self, attr_dim: int) -> ModelConfig:
@@ -339,13 +356,9 @@ class Pipeline:
         if not path.exists():
             return {}
         try:
-            record = json.loads(path.read_text())
-            if not isinstance(record, dict) or "signature" not in record:
-                raise ValueError("no signature")
-        except ValueError as exc:
-            raise EmoMusicError(f"corrupt cache record {path} ({exc!r}); "
-                                "delete it to re-run the stage") from exc
-        return record
+            return read_json(path, "cache record", keys=("signature",))
+        except EmoMusicError as exc:
+            raise EmoMusicError(f"{exc}; delete it to re-run the stage") from exc
 
     def _output_hashes(self, stage: Stage) -> dict[str, str | None]:
         """sha256 of each output file; None for one that is missing, and for
@@ -516,17 +529,17 @@ class Pipeline:
     @_stage
     def stage_evaluate(self):
         scores, intended, _ = load_corpus_scores(self.generated_dir / "manifest.json")
-        clf = ForestObjectiveClassifier(forest_from_json(self.forest_path), self.catalog)
-        accuracy = objective_accuracy(scores, intended, clf)
+        matrix = extract_corpus(scores, self.catalog)
+        predicted = predict_quadrants(forest_from_json(self.forest_path), matrix)
+        accuracy = objective_accuracy(predicted, intended)
         per_quadrant = {}
         for quadrant in QUADRANTS:
-            subset = [(s, q) for s, q in zip(scores, intended) if q == quadrant]
-            if subset:
-                per_quadrant[quadrant.name] = objective_accuracy(
-                    [s for s, _ in subset], [q for _, q in subset], clf)
+            hits = [p == quadrant for p, q in zip(predicted, intended) if q == quadrant]
+            if hits:
+                per_quadrant[quadrant.name] = sum(hits) / len(hits)
 
         indices = load_selection(self.selection_path)["indices"]
-        selected = extract_corpus(scores, self.catalog).values[:, indices]
+        selected = matrix.values[:, indices]
         distance_doc = None
         if min(intended.count(q) for q in set(intended)) >= 2:
             z = Standardizer.fit(selected).transform(selected)
@@ -560,15 +573,14 @@ class Pipeline:
         corpus = self._labeled_corpus()
         forest = train_forest(corpus, ForestConfig(n_trees=cfg.forest_trees,
                                                    seed=cfg.seed + 1))
-        clf = ForestObjectiveClassifier(forest, self.catalog)
         state, manifest = load_checkpoint(self.checkpoint_path)
         medians = np.asarray(manifest["medians"])
         indices = manifest["indices"]
         report = bias_experiment(
-            corpus, indices, state, medians, clf, n or cfg.bias_n,
+            corpus, indices, state, medians, forest, n or cfg.bias_n,
             self.config.sampler_config(cfg.seed + 11))
-        report.to_json(self.art / "bias_report.json")
-        return read_json(self.art / "bias_report.json", "bias report")
+        (self.art / "bias_report.json").write_text(json.dumps(report, indent=1) + "\n")
+        return report
 
 
 def replace_rows(matrix, rows: list[int]):

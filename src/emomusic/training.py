@@ -219,14 +219,20 @@ def save_checkpoint(path: str | Path, state: ModelState, *, step: int = 0,
 def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
     path = Path(path)
     manifest_path = path.with_suffix(".json")
-    manifest = read_json(manifest_path, "checkpoint manifest")
+    manifest = read_json(manifest_path, "checkpoint manifest",
+                         keys=("config", "indices", "medians"))
     config = dict(manifest["config"])
     # older manifests name the attention kind; linear is the only one there is
     attention = config.pop("attention", "linear")
     if attention != "linear":
         raise EmoMusicError(f"checkpoint {manifest_path}: unsupported attention "
                             f"{attention!r}; only linear attention is implemented")
-    state = init_state(ModelConfig(**config), seed=0)
+    try:
+        model_config = ModelConfig(**config)
+    except TypeError as exc:
+        raise EmoMusicError(f"checkpoint {manifest_path}: bad model config "
+                            f"({exc})") from exc
+    state = init_state(model_config, seed=0)
     blob_path = path if path.suffix == ".npz" else path.with_suffix(".npz")
     blob = np.load(blob_path)
     for name, p in state.params.items():

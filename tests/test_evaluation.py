@@ -5,15 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from emomusic.errors import EmoMusicError
 from emomusic.evaluation import (
-    ForestObjectiveClassifier,
     SingletonClass,
     bias_experiment,
     l1_distance_analysis,
     objective_accuracy,
     pca_project,
+    predict_quadrants,
 )
-from emomusic.features import CorpusMatrix, default_catalog, extract_features
+from emomusic.features import CorpusMatrix, default_catalog, extract_corpus
 from emomusic.forest import ForestConfig, train_forest
 from emomusic.mapping import EmotionQuadrant, LabeledCorpus, compute_medians
 from emomusic.model import ModelConfig, init_state
@@ -23,30 +24,28 @@ from emomusic.score import Note, Score
 Q1, Q2, Q3, Q4 = EmotionQuadrant
 
 
-class StubClassifier:
-    def __init__(self, answers):
-        self.answers = list(answers)
-
-    def predict_score(self, score):
-        return self.answers.pop(0)
-
-
 class TestObjectiveAccuracy:
     def test_half_right(self):
-        scores = [Score([Note(0, 480, 60, 64)], 480)] * 2
-        clf = StubClassifier([Q1, Q3])
-        assert objective_accuracy(scores, [Q1, Q2], clf) == 0.5
+        assert objective_accuracy([Q1, Q3], [Q1, Q2]) == 0.5
 
     def test_permutation_invariant(self):
-        scores = [Score([Note(0, 480, p, 64)], 480) for p in (60, 61, 62, 63)]
         intended = [Q1, Q2, Q3, Q4]
         predicted = [Q1, Q2, Q4, Q4]
-        forward = objective_accuracy(scores, intended, StubClassifier(predicted))
-        backward = objective_accuracy(scores[::-1], intended[::-1],
-                                      StubClassifier(predicted[::-1]))
+        forward = objective_accuracy(predicted, intended)
+        backward = objective_accuracy(predicted[::-1], intended[::-1])
         assert forward == backward
 
-    def test_forest_classifier_on_its_training_scores(self):
+    def test_empty_input_rejected(self):
+        with pytest.raises(EmoMusicError, match="no predictions"):
+            objective_accuracy([], [])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(EmoMusicError, match="differ in length"):
+            objective_accuracy([Q1, Q2], [Q1])
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        """Four tight clusters of scores and a forest trained on them."""
         catalog = default_catalog()
         rng = np.random.default_rng(51)
         scores, labels = [], []
@@ -57,11 +56,20 @@ class TestObjectiveAccuracy:
                               64 + int(rng.integers(0, 20))) for i in range(6)]
                 scores.append(Score(notes, 480, tempo_map=[(0, tempo)]))
                 labels.append(q)
-        matrix = np.stack([extract_features(s, catalog).values for s in scores])
-        corpus = LabeledCorpus(CorpusMatrix(matrix), labels)
-        forest = train_forest(corpus, ForestConfig(n_trees=30, seed=52))
-        clf = ForestObjectiveClassifier(forest, catalog)
-        assert objective_accuracy(scores, labels, clf) == 1.0
+        matrix = extract_corpus(scores, catalog)
+        forest = train_forest(LabeledCorpus(matrix, labels),
+                              ForestConfig(n_trees=30, seed=52))
+        return forest, matrix, labels
+
+    def test_forest_classifier_on_its_training_scores(self, trained):
+        forest, matrix, labels = trained
+        assert objective_accuracy(predict_quadrants(forest, matrix), labels) == 1.0
+
+    def test_catalog_mismatch_rejected(self, trained):
+        forest, matrix, _ = trained
+        other = CorpusMatrix(matrix.values, "v0", matrix.empty_flags)
+        with pytest.raises(EmoMusicError, match="catalog"):
+            predict_quadrants(forest, other)
 
 
 class TestL1Analysis:
@@ -129,19 +137,15 @@ class TestBiasExperiment:
         rng = np.random.default_rng(55)
         corpus = _feature_space_corpus(rng)
         forest = train_forest(corpus, ForestConfig(n_trees=60, seed=56))
-        clf = ForestObjectiveClassifier.__new__(ForestObjectiveClassifier)
-        clf.forest = forest
-        clf.catalog = default_catalog()
         state = init_state(ModelConfig(n_layers=1, n_heads=1, d_model=8,
                                        d_ffn=16, max_len=8, dropout=0.0,
                                        attr_dim=2), seed=57)
         medians = compute_medians(corpus.matrix.values)
-        report = bias_experiment(corpus, [0, 1], state, medians, clf, n=4,
+        report = bias_experiment(corpus, [0, 1], state, medians, forest, n=4,
                                  sampler=SamplerConfig(p=0.9, max_tokens=8, seed=58))
-        assert report.real_center_accuracy > report.real_boundary_accuracy
-        assert report.n_center == report.n_boundary == 16
-        for value in (report.generated_center_accuracy,
-                      report.generated_boundary_accuracy):
+        assert report["real"]["center"] > report["real"]["boundary"]
+        assert report["n_center"] == report["n_boundary"] == 16
+        for value in report["generated"].values():
             assert 0.0 <= value <= 1.0
 
     def test_degenerate_identical_corpus_equalizes(self):
@@ -149,16 +153,13 @@ class TestBiasExperiment:
         labels = [EmotionQuadrant(1 + i % 4) for i in range(24)]
         corpus = LabeledCorpus(CorpusMatrix(vectors), labels)
         forest = train_forest(corpus, ForestConfig(n_trees=20, seed=59))
-        clf = ForestObjectiveClassifier.__new__(ForestObjectiveClassifier)
-        clf.forest = forest
-        clf.catalog = default_catalog()
         state = init_state(ModelConfig(n_layers=1, n_heads=1, d_model=8,
                                        d_ffn=16, max_len=8, dropout=0.0,
                                        attr_dim=2), seed=60)
         report = bias_experiment(corpus, [0, 1], state,
-                                 compute_medians(vectors), clf, n=3,
+                                 compute_medians(vectors), forest, n=3,
                                  sampler=SamplerConfig(p=0.9, max_tokens=8, seed=61))
-        assert report.real_center_accuracy == report.real_boundary_accuracy
+        assert report["real"]["center"] == report["real"]["boundary"]
 
 
 class TestPcaProject:

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from emomusic import features
 from emomusic.cli import main
 from emomusic.mapping import EmotionQuadrant
 from emomusic.model import ModelConfig, init_state
@@ -129,6 +130,25 @@ class TestPipeline:
         assert json.loads((art / "mapping.json").read_text())["catalog_version"] == "v1"
         assert json.loads((art / "checkpoint.json").read_text())["catalog_version"] == "v1"
 
+    def test_evaluate_extracts_each_generated_piece_once(self, tmp_path, monkeypatch):
+        pipe = Pipeline(tiny_config(tmp_path))
+        pipe.run(until="generate")
+        real = features.extract_features
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        # in every module that holds the function, as the benchmark tracer patches it
+        for name, module in list(sys.modules.items()):
+            if name.startswith("emomusic") and \
+                    getattr(module, "extract_features", None) is real:
+                monkeypatch.setattr(module, "extract_features", counting)
+        assert pipe.stage_evaluate() == "ran"
+        report = json.loads((tmp_path / "artifacts" / "report.json").read_text())
+        assert len(calls) == report["n_generated"] == 8
+
     def test_analyze_bias_writes_report(self, tmp_path):
         config = tiny_config(tmp_path)
         Pipeline(config).run()
@@ -229,6 +249,14 @@ class TestCli:
         assert main(["analyze-bias"] + common) == 0
         assert len((art / "loss_log.csv").read_text().splitlines()) == 1 + 4
         assert (art / "checkpoint.npz").read_bytes() == checkpoint
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_generate_n_below_one_exits_2(self, tmp_path, capsys, n):
+        art = tmp_path / "artifacts"
+        write_generate_artifacts(art)
+        assert main(["generate", "--artifact-dir", str(art), "--n", n]) == 2
+        assert "--n" in capsys.readouterr().err
+        assert not (art / "generated").exists()
 
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exc:
@@ -485,6 +513,20 @@ class TestCacheAndConfigErrors:
         assert main(["extract", "--config", str(tmp_path / "config.json")]) == 2
         assert "workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("dtype", "foo"), ("dtype", "float16"), ("seed", "x"), ("split_ratios", 5),
+        ("base_lr", "a"), ("batch_size", 0), ("forest_trees", 0), ("dropout", 2.0),
+    ])
+    def test_unworkable_config_value_exits_2(self, tmp_path, capsys, field, value):
+        config = tiny_config(tmp_path)
+        write_config(config, tmp_path / "config.json")
+        doc = json.loads((tmp_path / "config.json").read_text())
+        doc[field] = value
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == 2
+        assert f"config field {field}" in capsys.readouterr().err
+        assert not (tmp_path / "artifacts").exists()
+
     @pytest.mark.parametrize("from_env", [False, True], ids=["in-file", "from-env"])
     def test_config_file_without_paths_uses_the_defaults(self, tmp_path, monkeypatch,
                                                          from_env):
@@ -565,15 +607,39 @@ class TestOlderArtifactFormats:
         assert (art / "selection.json").read_text() == selection
 
 
-class TestTruncatedArtifacts:
-    """A cut JSON artifact is bad input: exit 2 naming the file, not exit 3."""
+def edit_json(change):
+    """A text edit that applies ``change`` to the parsed JSON document."""
+    def edit(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+    return edit
 
-    @pytest.mark.parametrize("name", ["mapping.json", "checkpoint.json"])
-    def test_generate_exits_2(self, tmp_path, capsys, name):
+
+class TestTruncatedArtifacts:
+    """A cut JSON artifact, or one with a wrong key, is bad input: exit 2
+    naming the file, not exit 3."""
+
+    @pytest.mark.parametrize("name,edit", [
+        pytest.param("mapping.json", lambda text: text[:45], id="mapping.json"),
+        pytest.param("checkpoint.json", lambda text: text[:45], id="checkpoint.json"),
+        pytest.param("checkpoint.json",
+                     edit_json(lambda doc: doc["config"].update(n_experts=2)),
+                     id="checkpoint-unknown-config-key"),
+        pytest.param("checkpoint.json", edit_json(lambda doc: doc.pop("config")),
+                     id="checkpoint-no-config"),
+        pytest.param("checkpoint.json", edit_json(lambda doc: doc.pop("medians")),
+                     id="checkpoint-no-medians"),
+        pytest.param("mapping.json", lambda text: text.replace('"Q4"', '"Q5"'),
+                     id="mapping-quadrant-Q5"),
+        pytest.param("mapping.json", edit_json(lambda doc: doc.pop("vectors")),
+                     id="mapping-no-vectors"),
+    ])
+    def test_generate_exits_2(self, tmp_path, capsys, name, edit):
         art = tmp_path / "artifacts"
         write_generate_artifacts(art)
         path = art / name
-        path.write_text(path.read_text()[:45])
+        path.write_text(edit(path.read_text()))
         assert main(["generate", "--artifact-dir", str(art), "--n", "1"]) == 2
         assert str(path) in capsys.readouterr().err
 
