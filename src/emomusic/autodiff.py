@@ -1,8 +1,9 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Just enough ops for the attribute-conditioned transformer: broadcasted
-arithmetic, batched matmul, embedding gathers, layer norm, and a masked
-cross-entropy head; ``model`` adds causal linear attention as one node.
+arithmetic, batched matmul, ``linear`` (``x @ W + b`` as one node), embedding
+gathers, layer norm, and a masked cross-entropy head; ``model`` adds causal
+linear attention as one node.
 Gradients are dense numpy arrays of the same dtype as the forward data.
 ``backward`` frees the graph as it goes: once a node has passed its gradient
 to its parents it drops that gradient, its parents and its backward closure,
@@ -203,8 +204,8 @@ def relu(x: Tensor) -> Tensor:
     out_data = np.maximum(x.data, 0.0)
     if not x.requires_grad:
         return Tensor(out_data)
-    mask = x.data > 0
-    return Tensor(out_data, parents=(x,), backward=lambda g: (g * mask,))
+    # max(x, 0) > 0 exactly where x > 0, so the mask needs no array of its own
+    return Tensor(out_data, parents=(x,), backward=lambda g: (g * (out_data > 0),))
 
 
 def phi_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,6 +220,24 @@ def elu_plus_one(x: Tensor) -> Tensor:
     if not x.requires_grad:
         return Tensor(out_data)
     return Tensor(out_data, parents=(x,), backward=lambda g: (g * slope,))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for x (..., d_in), w (d_in, d_out) and b (d_out,), as one node.
+
+    The graph keeps x, w and b but not the product. The gradients are the
+    two-node ``x @ w + b``'s arithmetic, summed in the same order, bit for bit.
+    """
+    out_data = x.data @ w.data
+    out_data += b.data
+
+    def backward(g):
+        # a constant x (the attribute bits) gets no gradient
+        return (g @ np.swapaxes(w.data, -1, -2) if x.requires_grad else None,
+                _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape),
+                _unbroadcast(g, b.shape))
+
+    return Tensor(out_data, parents=(x, w, b), backward=backward)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

@@ -88,12 +88,15 @@ class ImportanceRanking:
     order: np.ndarray       # feature indices sorted by descending importance
 
 
+SELECTION_METHODS = ("topk", "random_grouped", "manual17")
+
+
 @dataclass(frozen=True, slots=True)
 class SelectionConfig:
     """Attribute selection: top-k by importance, group-balanced random, or the
     fixed 17 manually designed attributes."""
 
-    method: str = "topk"  # topk | random_grouped | manual17
+    method: str = "topk"  # one of SELECTION_METHODS
     k: int = 100
     seed: int = 0
 

@@ -193,13 +193,16 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10,
     return best
 
 
+MAPPING_METHODS = ("closest", "center", "kmeans")
+
+
 def compute_mapping(corpus: LabeledCorpus, indices: list[int], method: str = "closest",
                     k_clusters: int = 4, seed: int = 0, restarts: int = 10) -> MappingTable:
     """Build the per-quadrant mapping table (methods: closest, center, kmeans).
 
     Ties go to the lowest row id (closest) or the lowest cluster id (kmeans).
     """
-    if method not in ("closest", "center", "kmeans"):
+    if method not in MAPPING_METHODS:
         raise EmoMusicError(f"unknown mapping method {method!r}")
     x = corpus.matrix.values[:, indices]
     standardizer = Standardizer.fit(x)

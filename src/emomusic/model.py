@@ -26,6 +26,7 @@ from .autodiff import (
     elu_plus_one,
     embedding,
     layer_norm,
+    linear,
     phi_and_slope,
     relu,
 )
@@ -74,51 +75,51 @@ class ModelState:
     params: dict[str, Tensor]
 
 
+def param_table(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Every parameter's shape and initialisation ("normal", "zeros" or "ones"),
+    in the order ``init_state`` draws them."""
+    d, ffn = config.d_model, config.d_ffn
+    table = {
+        "tok_emb": ((config.vocab_size, d), "normal"),
+        "pos_emb": ((config.max_len, d), "normal"),
+        "ln_f_g": ((d,), "ones"),
+        "ln_f_b": ((d,), "zeros"),
+        "attr_w1": ((config.attr_dim, d), "normal"),
+        "attr_b1": ((d,), "zeros"),
+        "attr_w2": ((d, d), "normal"),
+        "attr_b2": ((d,), "zeros"),
+    }
+    for i in range(config.n_layers):
+        table[f"l{i}.ln1_g"] = ((d,), "ones")
+        table[f"l{i}.ln1_b"] = ((d,), "zeros")
+        for name in ("q", "k", "v", "o"):
+            table[f"l{i}.w{name}"] = ((d, d), "normal")
+            table[f"l{i}.b{name}"] = ((d,), "zeros")
+        table[f"l{i}.ln2_g"] = ((d,), "ones")
+        table[f"l{i}.ln2_b"] = ((d,), "zeros")
+        table[f"l{i}.ffn_w1"] = ((d, ffn), "normal")
+        table[f"l{i}.ffn_b1"] = ((ffn,), "zeros")
+        table[f"l{i}.ffn_w2"] = ((ffn, d), "normal")
+        table[f"l{i}.ffn_b2"] = ((d,), "zeros")
+    return table
+
+
 def init_state(config: ModelConfig, seed: int = 0,
                dtype=np.float64) -> ModelState:
     rng = np.random.default_rng(seed)
-    d, ffn = config.d_model, config.d_ffn
-
-    def normal(*shape):
-        return Tensor(rng.normal(0.0, 0.02, size=shape).astype(dtype), requires_grad=True)
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    def ones(*shape):
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-
-    params: dict[str, Tensor] = {
-        "tok_emb": normal(config.vocab_size, d),
-        "pos_emb": normal(config.max_len, d),
-        "ln_f_g": ones(d),
-        "ln_f_b": zeros(d),
-        "attr_w1": normal(config.attr_dim, d),
-        "attr_b1": zeros(d),
-        "attr_w2": normal(d, d),
-        "attr_b2": zeros(d),
-    }
-    for i in range(config.n_layers):
-        params[f"l{i}.ln1_g"] = ones(d)
-        params[f"l{i}.ln1_b"] = zeros(d)
-        for name in ("q", "k", "v", "o"):
-            params[f"l{i}.w{name}"] = normal(d, d)
-            params[f"l{i}.b{name}"] = zeros(d)
-        params[f"l{i}.ln2_g"] = ones(d)
-        params[f"l{i}.ln2_b"] = zeros(d)
-        params[f"l{i}.ffn_w1"] = normal(d, ffn)
-        params[f"l{i}.ffn_b1"] = zeros(ffn)
-        params[f"l{i}.ffn_w2"] = normal(ffn, d)
-        params[f"l{i}.ffn_b2"] = zeros(d)
-    return ModelState(config, params)
+    init = {"normal": lambda shape: rng.normal(0.0, 0.02, size=shape).astype(dtype),
+            "zeros": lambda shape: np.zeros(shape, dtype=dtype),
+            "ones": lambda shape: np.ones(shape, dtype=dtype)}
+    return ModelState(config, {name: Tensor(init[kind](shape), requires_grad=True)
+                               for name, (shape, kind) in param_table(config).items()})
 
 
 def attribute_embedding(state: ModelState, bits: np.ndarray) -> Tensor:
     """2-layer feed-forward encoder: (B, attr_dim) bits -> (B, d_model)."""
     p = state.params
     x = Tensor(np.asarray(bits, dtype=p["attr_w1"].data.dtype))
-    hidden = relu(x @ p["attr_w1"] + p["attr_b1"])
-    return hidden @ p["attr_w2"] + p["attr_b2"]
+    hidden = relu(linear(x, p["attr_w1"], p["attr_b1"]))
+    return linear(hidden, p["attr_w2"], p["attr_b2"])
 
 
 def _heads(x: Tensor, n_heads: int) -> Tensor:
@@ -238,15 +239,15 @@ def _block(state: ModelState, layer: int, x: Tensor,
     cfg = state.config
     pre = f"l{layer}."
     y = layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
-    q = _heads(y @ p[pre + "wq"] + p[pre + "bq"], cfg.n_heads)
-    k = _heads(y @ p[pre + "wk"] + p[pre + "bk"], cfg.n_heads)
-    v = _heads(y @ p[pre + "wv"] + p[pre + "bv"], cfg.n_heads)
+    q = _heads(linear(y, p[pre + "wq"], p[pre + "bq"]), cfg.n_heads)
+    k = _heads(linear(y, p[pre + "wk"], p[pre + "bk"]), cfg.n_heads)
+    v = _heads(linear(y, p[pre + "wv"], p[pre + "bv"]), cfg.n_heads)
     heads = _linear_attention(q, k, v) if cache is None else cache.attend(layer, q, k, v)
-    attn = _merge_heads(heads) @ p[pre + "wo"] + p[pre + "bo"]
+    attn = linear(_merge_heads(heads), p[pre + "wo"], p[pre + "bo"])
     x = x + dropout(attn, cfg.dropout, rng)
     y = layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
-    ffn = relu(y @ p[pre + "ffn_w1"] + p[pre + "ffn_b1"]) @ p[pre + "ffn_w2"] \
-        + p[pre + "ffn_b2"]
+    hidden = relu(linear(y, p[pre + "ffn_w1"], p[pre + "ffn_b1"]))
+    ffn = linear(hidden, p[pre + "ffn_w2"], p[pre + "ffn_b2"])
     return x + dropout(ffn, cfg.dropout, rng)
 
 

@@ -51,6 +51,7 @@ from .features import (
     save_corpus_npz,
 )
 from .forest import (
+    SELECTION_METHODS,
     ForestConfig,
     SelectionConfig,
     feature_importance,
@@ -62,6 +63,7 @@ from .forest import (
     train_forest,
 )
 from .mapping import (
+    MAPPING_METHODS,
     EmotionQuadrant,
     LabeledCorpus,
     MappingTable,
@@ -133,10 +135,20 @@ class PipelineConfig:
                 ("dtype", self.dtype in ("float32", "float64"), "'float32' or 'float64'"),
                 ("batch_size", self.batch_size >= 1, "at least 1"),
                 ("forest_trees", self.forest_trees >= 1, "at least 1"),
-                ("dropout", 0 <= self.dropout < 1, "at least 0 and below 1")):
+                ("dropout", 0 <= self.dropout < 1, "at least 0 and below 1"),
+                ("base_lr", self.base_lr > 0, "above 0"),
+                ("max_generate_tokens", self.max_generate_tokens >= 1, "at least 1"),
+                ("selection_method", self.selection_method in SELECTION_METHODS,
+                 "one of " + ", ".join(map(repr, SELECTION_METHODS))),
+                ("mapping_method", self.mapping_method in MAPPING_METHODS,
+                 "one of " + ", ".join(map(repr, MAPPING_METHODS)))):
             if not ok:
                 raise EmoMusicError(f"config field {name} must be {rule}, "
                                     f"not {getattr(self, name)!r}")
+        # the training and sampling configs check their own fields; building
+        # them here rejects a bad value before any stage has run
+        self.train_config()
+        self.sampler_config(0)
 
     @classmethod
     def from_json(cls, path: str | Path | None, **overrides) -> "PipelineConfig":

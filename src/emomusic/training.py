@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmoMusicError, read_json
-from .model import ModelConfig, ModelState, forward_batch, init_state, next_token_loss
+from .autodiff import Tensor
+from .model import ModelConfig, ModelState, forward_batch, next_token_loss, param_table
 from .tokens import PAD
 
 
@@ -232,15 +233,15 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
     except TypeError as exc:
         raise EmoMusicError(f"checkpoint {manifest_path}: bad model config "
                             f"({exc})") from exc
-    state = init_state(model_config, seed=0)
     blob_path = path if path.suffix == ".npz" else path.with_suffix(".npz")
     blob = np.load(blob_path)
-    for name, p in state.params.items():
+    params = {}
+    for name, (shape, _) in param_table(model_config).items():
         if name not in blob.files:
             raise EmoMusicError(f"checkpoint {blob_path} lacks parameter {name}")
         data = blob[name]
-        if data.shape != p.data.shape:
+        if data.shape != shape:
             raise EmoMusicError(f"checkpoint {blob_path}: parameter {name} has shape "
-                                f"{data.shape}, the model needs {p.data.shape}")
-        p.data = data
-    return state, manifest
+                                f"{data.shape}, the model needs {shape}")
+        params[name] = Tensor(data, requires_grad=True)
+    return ModelState(model_config, params), manifest

@@ -4,7 +4,8 @@
 ``layer_norm`` is the ``np.mean``/``np.var`` form that ``autodiff.layer_norm``
 must match bit for bit, as ``relu`` and ``elu_plus_one`` are the ``np.where``
 forms and ``dropout`` the two-node float64-mask form that their ``autodiff``
-namesakes must match; ``sample_top_p`` is the form whose draws
+namesakes must match; ``linear`` is the two-node ``x @ w + b`` that
+``autodiff.linear`` must match bit for bit; ``sample_top_p`` is the form whose draws
 ``sampling.sample_top_p`` must repeat; ``forward`` is the single-sequence
 form of ``model.forward_batch``. ``linear_attention`` is the graph form of
 ``model._linear_attention``, built from ``pad_axis``, ``cumsum`` and
@@ -45,6 +46,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     return Tensor(xhat * gamma.data + beta.data, parents=(x, gamma, beta),
                   backward=backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return x @ w + b
 
 
 def relu(x: Tensor) -> Tensor:

@@ -10,6 +10,7 @@ from emomusic.autodiff import (
     elu_plus_one,
     embedding,
     layer_norm,
+    linear,
     relu,
 )
 
@@ -162,6 +163,31 @@ class TestNeuralOps:
         for new, old in zip(*results):
             assert new.dtype == old.dtype == dtype
             assert new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(6,), (3, 5)], ids=["2d", "3d"])
+    def test_linear_matches_two_node_oracle_bitwise(self, dtype, lead):
+        rng = np.random.default_rng(8)
+        arrays = [rng.normal(size=lead + (16,)).astype(dtype),
+                  rng.normal(size=(16, 24)).astype(dtype),
+                  rng.normal(size=24).astype(dtype)]
+        upstream = rng.normal(size=lead + (24,)).astype(dtype)
+        results = []
+        for op in (linear, reference.linear):
+            inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = op(*inputs)
+            out.backward(upstream)
+            results.append([out.data] + [t.grad for t in inputs])
+        for new, old in zip(*results):
+            assert new.dtype == old.dtype == dtype
+            assert new.tobytes() == old.tobytes()
+
+    def test_linear_leaves_a_constant_input_without_gradient_work(self):
+        x = Tensor(RNG.normal(size=(2, 3)))
+        out = linear(x, Tensor(RNG.normal(size=(3, 4)), requires_grad=True),
+                     Tensor(np.zeros(4), requires_grad=True))
+        grads = out._backward(np.ones((2, 4)))
+        assert [g is None for g in grads] == [True, False, False]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_dropout_matches_two_node_oracle_bitwise(self, dtype):

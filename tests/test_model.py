@@ -366,6 +366,18 @@ class TestTrainingStepMemory:
         # near the graph itself; holding every gradient took it past 2x
         assert peak <= 1.3 * graph
 
+    def test_forward_graph_holds_no_matmul_outputs(self):
+        self.step_loss()  # lazy imports and first-call caches stay out of the trace
+        tracemalloc.start()
+        try:
+            _, loss = self.step_loss()
+            graph, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a fused x @ W + b keeps no matmul output: 38.3 MiB, against 45.8 MiB
+        # with a separate product and sum
+        assert graph <= 41 * 2**20
+
     def test_backward_leaves_only_parameter_grads(self):
         state, loss = self.step_loss()
         inner, stack = {}, [loss]
@@ -431,6 +443,16 @@ class TestCheckpoint:
         ids = [BOS, 4, 5]
         bits = np.array([1, 0, 1, 0])
         assert forward(loaded, ids, bits) == pytest.approx(forward(state, ids, bits))
+
+    def test_load_draws_no_random_model(self, tmp_path, monkeypatch):
+        state = init_state(tiny_config(), seed=15)
+        save_checkpoint(tmp_path / "ckpt.npz", state, medians=np.zeros(4))
+        monkeypatch.setattr(np.random, "default_rng", None)  # a draw would raise
+        loaded, _ = load_checkpoint(tmp_path / "ckpt.npz")
+        assert list(loaded.params) == list(state.params)
+        for name, p in state.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
+            assert loaded.params[name].requires_grad
 
     def save_edited(self, path, edit):
         save_checkpoint(path, init_state(tiny_config(), seed=15), medians=np.zeros(4))

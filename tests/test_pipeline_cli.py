@@ -516,16 +516,32 @@ class TestCacheAndConfigErrors:
     @pytest.mark.parametrize("field,value", [
         ("dtype", "foo"), ("dtype", "float16"), ("seed", "x"), ("split_ratios", 5),
         ("base_lr", "a"), ("batch_size", 0), ("forest_trees", 0), ("dropout", 2.0),
+        ("base_lr", -0.01), ("max_generate_tokens", 0), ("selection_method", "best"),
+        ("mapping_method", "nearest"),
     ])
     def test_unworkable_config_value_exits_2(self, tmp_path, capsys, field, value):
-        config = tiny_config(tmp_path)
-        write_config(config, tmp_path / "config.json")
+        assert self.run_with(tmp_path, field, value) == 2
+        assert f"config field {field}" in capsys.readouterr().err
+        assert not (tmp_path / "artifacts").exists()
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("warmup_steps", 0, "warmup_steps must be"), ("sampler_p", 0, "p must be"),
+        ("sampler_temperature", 0, "temperature must be"),
+    ], ids=["warmup_steps", "sampler_p", "sampler_temperature"])
+    def test_stage_config_value_exits_2_before_any_stage(self, tmp_path, capsys,
+                                                         field, value, message):
+        assert self.run_with(tmp_path, field, value) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "artifacts" / "stage_meta").exists()
+
+    @staticmethod
+    def run_with(tmp_path, field, value) -> int:
+        """Exit code of ``run`` on the tiny config with ``field`` set to ``value``."""
+        write_config(tiny_config(tmp_path), tmp_path / "config.json")
         doc = json.loads((tmp_path / "config.json").read_text())
         doc[field] = value
         (tmp_path / "config.json").write_text(json.dumps(doc))
-        assert main(["run", "--config", str(tmp_path / "config.json")]) == 2
-        assert f"config field {field}" in capsys.readouterr().err
-        assert not (tmp_path / "artifacts").exists()
+        return main(["run", "--config", str(tmp_path / "config.json")])
 
     @pytest.mark.parametrize("from_env", [False, True], ids=["in-file", "from-env"])
     def test_config_file_without_paths_uses_the_defaults(self, tmp_path, monkeypatch,
