@@ -462,11 +462,13 @@ def extract_corpus(scores: list[Score],
 
 def save_corpus_csv(path: str | Path, matrix: CorpusMatrix,
                     catalog: FeatureCatalog | None = None) -> None:
+    """The catalog's dim names, then one line per row: the bytes csv.writer
+    writes, built here without it (a float is written as its repr)."""
     catalog = catalog or default_catalog()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(catalog.dim_names())
-        writer.writerows(matrix.values.tolist())
+        csv.writer(fh).writerow(catalog.dim_names())
+        fh.write("".join(",".join(map(repr, row)) + "\r\n"
+                         for row in matrix.values.tolist()))
 
 
 def save_corpus_npz(path: str | Path, matrix: CorpusMatrix) -> None:

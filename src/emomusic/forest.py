@@ -24,6 +24,7 @@ import numpy as np
 from .errors import EmoMusicError, read_json
 from .features import CatalogMismatch, FeatureCatalog, GROUPS, manual_indices
 from .mapping import LabeledCorpus
+from .parallel import fork_map
 
 N_CLASSES = 4
 
@@ -194,15 +195,16 @@ def train_forest(corpus: LabeledCorpus, config: ForestConfig | None = None) -> R
         raise DegenerateCorpus("training needs at least two distinct classes")
     mtry = max(1, math.floor(math.sqrt(d)))
 
-    trees: list[DecisionTree] = []
-    oob: list[np.ndarray] = []
-    seeds = np.random.SeedSequence(config.seed).spawn(config.n_trees)
-    for t in range(config.n_trees):
-        rng = np.random.default_rng(seeds[t])
+    def grow(seed: np.random.SeedSequence) -> tuple[DecisionTree, np.ndarray]:
+        rng = np.random.default_rng(seed)
         bootstrap = rng.integers(0, n, size=n)
-        oob.append(np.setdiff1d(np.arange(n), bootstrap))
-        trees.append(_grow_tree(x[bootstrap], y[bootstrap], rng, mtry))
-    return RandomForest(trees, config, d, corpus.matrix.catalog_version, oob)
+        oob = np.setdiff1d(np.arange(n), bootstrap)
+        return _grow_tree(x[bootstrap], y[bootstrap], rng, mtry), oob
+
+    # each tree draws only from its own seed, so the workers grow the same trees
+    grown = fork_map(grow, np.random.SeedSequence(config.seed).spawn(config.n_trees))
+    return RandomForest([tree for tree, _ in grown], config, d,
+                        corpus.matrix.catalog_version, [oob for _, oob in grown])
 
 
 def predict_class_index(forest: RandomForest, x: np.ndarray) -> int:

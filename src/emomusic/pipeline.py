@@ -44,8 +44,10 @@ from .evaluation import (
     save_projection_csv,
 )
 from .features import (
+    CorpusMatrix,
     default_catalog,
     extract_corpus,
+    extract_features,
     load_corpus_npz,
     save_corpus_csv,
     save_corpus_npz,
@@ -74,6 +76,7 @@ from .mapping import (
 )
 from .midi import parse_midi, write_midi
 from .model import ModelConfig, ModelState, init_state
+from .parallel import fork_map
 from .sampling import SamplerConfig, generate_pieces
 from .score import Score, merge_tracks, midi_to_score, score_to_midi
 from .tokens import score_to_tokens, save_vocabulary, tokens_to_score
@@ -135,9 +138,18 @@ class PipelineConfig:
                 ("dtype", self.dtype in ("float32", "float64"), "'float32' or 'float64'"),
                 ("batch_size", self.batch_size >= 1, "at least 1"),
                 ("forest_trees", self.forest_trees >= 1, "at least 1"),
+                ("selection_k", self.selection_k >= 1, "at least 1"),
+                ("kmeans_clusters", self.kmeans_clusters >= 1, "at least 1"),
+                ("train_steps", self.train_steps >= 1, "at least 1"),
+                ("warmup_steps", self.warmup_steps >= 1, "at least 1"),
                 ("dropout", 0 <= self.dropout < 1, "at least 0 and below 1"),
                 ("base_lr", self.base_lr > 0, "above 0"),
+                ("sampler_p", 0 < self.sampler_p <= 1, "in (0, 1]"),
+                ("sampler_temperature", self.sampler_temperature > 0, "above 0"),
                 ("max_generate_tokens", self.max_generate_tokens >= 1, "at least 1"),
+                ("n_generate_per_quadrant", self.n_generate_per_quadrant >= 1,
+                 "at least 1"),
+                ("bias_n", self.bias_n >= 1, "at least 1"),
                 ("selection_method", self.selection_method in SELECTION_METHODS,
                  "one of " + ", ".join(map(repr, SELECTION_METHODS))),
                 ("mapping_method", self.mapping_method in MAPPING_METHODS,
@@ -145,10 +157,6 @@ class PipelineConfig:
             if not ok:
                 raise EmoMusicError(f"config field {name} must be {rule}, "
                                     f"not {getattr(self, name)!r}")
-        # the training and sampling configs check their own fields; building
-        # them here rejects a bad value before any stage has run
-        self.train_config()
-        self.sampler_config(0)
 
     @classmethod
     def from_json(cls, path: str | Path | None, **overrides) -> "PipelineConfig":
@@ -207,14 +215,23 @@ def load_manifest(path: str | Path) -> list[dict]:
     return items
 
 
+def _read_score(manifest_path: Path, item: dict) -> Score:
+    """The merged score of one manifest item; a file that does not parse
+    raises EmoMusicError naming it."""
+    path = manifest_path.parent / item["file"]
+    try:
+        return merge_tracks(midi_to_score(parse_midi(path.read_bytes())))
+    except EmoMusicError as exc:
+        raise EmoMusicError(f"{path}: {exc}") from exc
+
+
 def load_corpus_scores(manifest_path: str | Path,
                        ) -> tuple[list[Score], list[EmotionQuadrant], list[str]]:
     manifest_path = Path(manifest_path)
     items = load_manifest(manifest_path)
     scores, labels, names = [], [], []
     for item in items:
-        raw = (manifest_path.parent / item["file"]).read_bytes()
-        scores.append(merge_tracks(midi_to_score(parse_midi(raw))))
+        scores.append(_read_score(manifest_path, item))
         labels.append(EmotionQuadrant.from_name(item["label"]))
         names.append(item["file"])
     return scores, labels, names
@@ -438,12 +455,20 @@ class Pipeline:
 
     @_stage
     def stage_extract(self):
-        scores, labels, names = load_corpus_scores(self.manifest_path)
-        matrix = extract_corpus(scores, self.catalog)
+        items = load_manifest(self.manifest_path)
+        labels = [EmotionQuadrant.from_name(item["label"]).name for item in items]
+
+        def features_of(item: dict) -> tuple[np.ndarray, bool]:
+            vector = extract_features(_read_score(self.manifest_path, item), self.catalog)
+            return vector.values, vector.empty
+
+        rows = fork_map(features_of, items)  # only the rows come back from the workers
+        matrix = CorpusMatrix(np.stack([values for values, _ in rows]),
+                              self.catalog.version, [empty for _, empty in rows])
         save_corpus_npz(self.features_path, matrix)
         save_corpus_csv(self.art / "features.csv", matrix, self.catalog)
         self.labels_path.write_text(json.dumps(
-            {"labels": [q.name for q in labels], "files": names}, indent=1) + "\n")
+            {"labels": labels, "files": [item["file"] for item in items]}, indent=1) + "\n")
         save_vocabulary(self.art / "vocabulary.json")
 
     def _labeled_corpus(self, rows: list[int] | None = None) -> LabeledCorpus:
@@ -491,13 +516,15 @@ class Pipeline:
         medians = table.medians
         rows = self._train_rows()
         corpus = self._labeled_corpus(rows)
-        scores, _, _ = load_corpus_scores(self.manifest_path)
+        items = load_manifest(self.manifest_path)
         model_cfg = cfg.model_config(attr_dim=len(indices))
-        dataset = []
-        for local, row in enumerate(rows):
-            tokens = score_to_tokens(scores[row])[:model_cfg.max_len]
-            bits = binarize(corpus.matrix.values[local][indices], medians)
-            dataset.append((tokens, bits))
+
+        def tokens_of(item: dict) -> list[int]:
+            return score_to_tokens(_read_score(self.manifest_path, item))[:model_cfg.max_len]
+
+        token_lists = fork_map(tokens_of, [items[row] for row in rows])
+        dataset = [(tokens, binarize(values[indices], medians))
+                   for tokens, values in zip(token_lists, corpus.matrix.values)]
         state = init_state(model_cfg, seed=cfg.seed, dtype=np.dtype(cfg.dtype).type)
         state, log = train(state, dataset, cfg.train_config(),
                            log_every=max(1, cfg.train_steps // 200))
@@ -596,6 +623,5 @@ class Pipeline:
 
 
 def replace_rows(matrix, rows: list[int]):
-    from .features import CorpusMatrix
     return CorpusMatrix(matrix.values[rows], matrix.catalog_version,
                         [matrix.empty_flags[i] for i in rows])

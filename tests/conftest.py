@@ -1,8 +1,12 @@
-"""Shared fixtures: hand-built MIDI bytes, reference scores, random generators."""
+"""Shared fixtures: hand-built MIDI bytes, reference scores, random generators,
+and the worker count of ``emomusic.parallel``."""
+
+import os
 
 import numpy as np
 import pytest
 
+from emomusic import parallel
 from emomusic.midi import (
     EndOfTrack,
     MidiFile,
@@ -105,3 +109,31 @@ def random_quantized_score(rng: np.random.Generator, tpq: int = 480) -> Score:
         bar = int(rng.integers(1, last_bar + 1))
         tempo_map.append((bar * 16 * tps, 30.0 * 8 ** (int(bins[1]) / 31)))
     return Score(notes, tpq, tempo_map, [(0, 4, 4)])
+
+
+def use_cpus(monkeypatch, n: int) -> None:
+    """Make ``parallel.fork_map`` see ``n`` usable CPUs."""
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: n)
+
+
+@pytest.fixture
+def forked(monkeypatch) -> list[int]:
+    """The pids of the processes this process forks during the test."""
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids: list[int]) -> None:
+    """None of ``pids`` is a child of this process any more, zombies included."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)

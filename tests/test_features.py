@@ -1,6 +1,7 @@
 """Feature extraction oracles: every expected value here was computed by hand
 from the definitions in the catalog reference."""
 
+import csv
 import math
 from pathlib import Path
 
@@ -9,10 +10,12 @@ import pytest
 
 from emomusic.features import (
     GROUPS,
+    CorpusMatrix,
     default_catalog,
     extract_corpus,
     extract_features,
     manual_indices,
+    save_corpus_csv,
 )
 from emomusic.score import Note, Score
 
@@ -265,3 +268,18 @@ class TestCorpus:
                  for _ in range(n)], TPQ))
         matrix = extract_corpus(scores, CATALOG)
         assert np.isfinite(matrix.values).all()
+
+    def test_csv_has_the_bytes_csv_writer_writes(self, tmp_path):
+        rng = np.random.default_rng(9)
+        values = rng.standard_normal((3, CATALOG.total_dim))
+        values[0, :6] = [-0.0, 1e16, 0.1 + 0.2, 5e-324, 3.0, -12.0]
+        values[1, :4] = [0.0, 1e-7, 123456789.0, -1e300]
+        values[2] = np.round(values[2] * 100)  # whole numbers only
+        save_corpus_csv(tmp_path / "got.csv", CorpusMatrix(values), CATALOG)
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CATALOG.dim_names())
+            writer.writerows(values.tolist())
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert b"-0.0,1e+16,0.30000000000000004,5e-324,3.0,-12.0," in got

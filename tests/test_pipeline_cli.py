@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import use_cpus
 from emomusic import features
 from emomusic.cli import main
 from emomusic.mapping import EmotionQuadrant
@@ -381,6 +382,7 @@ class TestStageTable:
                 opened.append((Path(file).resolve(), mode))
             return real_open(file, mode, *args, **kwargs)
 
+        use_cpus(monkeypatch, 1)  # reads made in worker processes would not be seen
         monkeypatch.setattr(builtins, "open", recording_open)
         monkeypatch.setattr(io, "open", recording_open)
         getattr(Pipeline, stage.method).__wrapped__(pipe)
@@ -517,7 +519,8 @@ class TestCacheAndConfigErrors:
         ("dtype", "foo"), ("dtype", "float16"), ("seed", "x"), ("split_ratios", 5),
         ("base_lr", "a"), ("batch_size", 0), ("forest_trees", 0), ("dropout", 2.0),
         ("base_lr", -0.01), ("max_generate_tokens", 0), ("selection_method", "best"),
-        ("mapping_method", "nearest"),
+        ("mapping_method", "nearest"), ("kmeans_clusters", 0), ("selection_k", 0),
+        ("n_generate_per_quadrant", 0), ("train_steps", 0), ("bias_n", 0), ("bias_n", -1),
     ])
     def test_unworkable_config_value_exits_2(self, tmp_path, capsys, field, value):
         assert self.run_with(tmp_path, field, value) == 2
@@ -531,7 +534,8 @@ class TestCacheAndConfigErrors:
     def test_stage_config_value_exits_2_before_any_stage(self, tmp_path, capsys,
                                                          field, value, message):
         assert self.run_with(tmp_path, field, value) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and f"config field {field}" in err
         assert not (tmp_path / "artifacts" / "stage_meta").exists()
 
     @staticmethod
