@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import itertools
 import json
 import math
+import mmap
 import platform
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,6 +17,7 @@ import numpy as np
 from .errors import EmoMusicError, read_json
 from .autodiff import Tensor
 from .model import ModelConfig, ModelState, forward_batch, next_token_loss, param_table
+from .parallel import Workers
 from .tokens import PAD
 
 
@@ -28,6 +31,10 @@ M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 MMAP_THRESHOLD_MAX = 32 * 1024 * 1024
 TRIM_THRESHOLD_MAX = 2**31 - 1
+
+# Every batch is split by rows into this many shards, each with its own
+# dropout stream. Fixed, so that no byte depends on the machine's CPU count.
+SHARDS = 2
 
 
 class NonFiniteLoss(EmoMusicError):
@@ -77,7 +84,7 @@ class Adam:
             self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
             m_hat = self.m[name] / correction1
             v_hat = self.v[name] / correction2
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)  # in place: workers read it
 
 
 def clip_gradients(params: dict, max_norm: float) -> float:
@@ -142,6 +149,48 @@ def _keep_heap() -> tuple[int, ...]:
             libc.mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_MAX))
 
 
+def _shared_zeros(like: dict[str, np.ndarray], copies: int) -> list[dict[str, np.ndarray]]:
+    """``copies`` sets of zeroed arrays shaped like ``like``, all in one
+    anonymous shared mmap, so that forked processes see each other's writes."""
+    sizes = [-(-a.nbytes // 64) * 64 for a in like.values()]  # 64-byte aligned
+    buffer = mmap.mmap(-1, max(1, copies * sum(sizes)))
+    out, offset = [], 0
+    for _ in range(copies):
+        arrays = {}
+        for (name, a), size in zip(like.items(), sizes):
+            arrays[name] = np.frombuffer(buffer, dtype=a.dtype, count=a.size,
+                                         offset=offset).reshape(a.shape)
+            offset += size
+        out.append(arrays)
+    return out
+
+
+def _shard_step(state: ModelState, grads: dict[str, np.ndarray],
+                rng: np.random.Generator, ids: np.ndarray,
+                bits: np.ndarray) -> tuple[float, int]:
+    """Forward and backward of one shard: its mean loss and scored count,
+    with the gradient of that mean written to ``grads``. An empty shard
+    scores nothing and has a zero gradient; a non-finite loss is returned
+    without a backward pass, and the caller stops."""
+    for p in state.params.values():
+        p.grad = None  # in this process it may hold the last combined gradient
+    value, count = 0.0, 0
+    if len(ids):
+        # no name holds the logits, so backward can free them with the graph
+        loss, count = next_token_loss(forward_batch(state, ids, bits, rng=rng), ids)
+        value = float(loss.data)
+        if not math.isfinite(value):
+            return value, count
+        loss.backward()
+    for name, p in state.params.items():
+        if p.grad is None:
+            grads[name].fill(0)
+        else:
+            grads[name][...] = p.grad
+        p.grad = None
+    return value, count
+
+
 def train(state: ModelState, dataset: list[tuple[list[int], np.ndarray]],
           cfg: TrainConfig, log_every: int = 1,
           ) -> tuple[ModelState, list[tuple[int, float, float]]]:
@@ -150,41 +199,63 @@ def train(state: ModelState, dataset: list[tuple[list[int], np.ndarray]],
     Each dataset entry pairs a token sequence with the binarized attribute
     vector extracted from that same sequence's score. Returns the trained
     state and a (step, lr, loss) log. Deterministic given cfg.seed and a
-    fixed BLAS thread count.
+    fixed BLAS thread count, and the same at any CPU count.
+
+    Synchronous data parallelism (Goyal et al. 2017): each padded batch is
+    split by rows into ``SHARDS`` fixed shards, the first ceil(B/2) rows and
+    the rest. Shard s draws its dropout from ``SeedSequence([seed, 2, s])``.
+    With two usable CPUs each shard runs in a worker forked once per call,
+    which reads the weights from, and writes its gradient to, memory shared
+    with this process; otherwise the same shard calls run here. The step's
+    gradient is the count-weighted sum of the shard gradients, in shard
+    order, and one Adam in this process updates the weights in place.
     """
     if not dataset:
         raise EmoMusicError("empty training dataset")
     _keep_heap()
     params = state.params
+    weights, *shard_grads = _shared_zeros({k: p.data for k, p in params.items()},
+                                          1 + SHARDS)
+    for name, p in params.items():
+        weights[name][...] = p.data
+        p.data = weights[name]
+        p.grad = None
+    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, s]))
+            for s in range(SHARDS)]
+
+    def run_shard(s: int, rows: tuple[np.ndarray, np.ndarray]) -> tuple[float, int]:
+        return _shard_step(state, shard_grads[s], rngs[s], *rows)
+
     optimizer = Adam()
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    dropout_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
     log: list[tuple[int, float, float]] = []
     lengths = [min(len(seq), state.config.max_len) for seq, _ in dataset]
-    step = 0
-    while step < cfg.max_steps:
-        for batch_idx in make_batches(lengths, cfg.batch_size, shuffle_rng):
-            step += 1
-            ids = pad_batch([dataset[i][0] for i in batch_idx], state.config.max_len)
-            bits = np.stack([dataset[i][1] for i in batch_idx]).astype(float)
-            for p in params.values():
-                p.grad = None
-            # no name holds the logits, so backward can free them with the graph
-            loss, _ = next_token_loss(
-                forward_batch(state, ids, bits,
-                              rng=dropout_rng if state.config.dropout > 0 else None),
-                ids)
-            value = float(loss.data)
-            if not math.isfinite(value):
-                raise NonFiniteLoss(f"loss became {value} at step {step}")
-            loss.backward()
-            clip_gradients(params, cfg.grad_clip_norm)
-            lr = lr_schedule(step, cfg)
-            optimizer.step(params, lr)
-            if step % log_every == 0 or step == cfg.max_steps:
-                log.append((step, lr, value))
-            if step >= cfg.max_steps:
-                break
+    epochs = (batch for _ in itertools.count()
+              for batch in make_batches(lengths, cfg.batch_size, shuffle_rng))
+    try:
+        with Workers(run_shard, SHARDS) as workers:
+            for step, batch_idx in enumerate(itertools.islice(epochs, cfg.max_steps), 1):
+                ids = pad_batch([dataset[i][0] for i in batch_idx], state.config.max_len)
+                bits = np.stack([dataset[i][1] for i in batch_idx]).astype(float)
+                answers = workers.call(list(zip(np.array_split(ids, SHARDS),
+                                                np.array_split(bits, SHARDS))))
+                n = sum(count for _, count in answers)
+                value = sum(loss * count for loss, count in answers) / n if n else 0.0
+                if not math.isfinite(value):
+                    raise NonFiniteLoss(f"loss became {value} at step {step}")
+                shares = [count / n if n else 0.0 for _, count in answers]
+                for name, p in params.items():
+                    p.grad = shares[0] * shard_grads[0][name]
+                    for share, grads in zip(shares[1:], shard_grads[1:]):
+                        p.grad += share * grads[name]
+                clip_gradients(params, cfg.grad_clip_norm)
+                lr = lr_schedule(step, cfg)
+                optimizer.step(params, lr)
+                if step % log_every == 0 or step == cfg.max_steps:
+                    log.append((step, lr, value))
+    finally:
+        for p in params.values():  # off the shared mmap, which goes with this call
+            p.data = p.data.copy()
     return state, log
 
 

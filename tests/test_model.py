@@ -30,11 +30,13 @@ from emomusic.training import (
     load_checkpoint,
     lr_schedule,
     make_batches,
+    pad_batch,
     save_checkpoint,
     train,
 )
 
 import reference
+from conftest import assert_reaped, use_cpus
 from reference import cumsum, forward, softmax
 
 
@@ -267,27 +269,45 @@ class TestTraining:
         _, log = train(state, two_sequence_dataset(), cfg)
         assert log[-1][2] < 0.25 < log[0][2]
 
-    def test_non_finite_loss_aborts(self):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_non_finite_loss_aborts(self, monkeypatch, forked, cpus):
+        use_cpus(monkeypatch, cpus)
         state = init_state(tiny_config(), seed=12)
         state.params["tok_emb"].data[:] = np.inf
-        with pytest.raises(NonFiniteLoss), np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NonFiniteLoss, match="at step 1$"), \
+                np.errstate(invalid="ignore", over="ignore"):
             train(state, two_sequence_dataset(),
                   TrainConfig(batch_size=2, base_lr=1e-3, warmup_steps=5, max_steps=5))
+        assert len(forked) == (2 if cpus == 2 else 0)
+        assert_reaped(forked)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
-    def test_later_steps_fault_in_no_heap_pages(self):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_later_steps_fault_in_no_heap_pages(self, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
         rng = np.random.default_rng(16)
         dataset = [([BOS, *rng.integers(BOS + 1, VOCAB_SIZE, size=int(n)), EOS],
                     rng.integers(0, 2, size=20))
                    for n in rng.integers(190, 200, size=16)]
         state = init_state(ModelConfig.small(attr_dim=20), seed=17)
         cfg = TrainConfig(batch_size=8, base_lr=1e-3, warmup_steps=10, max_steps=5)
-        train(state, dataset, cfg)  # steps 1-5 grow the heap to its peak
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        train(state, dataset, replace(cfg, max_steps=10))  # steps 6-15
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        def faults(*args) -> tuple[int, int]:
+            """Minor faults of this process and of its reaped workers during train()."""
+            before = [resource.getrusage(who).ru_minflt
+                      for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+            train(*args)
+            return tuple(resource.getrusage(who).ru_minflt - b for who, b in
+                         zip((resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN), before))
+
+        _, first_workers = faults(state, dataset, cfg)  # steps 1-5 grow the heap to its peak
+        own, workers = faults(state, dataset, replace(cfg, max_steps=10))  # steps 6-15
         # about 216k when glibc trims the heap after every step, about 230 kept
-        assert faults < 5000
+        assert own < 5000
+        # the second call's workers grow their heaps in their first five steps
+        # as the first call's did; they inherit the heap settings, so their
+        # steps 6-10 fault in almost nothing more
+        assert workers - first_workers < 5000
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
     def test_glibc_takes_both_heap_settings(self):
@@ -306,6 +326,43 @@ class TestTraining:
         assert emomusic.training._keep_heap() == ()
         _, log = train(init_state(tiny_config(), seed=19), two_sequence_dataset(), cfg)
         assert log == expected
+
+
+class TestShardedStep:
+    """One step's gradient and loss, combined from the two row shards, against
+    one graph over the whole batch: float64, no dropout."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("rows", [4, 3, 1])  # shards of 2 + 2, 2 + 1 and 1 + 0 rows
+    def test_combined_gradient_equals_the_full_batch(self, monkeypatch, forked, cpus, rows):
+        use_cpus(monkeypatch, cpus)
+        rng = np.random.default_rng(20 + rows)
+        # unequal lengths, so the shards score unequal position counts
+        dataset = [([BOS, *rng.integers(BOS + 1, VOCAB_SIZE, size=int(n)), EOS],
+                    rng.integers(0, 2, size=4)) for n in rng.permutation([1, 13, 4, 7])[:rows]]
+        seen = {}
+        clip = emomusic.training.clip_gradients
+
+        def record(params, max_norm):
+            seen.update({name: p.grad.copy() for name, p in params.items()})
+            return clip(params, max_norm)
+
+        monkeypatch.setattr(emomusic.training, "clip_gradients", record)
+        config = tiny_config(max_len=16)
+        _, log = train(init_state(config, seed=21), dataset,
+                       TrainConfig(batch_size=rows, base_lr=1e-3, warmup_steps=5,
+                                   max_steps=1, seed=22))
+
+        whole = init_state(config, seed=21)
+        ids = pad_batch([seq for seq, _ in dataset], config.max_len)
+        bits = np.stack([b for _, b in dataset]).astype(float)
+        loss, _ = next_token_loss(forward_batch(whole, ids, bits), ids)
+        loss.backward()
+        assert log[0][2] == pytest.approx(float(loss.data), rel=1e-12, abs=0)
+        for name, p in whole.params.items():
+            assert np.abs(seen[name] - p.grad).max() <= 1e-12 * np.abs(p.grad).max(), name
+        assert len(forked) == (2 if cpus == 2 else 0)
+        assert_reaped(forked)
 
 
 class TestMakeBatches:
