@@ -1,9 +1,9 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Just enough ops for the attribute-conditioned transformer: broadcasted
-arithmetic, batched matmul, ``linear`` (``x @ W + b`` as one node), embedding
-gathers, layer norm, and a masked cross-entropy head; ``model`` adds causal
-linear attention as one node.
+addition, batched matmul, slicing, reshape and transpose on ``Tensor``, then
+``linear`` (``x @ W + b`` as one node), embedding gathers, layer norm, and a
+masked cross-entropy head; ``model`` adds causal linear attention as one node.
 Gradients are dense numpy arrays of the same dtype as the forward data.
 ``backward`` frees the graph as it goes: once a node has passed its gradient
 to its parents it drops that gradient, its parents and its backward closure,
@@ -95,60 +95,16 @@ class Tensor:
 
     # -- operators ---------------------------------------------------------
 
-    # __add__ and __mul__ leave a constant operand's gradient as None, so a
-    # mask or guard costs no backward work
-    def __add__(self, other):
-        other = as_tensor(other)
-
+    # __add__ leaves a constant operand's gradient as None, so a mask or
+    # guard costs no backward work
+    def __add__(self, other: Tensor):
         def backward(g):
             return (_unbroadcast(g, self.shape) if self.requires_grad else None,
                     _unbroadcast(g, other.shape) if other.requires_grad else None)
 
         return Tensor(self.data + other.data, parents=(self, other), backward=backward)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Tensor(-self.data, parents=(self,), backward=lambda g: (-g,))
-
-    def __sub__(self, other):
-        return self + (-as_tensor(other))
-
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
-
-    def __mul__(self, other):
-        other = as_tensor(other)
-
-        def backward(g):
-            return (_unbroadcast(g * other.data, self.shape)
-                    if self.requires_grad else None,
-                    _unbroadcast(g * self.data, other.shape)
-                    if other.requires_grad else None)
-
-        return Tensor(self.data * other.data, parents=(self, other), backward=backward)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_tensor(other)
-        out_data = self.data / other.data
-
-        def backward(g):
-            return (_unbroadcast(g / other.data, self.shape),
-                    _unbroadcast(-g * out_data / other.data, other.shape))
-
-        return Tensor(out_data, parents=(self, other), backward=backward)
-
-    def __pow__(self, exponent: float):
-        def backward(g):
-            return (g * exponent * self.data ** (exponent - 1),)
-
-        return Tensor(self.data ** exponent, parents=(self,), backward=backward)
-
-    def __matmul__(self, other):
-        other = as_tensor(other)
-
+    def __matmul__(self, other: Tensor):
         def backward(g):
             ga = g @ np.swapaxes(other.data, -1, -2)
             gb = np.swapaxes(self.data, -1, -2) @ g
@@ -164,20 +120,6 @@ class Tensor:
 
         return Tensor(self.data[key], parents=(self,), backward=backward)
 
-    def sum(self, axis=None, keepdims: bool = False):
-        def backward(g):
-            if axis is None:
-                return (np.broadcast_to(g, self.shape).astype(self.data.dtype),)
-            g_exp = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(g_exp, self.shape).astype(self.data.dtype),)
-
-        return Tensor(self.data.sum(axis=axis, keepdims=keepdims),
-                      parents=(self,), backward=backward)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
     def reshape(self, *shape):
         def backward(g):
             return (g.reshape(self.shape),)
@@ -189,10 +131,6 @@ class Tensor:
             return (g.transpose(*np.argsort(axes)),)
 
         return Tensor(self.data.transpose(*axes), parents=(self,), backward=backward)
-
-
-def as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 # relu and elu_plus_one avoid np.where, which is several times slower than an
@@ -277,7 +215,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray,
-                  mask: np.ndarray | None = None) -> tuple[Tensor, int]:
+                  mask: np.ndarray) -> tuple[Tensor, int]:
     """Mean cross-entropy of ``logits`` (N, V) against integer ``targets`` (N,).
 
     Positions where ``mask`` is False are excluded. Returns (loss, number of
@@ -285,7 +223,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     """
     n, _ = logits.data.shape
     targets = np.asarray(targets)
-    mask = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    mask = np.asarray(mask, dtype=bool)
     count = int(mask.sum())
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + logits.data.max(axis=1)

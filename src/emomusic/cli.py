@@ -142,8 +142,6 @@ def _cmd_generate(args, config: PipelineConfig) -> int:
 
     if args.attr_file:
         path = Path(args.attr_file)
-        if not path.is_file():
-            raise EmoMusicError(f"attribute file {path} does not exist")
         custom = read_json(path, "attribute file")
         if not isinstance(custom, list):
             raise EmoMusicError(f"attribute file {path} must hold a JSON list of values")

@@ -9,11 +9,13 @@ class EmoMusicError(Exception):
 
 
 def read_json(path: str | Path, what: str, keys: tuple[str, ...] = ()):
-    """The JSON document at ``path``. A file that does not parse, or, when
-    ``keys`` are given, one that is not an object holding each of them,
-    raises EmoMusicError."""
+    """The JSON document at ``path``. A file that cannot be read or does not
+    parse, or, when ``keys`` are given, one that is not an object holding
+    each of them, raises EmoMusicError."""
     try:
         doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise EmoMusicError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise EmoMusicError(f"{what} {path} is not valid JSON: {exc}") from exc
     missing = [key for key in keys if not (isinstance(doc, dict) and key in doc)]

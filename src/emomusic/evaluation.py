@@ -11,7 +11,6 @@ signal the probe looks for.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
 from math import fsum

@@ -396,7 +396,7 @@ class Pipeline:
         for name in stage.outputs:
             try:
                 paths = self._paths((name,))
-            except (EmoMusicError, OSError):
+            except EmoMusicError:
                 hashes[name] = None
                 continue
             for path in paths:
@@ -414,8 +414,12 @@ class Pipeline:
         names = stage.sources + tuple(name for dep in STAGES if dep.name in stage.deps
                                       for name in dep.outputs)
         for p in self._paths(names):
+            try:
+                data = p.read_bytes()
+            except OSError as exc:
+                raise EmoMusicError(f"cannot read {p}: {exc.strerror or exc}") from exc
             h.update(p.name.encode())
-            h.update(p.read_bytes())
+            h.update(data)
         return h.hexdigest()
 
     def _run_stage(self, stage: Stage, body) -> str:

@@ -305,12 +305,16 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
         raise EmoMusicError(f"checkpoint {manifest_path}: bad model config "
                             f"({exc})") from exc
     blob_path = path if path.suffix == ".npz" else path.with_suffix(".npz")
-    blob = np.load(blob_path)
+    try:
+        with np.load(blob_path) as blob:
+            arrays = {name: blob[name] for name in blob.files}
+    except Exception as exc:  # noqa: BLE001 - a damaged archive fails in a dozen ways
+        raise EmoMusicError(f"cannot read checkpoint {blob_path}: {exc!r}") from exc
     params = {}
     for name, (shape, _) in param_table(model_config).items():
-        if name not in blob.files:
+        if name not in arrays:
             raise EmoMusicError(f"checkpoint {blob_path} lacks parameter {name}")
-        data = blob[name]
+        data = arrays[name]
         if data.shape != shape:
             raise EmoMusicError(f"checkpoint {blob_path}: parameter {name} has shape "
                                 f"{data.shape}, the model needs {shape}")

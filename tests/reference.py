@@ -10,11 +10,13 @@ namesakes must match; ``linear`` is the two-node ``x @ w + b`` that
 form of ``model.forward_batch``. ``linear_attention`` is the graph form of
 ``model._linear_attention``, built from ``pad_axis``, ``cumsum`` and
 ``Tensor`` ops, whose forward the fused op must repeat bit for bit.
+``mul``, ``sub``, ``div`` and ``sum_axis`` are the elementwise and reduction
+nodes the graph-form oracles need and ``Tensor`` does not define.
 """
 
 import numpy as np
 
-from emomusic.autodiff import Tensor, elu_plus_one
+from emomusic.autodiff import Tensor, _unbroadcast, elu_plus_one
 from emomusic.model import _CHUNK, ModelState, forward_batch
 
 
@@ -67,7 +69,7 @@ def elu_plus_one(x: Tensor) -> Tensor:
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(keep.astype(x.data.dtype))
+    return mul(x, Tensor(keep.astype(x.data.dtype)))
 
 
 def sample_top_p(logits: np.ndarray, p: float, temperature: float,
@@ -91,6 +93,39 @@ def forward(state: ModelState, tokens: list[int], attr_bits: np.ndarray) -> np.n
     """Per-position logits (T, vocab) for a single sequence, no dropout."""
     ids = np.asarray(tokens)[None, :]
     return forward_batch(state, ids, np.asarray(attr_bits)[None, :]).data[0]
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    def backward(g):  # a constant operand (a mask) gets no gradient
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+
+    return Tensor(a.data * b.data, parents=(a, b), backward=backward)
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    def backward(g):
+        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+
+    return Tensor(a.data - b.data, parents=(a, b), backward=backward)
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    out_data = a.data / b.data
+
+    def backward(g):
+        return (_unbroadcast(g / b.data, a.shape),
+                _unbroadcast(-g * out_data / b.data, b.shape))
+
+    return Tensor(out_data, parents=(a, b), backward=backward)
+
+
+def sum_axis(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+    def backward(g):
+        g_exp = g if keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(g_exp, x.shape).astype(x.data.dtype),)
+
+    return Tensor(x.data.sum(axis=axis, keepdims=keepdims), parents=(x,), backward=backward)
 
 
 def cumsum(x: Tensor, axis: int) -> Tensor:
@@ -130,18 +165,19 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
     dtype = q.data.dtype
     causal = Tensor(np.tril(np.ones((_CHUNK, _CHUNK), dtype=dtype)))
-    scores = (phi_q @ phi_k.transpose(0, 1, 2, 4, 3)) * causal  # (B,H,nC,C,C)
+    scores = mul(phi_q @ phi_k.transpose(0, 1, 2, 4, 3), causal)  # (B,H,nC,C,C)
 
     kv = phi_k.transpose(0, 1, 2, 4, 3) @ v                 # per-chunk phi(k)^T v
-    s_prev = cumsum(kv, axis=2) - kv                        # exclusive prefix
-    z_prev = cumsum(phi_k.sum(axis=3), axis=2) - phi_k.sum(axis=3)
+    s_prev = sub(cumsum(kv, axis=2), kv)                    # exclusive prefix
+    k_sum = sum_axis(phi_k, 3)
+    z_prev = sub(cumsum(k_sum, axis=2), k_sum)
 
     num = scores @ v + phi_q @ s_prev
-    den = scores.sum(axis=4, keepdims=True) \
-        + (phi_q * z_prev.reshape(b, h, n_chunks, 1, hd)).sum(axis=4, keepdims=True)
+    den = sum_axis(scores, 4, keepdims=True) \
+        + sum_axis(mul(phi_q, z_prev.reshape(b, h, n_chunks, 1, hd)), 4, keepdims=True)
     if pad:
         guard = np.zeros((b, h, n_chunks, _CHUNK, 1), dtype=dtype)
         guard[:, :, -1, _CHUNK - pad:] = 1.0
         den = den + Tensor(guard)
-    out = (num / den).reshape(b, h, t + pad, hd)
+    out = div(num, den).reshape(b, h, t + pad, hd)
     return out[:, :, :t, :]

@@ -4,11 +4,22 @@ A name counts as used when it occurs as a whole word in ``src/emomusic``
 (``__init__.py`` aside, since re-exporting is not using), ``demos/`` or
 ``perfbench/`` outside its own definition. Tests do not count: code that
 only tests call belongs under ``tests/``.
+
+The word search cannot see operators (``a + b`` never names ``__add__``), so
+every method of ``Tensor`` must also be called by one tiny training step and
+one generation call.
 """
 
 import ast
 import re
 from pathlib import Path
+
+import numpy as np
+
+from emomusic.autodiff import Tensor
+from emomusic.model import ModelConfig, forward_batch, init_state, next_token_loss
+from emomusic.sampling import SamplerConfig, generate_pieces
+from emomusic.tokens import BOS, EOS, PAD
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(p for p in (ROOT / "src" / "emomusic").glob("*.py")
@@ -47,3 +58,25 @@ def unused_names() -> list[str]:
 
 def test_every_public_definition_has_a_caller():
     assert unused_names() == []
+
+
+def test_every_tensor_method_is_called(monkeypatch):
+    called = set()
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    methods = [name for name, attr in vars(Tensor).items() if callable(attr)]
+    for name in methods:
+        monkeypatch.setattr(Tensor, name, recording(name, getattr(Tensor, name)))
+    state = init_state(ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ffn=16, max_len=8,
+                                   dropout=0.1, attr_dim=3), seed=0)
+    ids = np.array([[BOS, 5, 6, EOS], [BOS, 7, EOS, PAD]])
+    bits = np.array([[1, 0, 1], [0, 1, 1]])
+    loss, _ = next_token_loss(forward_batch(state, ids, bits, np.random.default_rng(0)), ids)
+    loss.backward()
+    generate_pieces(state, bits, [SamplerConfig(max_tokens=4, seed=s) for s in (1, 2)])
+    assert sorted(set(methods) - called) == []

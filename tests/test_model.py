@@ -37,7 +37,7 @@ from emomusic.training import (
 
 import reference
 from conftest import assert_reaped, use_cpus
-from reference import cumsum, forward, softmax
+from reference import cumsum, div, forward, mul, softmax, sum_axis
 
 
 def _linear_attention_scan(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -45,19 +45,19 @@ def _linear_attention_scan(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     b, h, t, hd = q.shape
     phi_q = elu_plus_one(q)
     phi_k = elu_plus_one(k)
-    kv = phi_k.reshape(b, h, t, hd, 1) * v.reshape(b, h, t, 1, hd)
+    kv = mul(phi_k.reshape(b, h, t, hd, 1), v.reshape(b, h, t, 1, hd))
     s = cumsum(kv, axis=2)                                  # (B,H,T,dk,dv)
-    num = (phi_q.reshape(b, h, t, hd, 1) * s).sum(axis=3)   # (B,H,T,dv)
+    num = sum_axis(mul(phi_q.reshape(b, h, t, hd, 1), s), 3)  # (B,H,T,dv)
     z = cumsum(phi_k, axis=2)
-    den = (phi_q * z).sum(axis=3, keepdims=True)            # (B,H,T,1), > 0
-    return num / den
+    den = sum_axis(mul(phi_q, z), 3, keepdims=True)         # (B,H,T,1), > 0
+    return div(num, den)
 
 
 def _softmax_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Causal softmax attention; equals linear attention at length one."""
     t = q.shape[2]
     hd = q.shape[3]
-    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(hd))
+    scores = mul(q @ k.transpose(0, 1, 3, 2), Tensor(1.0 / np.sqrt(hd)))
     causal = np.triu(np.full((t, t), -1e30, dtype=q.data.dtype), k=1)
     attn = softmax(scores + Tensor(causal), axis=-1)
     return attn @ v
@@ -120,7 +120,8 @@ class TestLinearAttention:
         grads = []
         for attend in (_linear_attention, _linear_attention_scan):
             tq, tk, tv = (Tensor(x, requires_grad=True) for x in (q, k, v))
-            (attend(tq, tk, tv) ** 2.0).sum().backward()
+            out = attend(tq, tk, tv)
+            out.backward(2.0 * out.data)  # d/d(out) of the sum of squares
             grads.append((tq.grad, tk.grad, tv.grad))
             assert all(np.isfinite(g).all() for g in grads[-1])
         for a, b in zip(*grads):

@@ -2,7 +2,6 @@
 same artifacts at any CPU count, errors raised in the parent, and no worker
 left behind."""
 
-import ctypes
 import json
 import mmap
 import os

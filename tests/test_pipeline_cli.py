@@ -286,10 +286,30 @@ class TestCli:
         assert code == 2
         assert str(manifest) in err and "item 1" in err
 
-    def test_internal_error_exits_3(self, tmp_path, capsys):
-        code = main(["extract", "--artifact-dir", str(tmp_path / "a"),
-                     "--corpus-manifest", str(tmp_path / "missing.json")])
+    def test_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a program fault, not a data error: it must not be relabelled exit 2
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("a fault in the program")
+        monkeypatch.setattr(Pipeline, "run", broken)
+        code = main(["extract", "--artifact-dir", str(tmp_path / "a")])
         assert code == 3
+        assert "internal error: ZeroDivisionError" in capsys.readouterr().err
+
+    def test_missing_corpus_manifest_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        code = main(["run", "--artifact-dir", str(tmp_path / "a"),
+                     "--corpus-manifest", str(missing)])
+        assert code == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_missing_corpus_file_exits_2(self, tmp_path, capsys):
+        manifest = synth_corpus(SynthSpec(), 1, seed=4, out_dir=tmp_path / "corpus")
+        piece = tmp_path / "corpus" / json.loads(manifest.read_text())["items"][2]["file"]
+        piece.unlink()
+        code = main(["extract", "--artifact-dir", str(tmp_path / "a"),
+                     "--corpus-manifest", str(manifest)])
+        assert code == 2
+        assert str(piece) in capsys.readouterr().err
 
     def test_env_var_artifact_root(self, tmp_path, monkeypatch):
         from emomusic.pipeline import default_artifact_dir
@@ -637,8 +657,8 @@ def edit_json(change):
 
 
 class TestTruncatedArtifacts:
-    """A cut JSON artifact, or one with a wrong key, is bad input: exit 2
-    naming the file, not exit 3."""
+    """A missing or cut artifact, or a JSON one with a wrong key, is bad
+    input: exit 2 naming the file, not exit 3."""
 
     @pytest.mark.parametrize("name,edit", [
         pytest.param("mapping.json", lambda text: text[:45], id="mapping.json"),
@@ -660,6 +680,29 @@ class TestTruncatedArtifacts:
         write_generate_artifacts(art)
         path = art / name
         path.write_text(edit(path.read_text()))
+        assert main(["generate", "--artifact-dir", str(art), "--n", "1"]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    # no checkpoint.json is also what an empty artifact dir gives: it is read first
+    @pytest.mark.parametrize("name,damage", [
+        ("checkpoint.json", None),
+        ("mapping.json", None),
+        ("checkpoint.npz", None),
+        ("checkpoint.npz", lambda data: data[:len(data) // 2]),
+        ("checkpoint.npz", lambda data: data[:200]),
+        ("checkpoint.npz", lambda data: b"not an archive" * 10),
+        ("checkpoint.npz", lambda data: data[:1000] + bytes([data[1000] ^ 0xFF])
+         + data[1001:]),
+    ], ids=["no-checkpoint-manifest", "no-mapping", "no-checkpoint-blob",
+            "cut-blob", "cut-blob-header", "garbage-blob", "flipped-byte"])
+    def test_missing_or_damaged_file_exits_2(self, tmp_path, capsys, name, damage):
+        art = tmp_path / "artifacts"
+        write_generate_artifacts(art)
+        path = art / name
+        if damage is None:
+            path.unlink()
+        else:
+            path.write_bytes(damage(path.read_bytes()))
         assert main(["generate", "--artifact-dir", str(art), "--n", "1"]) == 2
         assert str(path) in capsys.readouterr().err
 

@@ -17,7 +17,6 @@ from emomusic.model import (
 )
 from emomusic.sampling import (
     SamplerConfig,
-    generate_from_bits,
     generate_pieces,
     nucleus_probabilities,
     sample_top_p,
@@ -108,12 +107,13 @@ class TestGenerate:
         state = tiny_state(1)
         bits = np.array([1, 0, 1])
         cfg = SamplerConfig(p=0.9, max_tokens=12, seed=5)
-        assert generate_from_bits(state, bits, cfg) == generate_from_bits(state, bits, cfg)
+        assert generate_pieces(state, bits[None], [cfg]) == \
+            generate_pieces(state, bits[None], [cfg])
 
     def test_starts_with_bos_and_bounded(self):
         state = tiny_state(2)
-        tokens = generate_from_bits(state, np.array([0, 1, 0]),
-                                    SamplerConfig(p=0.9, max_tokens=9, seed=6))
+        [tokens] = generate_pieces(state, np.array([[0, 1, 0]]),
+                                   [SamplerConfig(p=0.9, max_tokens=9, seed=6)])
         assert tokens[0] == BOS
         assert len(tokens) <= 9
 
@@ -126,8 +126,8 @@ class TestGenerate:
         state.params["ln_f_b"].data[0] = 1.0
         state.params["tok_emb"].data[EOS] = 0.0
         state.params["tok_emb"].data[EOS, 0] = 1000.0
-        tokens = generate_from_bits(state, np.array([1, 1, 1]),
-                                    SamplerConfig(p=0.5, max_tokens=16, seed=8))
+        [tokens] = generate_pieces(state, np.array([[1, 1, 1]]),
+                                   [SamplerConfig(p=0.5, max_tokens=16, seed=8)])
         assert tokens[-1] == EOS
         assert len(tokens) == 2
 
@@ -201,7 +201,7 @@ class TestBatchedDecoding:
         cfgs = [SamplerConfig(p=0.95, max_tokens=16, seed=int(seed))
                 for seed in rng.integers(0, 2 ** 31, size=30)]
         batch = generate_pieces(state, bits, cfgs)
-        alone = [generate_from_bits(state, b, cfg) for b, cfg in zip(bits, cfgs)]
+        alone = [generate_pieces(state, b[None], [cfg])[0] for b, cfg in zip(bits, cfgs)]
         assert batch == alone
         # the batch held rows that stopped at EOS while others ran to the end
         assert any(p[-1] == EOS and len(p) < 16 for p in batch)
