@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmoMusicError, read_json
+from .errors import EmoMusicError, make_dir, read_json
 from .mapping import EmotionQuadrant, MappingTable, binarize
 from .pipeline import STAGES, Pipeline, PipelineConfig
 from .synth import SynthSpec, synth_corpus
@@ -137,8 +137,7 @@ def _cmd_generate(args, config: PipelineConfig) -> int:
     pipe = Pipeline(config)
     state, manifest = load_checkpoint(pipe.checkpoint_path)
     medians = np.asarray(manifest["medians"])
-    out_dir = Path(args.out_dir) if args.out_dir else pipe.generated_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(args.out_dir or pipe.generated_dir, "output directory")
 
     if args.attr_file:
         path = Path(args.attr_file)

@@ -1,4 +1,5 @@
-"""The exception base the CLI maps to exit code 2, and a JSON reader raising it."""
+"""The exception base the CLI maps to exit code 2, and a JSON reader and a
+directory maker raising it."""
 
 import json
 from pathlib import Path
@@ -22,3 +23,14 @@ def read_json(path: str | Path, what: str, keys: tuple[str, ...] = ()):
     if missing:
         raise EmoMusicError(f"{what} {path} lacks key(s) {', '.join(missing)}")
     return doc
+
+
+def make_dir(path: str | Path, what: str) -> Path:
+    """Create the directory ``path`` and its parents unless it exists; a path
+    that names a file, or one that cannot be created, raises EmoMusicError."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise EmoMusicError(f"cannot create {what} {path}: {exc.strerror or exc}") from exc
+    return path

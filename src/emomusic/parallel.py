@@ -12,6 +12,12 @@ of a pool with one worker per CPU this process may use, capped at the item
 count; worker w takes items w, w + n, w + 2n, ... With one worker it is that
 plain loop in this process.
 
+Callers: ``training.train`` keeps a ``Workers`` pool of two shard workers
+for the whole run. ``fork_map`` runs four corpus-sized loops:
+``synth.synth_corpus`` (one piece per item), the ``extract`` and ``train``
+stages of ``pipeline`` (one corpus file per item) and ``forest.train_forest``
+(one tree per item).
+
 Inputs reach the workers through fork, so ``fn`` may be a closure over large
 arrays; only requests and answers are pickled, over two pipes per worker. The
 parent starts no helper thread, and each worker computes on one OpenBLAS

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmoMusicError, read_json
+from .errors import EmoMusicError, make_dir, read_json
 from .evaluation import (
     bias_experiment,
     l1_distance_analysis,
@@ -322,8 +322,7 @@ class Pipeline:
 
     def __init__(self, config: PipelineConfig):
         self.config = config
-        self.art = Path(config.artifact_dir)
-        self.art.mkdir(parents=True, exist_ok=True)
+        self.art = make_dir(config.artifact_dir, "artifact directory")
         self.manifest_path = Path(config.corpus_manifest)
         self.catalog = default_catalog()
 
@@ -432,9 +431,8 @@ class Pipeline:
             body()
         except EmoMusicError as exc:
             raise EmoMusicError(f"stage {stage.name}: {exc}") from exc
-        meta_path = self.art / "stage_meta" / f"{stage.name}.json"
-        meta_path.parent.mkdir(parents=True, exist_ok=True)
-        meta_path.write_text(json.dumps(
+        meta_dir = make_dir(self.art / "stage_meta", "cache record directory")
+        (meta_dir / f"{stage.name}.json").write_text(json.dumps(
             {"signature": signature, "outputs": self._output_hashes(stage)}) + "\n")
         return "ran"
 
@@ -560,7 +558,7 @@ class Pipeline:
         state, manifest = load_checkpoint(self.checkpoint_path)
         table = MappingTable.load(self.mapping_path)
         medians = np.asarray(manifest["medians"])
-        self.generated_dir.mkdir(parents=True, exist_ok=True)
+        make_dir(self.generated_dir, "output directory")
         requests = [(q.name, binarize(table.vector_for(q), medians), [cfg.seed, 7, q.value])
                     for q in QUADRANTS]
         items = [{"file": path.name, "label": name}

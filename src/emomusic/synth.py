@@ -24,9 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmoMusicError
+from .errors import EmoMusicError, make_dir
 from .mapping import EmotionQuadrant, QUADRANTS
 from .midi import write_midi
+from .parallel import fork_map
 from .score import Note, Score, score_to_midi
 
 MAJOR = (0, 2, 4, 5, 7, 9, 11)
@@ -35,6 +36,10 @@ TONIC = 0  # pitch class of the scale root
 TICKS_PER_QUARTER = 480
 DURATION_CHOICES = (1, 2, 3, 4, 6, 8)  # sixteenths
 DURATION_WEIGHTS = (0.25, 0.3, 0.1, 0.2, 0.1, 0.05)
+# built the way Generator.choice builds it from p, so a lookup of one
+# random() draw picks what choice(DURATION_CHOICES, p=DURATION_WEIGHTS) picks
+_DURATION_CDF = np.cumsum(DURATION_WEIGHTS)
+_DURATION_CDF /= _DURATION_CDF[-1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,6 +133,14 @@ def _draw_params(spec: SynthSpec, quadrant: EmotionQuadrant,
                  major, bars)
 
 
+def _draw_duration(rng: np.random.Generator) -> int:
+    """A duration from DURATION_CHOICES by DURATION_WEIGHTS; the same value
+    and the same one draw as ``rng.choice(DURATION_CHOICES, p=DURATION_WEIGHTS)``,
+    without the checks and conversions choice makes of its arguments on every
+    call."""
+    return DURATION_CHOICES[int(_DURATION_CDF.searchsorted(rng.random(), side="right"))]
+
+
 def synth_score(spec: SynthSpec, quadrant: EmotionQuadrant,
                 rng: np.random.Generator) -> Score:
     """One synthetic piece for the quadrant's archetype (4/4, 480 tpq)."""
@@ -143,7 +156,7 @@ def synth_score(spec: SynthSpec, quadrant: EmotionQuadrant,
     for slot in range(draw.bars * 16):
         if rng.random() < p_note:
             pitch = pitch_pool[int(rng.integers(len(pitch_pool)))]
-            dur = int(rng.choice(DURATION_CHOICES, p=DURATION_WEIGHTS))
+            dur = _draw_duration(rng)
             velocity = int(rng.integers(draw.velocity[0], draw.velocity[1] + 1))
             notes.append(Note(slot * tps, dur * tps, pitch, velocity, 0))
     if not notes:
@@ -157,23 +170,25 @@ def synth_score(spec: SynthSpec, quadrant: EmotionQuadrant,
 def synth_corpus(spec: SynthSpec, n_per_quadrant: int, seed: int,
                  out_dir: str | Path) -> Path:
     """Write n labeled MIDI files per quadrant plus a manifest; returns the
-    manifest path. Bitwise deterministic given (spec, n, seed)."""
+    manifest path. Bitwise deterministic given (spec, n, seed): each piece
+    draws from its own seed, so the pieces may be written in forked workers."""
     if n_per_quadrant < 1:
         raise EmoMusicError("n_per_quadrant must be >= 1")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    items = []
-    for quadrant in QUADRANTS:
-        for index in range(n_per_quadrant):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed, quadrant.value, index]))
-            score = synth_score(spec, quadrant, rng)
-            name = f"{quadrant.name}_{index:04d}.mid"
-            try:
-                (out_dir / name).write_bytes(write_midi(score_to_midi(score)))
-            except OSError as exc:
-                raise EmoMusicError(f"cannot write {name}: {exc}") from exc
-            items.append({"file": name, "label": quadrant.name})
+    out_dir = make_dir(out_dir, "corpus directory")
+
+    def write_piece(job: tuple[EmotionQuadrant, int]) -> dict:
+        quadrant, index = job
+        rng = np.random.default_rng(np.random.SeedSequence([seed, quadrant.value, index]))
+        score = synth_score(spec, quadrant, rng)
+        name = f"{quadrant.name}_{index:04d}.mid"
+        try:
+            (out_dir / name).write_bytes(write_midi(score_to_midi(score)))
+        except OSError as exc:
+            raise EmoMusicError(f"cannot write {name}: {exc}") from exc
+        return {"file": name, "label": quadrant.name}
+
+    items = fork_map(write_piece, [(quadrant, index) for quadrant in QUADRANTS
+                                   for index in range(n_per_quadrant)])
     manifest = {
         "seed": seed,
         "noise": spec.noise,

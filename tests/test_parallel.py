@@ -20,6 +20,7 @@ from emomusic.errors import EmoMusicError
 from emomusic.forest import ForestConfig, train_forest
 from emomusic.model import ModelConfig, init_state
 from emomusic.parallel import Workers, _loaded_openblas, fork_map
+from emomusic.synth import SynthSpec, synth_corpus
 from emomusic.tokens import BOS, EOS, VOCAB_SIZE
 from emomusic.training import TrainConfig, train
 from test_forest_parity import assert_same_trees, awkward_corpus
@@ -224,6 +225,39 @@ def test_stages_write_the_same_bytes_at_any_worker_count(tmp_path, monkeypatch, 
     assert_reaped(forked)
 
 
+def test_corpus_is_the_same_at_any_cpu_count(tmp_path, monkeypatch, forked):
+    corpora = []
+    for cpus in CPUS:
+        use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        synth_corpus(SynthSpec(noise=0.3, boundary_label_noise=0.2), 5, seed=12, out_dir=out)
+        corpora.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert len(corpora[0]) == 4 * 5 + 1 and "manifest.json" in corpora[0]
+    assert corpora[1] == corpora[0]
+    assert corpora[2] == corpora[0]
+    assert len(forked) == 2 + 3  # the pieces were written in the workers
+    assert_reaped(forked)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("squatters", [["Q2_0001"], ["Q3_0001", "Q2_0001"]])
+def test_corpus_write_failure_is_named(tmp_path, monkeypatch, forked, capsys, cpus,
+                                       squatters):
+    # n = 3: Q2_0001 is manifest item 4 and Q3_0001 item 7, so at 2 CPUs
+    # they fall to different workers
+    use_cpus(monkeypatch, cpus)
+    out = tmp_path / "corpus"
+    for name in squatters:
+        (out / f"{name}.mid").mkdir(parents=True)
+    code = main(["synth-corpus", "--out-dir", str(out), "--n-per-quadrant", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "cannot write Q2_0001.mid" in err and "Q3_0001" not in err
+    assert not (out / "manifest.json").exists()
+    assert len(forked) == (2 if cpus == 2 else 0)
+    assert_reaped(forked)
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_bad_corpus_file_is_named(tmp_path, monkeypatch, forked, capsys, cpus):
     use_cpus(monkeypatch, cpus)
@@ -238,7 +272,7 @@ def test_bad_corpus_file_is_named(tmp_path, monkeypatch, forked, capsys, cpus):
     assert code == 2
     assert f"stage extract: {bad}: chunk b'MTrk' length" in err
     assert "exceeds remaining bytes" in err
-    assert len(forked) == (2 if cpus == 2 else 0)
+    assert len(forked) == (4 if cpus == 2 else 0)  # two write the corpus, two extract
     assert_reaped(forked)
 
 

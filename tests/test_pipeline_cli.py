@@ -311,6 +311,33 @@ class TestCli:
         assert code == 2
         assert str(piece) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--artifact-dir", "--out-dir"])
+    def test_synth_output_path_that_is_a_file_exits_2(self, tmp_path, capsys, flag):
+        squatter = tmp_path / "a-file"
+        squatter.write_text("not a directory\n")
+        code = main(["synth-corpus", flag, str(squatter), "--n-per-quadrant", "1"])
+        assert code == 2
+        assert str(squatter) in capsys.readouterr().err
+
+    def test_generate_out_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        art = tmp_path / "artifacts"
+        write_generate_artifacts(art)
+        squatter = tmp_path / "a-file"
+        squatter.write_text("not a directory\n")
+        code = main(["generate", "--artifact-dir", str(art), "--emotion", "Q1",
+                     "--out-dir", str(squatter)])
+        assert code == 2
+        assert str(squatter) in capsys.readouterr().err
+
+    def test_run_artifact_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        squatter = tmp_path / "a-file"
+        squatter.write_text("not a directory\n")
+        manifest = synth_corpus(SynthSpec(), 1, seed=4, out_dir=tmp_path / "corpus")
+        code = main(["run", "--artifact-dir", str(squatter),
+                     "--corpus-manifest", str(manifest)])
+        assert code == 2
+        assert str(squatter) in capsys.readouterr().err
+
     def test_env_var_artifact_root(self, tmp_path, monkeypatch):
         from emomusic.pipeline import default_artifact_dir
         monkeypatch.setenv("EMOMUSIC_ARTIFACT_DIR", str(tmp_path / "roots"))

@@ -1,5 +1,6 @@
 """Synthetic corpus generator: determinism, archetype separability, noise knobs."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -10,7 +11,10 @@ from emomusic.midi import parse_midi
 from emomusic.score import midi_to_score
 from emomusic.synth import (
     ARCHETYPES,
+    DURATION_CHOICES,
+    DURATION_WEIGHTS,
     SynthSpec,
+    _draw_duration,
     _widened,
     synth_corpus,
     synth_score,
@@ -51,6 +55,27 @@ class TestSynthCorpus:
         synth_corpus(SynthSpec(), 2, seed=5, out_dir=b)
         assert any(f.read_bytes() != (b / f.name).read_bytes()
                    for f in sorted(a.glob("*.mid")))
+
+    def test_corpus_bytes_are_pinned(self, tmp_path):
+        # sha256 over (name, bytes) of every file, manifest included; a change
+        # to any draw, or to the order of the draws, moves it
+        synth_corpus(SynthSpec(noise=0.3), 3, seed=11, out_dir=tmp_path)
+        h = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            h.update(path.name.encode())
+            h.update(path.read_bytes())
+        assert h.hexdigest() == \
+            "1d542f6bd45e620adc9625d672dc7f5fe6940b579493fc0850e73435fa9c0432"
+
+
+def test_duration_draw_repeats_generator_choice():
+    for seed in range(300):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(100):
+            assert _draw_duration(ours) == int(numpys.choice(DURATION_CHOICES,
+                                                             p=DURATION_WEIGHTS))
+            # one draw each, so the pitch and velocity draws after it stay aligned
+            assert ours.random() == numpys.random()
 
 
 class TestNoiseModel:
