@@ -149,8 +149,10 @@ class KMeansResult:
     inertia_trace: list[float] = field(default_factory=list)
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10,
-           max_iter: int = 100) -> KMeansResult:
+KMEANS_MAX_ITER = 100  # Lloyd iterations per restart, unless assignments settle first
+
+
+def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10) -> KMeansResult:
     """Lloyd's algorithm, seeded, best inertia over restarts.
 
     Empty clusters are re-seeded from the point farthest from its assigned
@@ -167,7 +169,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, restarts: int = 10,
         centroids = points[rng.choice(m, size=k, replace=False)].astype(float)
         trace: list[float] = []
         assign = np.full(m, -1)
-        for _ in range(max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
             new_assign = d2.argmin(axis=1)
             for _ in range(k):  # re-seed empty clusters
@@ -197,7 +199,7 @@ MAPPING_METHODS = ("closest", "center", "kmeans")
 
 
 def compute_mapping(corpus: LabeledCorpus, indices: list[int], method: str = "closest",
-                    k_clusters: int = 4, seed: int = 0, restarts: int = 10) -> MappingTable:
+                    k_clusters: int = 4, seed: int = 0) -> MappingTable:
     """Build the per-quadrant mapping table (methods: closest, center, kmeans).
 
     Ties go to the lowest row id (closest) or the lowest cluster id (kmeans).
@@ -220,7 +222,7 @@ def compute_mapping(corpus: LabeledCorpus, indices: list[int], method: str = "cl
             dist = np.linalg.norm(zq - zq.mean(axis=0), axis=1)
             vectors[quadrant] = x[rows[np.argmin(dist)]].copy()  # rows ascend
         else:
-            result = kmeans(zq, k_clusters, seed=seed, restarts=restarts)
+            result = kmeans(zq, k_clusters, seed=seed)
             counts = np.bincount(result.assignments, minlength=result.centroids.shape[0])
             vectors[quadrant] = standardizer.inverse(result.centroids[np.argmax(counts)])
 

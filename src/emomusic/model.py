@@ -15,7 +15,7 @@ in float64 it matches the chunked form within 1e-9 absolute, not bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,17 +56,15 @@ class ModelConfig:
             raise EmoMusicError(f"attr_dim must be at least 1, not {self.attr_dim}")
 
     @classmethod
-    def small(cls, attr_dim: int, **overrides) -> "ModelConfig":
+    def small(cls, attr_dim: int) -> "ModelConfig":
         """Laptop-scale configuration used by the test suite and demos."""
-        base = cls(n_layers=2, n_heads=4, d_model=64, d_ffn=128, max_len=256,
+        return cls(n_layers=2, n_heads=4, d_model=64, d_ffn=128, max_len=256,
                    dropout=0.1, attr_dim=attr_dim)
-        return replace(base, **overrides) if overrides else base
 
     @classmethod
-    def large(cls, attr_dim: int = 100, **overrides) -> "ModelConfig":
+    def large(cls, attr_dim: int = 100) -> "ModelConfig":
         """Production-scale configuration (6x512 with 8 heads, max length 1280)."""
-        base = cls(attr_dim=attr_dim)
-        return replace(base, **overrides) if overrides else base
+        return cls(attr_dim=attr_dim)
 
 
 @dataclass(slots=True)

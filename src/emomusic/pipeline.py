@@ -106,19 +106,14 @@ class PipelineConfig:
     selection_k: int = 100
     # emotion-to-attribute mapping
     mapping_method: str = "closest"
-    kmeans_clusters: int = 4
     # attribute-to-music model
     model_size: str = "small"  # small | large
-    dtype: str = "float32"     # training precision; float64 for bit-level studies
-    dropout: float = 0.1
     train_steps: int = 2500
     batch_size: int = 8
     base_lr: float = 1e-3
     warmup_steps: int = 100
-    grad_clip_norm: float = 1.0
     # generation / evaluation
     sampler_p: float = 0.9
-    sampler_temperature: float = 1.0
     max_generate_tokens: int = 256
     n_generate_per_quadrant: int = 25
     bias_n: int = 25
@@ -133,19 +128,18 @@ class PipelineConfig:
         for name, ok, rule in (
                 ("split_ratios", len(ratios) == 3
                  and all(type(r) in (int, float) for r in ratios)
-                 and abs(sum(ratios) - 1.0) <= 1e-9, "three numbers summing to 1"),
+                 and all(r >= 0 for r in ratios)
+                 and abs(sum(ratios) - 1.0) <= 1e-9,
+                 "three non-negative numbers summing to 1"),
+                ("seed", self.seed >= 0, "at least 0"),
                 ("model_size", self.model_size in ("small", "large"), "'small' or 'large'"),
-                ("dtype", self.dtype in ("float32", "float64"), "'float32' or 'float64'"),
                 ("batch_size", self.batch_size >= 1, "at least 1"),
                 ("forest_trees", self.forest_trees >= 1, "at least 1"),
                 ("selection_k", self.selection_k >= 1, "at least 1"),
-                ("kmeans_clusters", self.kmeans_clusters >= 1, "at least 1"),
                 ("train_steps", self.train_steps >= 1, "at least 1"),
                 ("warmup_steps", self.warmup_steps >= 1, "at least 1"),
-                ("dropout", 0 <= self.dropout < 1, "at least 0 and below 1"),
                 ("base_lr", self.base_lr > 0, "above 0"),
                 ("sampler_p", 0 < self.sampler_p <= 1, "in (0, 1]"),
-                ("sampler_temperature", self.sampler_temperature > 0, "above 0"),
                 ("max_generate_tokens", self.max_generate_tokens >= 1, "at least 1"),
                 ("n_generate_per_quadrant", self.n_generate_per_quadrant >= 1,
                  "at least 1"),
@@ -181,17 +175,17 @@ class PipelineConfig:
 
     def model_config(self, attr_dim: int) -> ModelConfig:
         if self.model_size == "small":
-            return ModelConfig.small(attr_dim, dropout=self.dropout)
-        return ModelConfig.large(attr_dim, dropout=self.dropout)
+            return ModelConfig.small(attr_dim)
+        return ModelConfig.large(attr_dim)
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(batch_size=self.batch_size, base_lr=self.base_lr,
                            warmup_steps=self.warmup_steps, max_steps=self.train_steps,
-                           grad_clip_norm=self.grad_clip_norm, seed=self.seed)
+                           seed=self.seed)
 
     def sampler_config(self, seed: int) -> SamplerConfig:
-        return SamplerConfig(p=self.sampler_p, temperature=self.sampler_temperature,
-                             max_tokens=self.max_generate_tokens, seed=seed)
+        return SamplerConfig(p=self.sampler_p, max_tokens=self.max_generate_tokens,
+                             seed=seed)
 
 
 def default_artifact_dir() -> str:
@@ -288,16 +282,14 @@ STAGES = (
           ("split", "extract"), (), ("forest.json",)),
     Stage("select-attrs", "stage_select", ("selection_method", "selection_k", "seed"),
           ("train-forest",), (), ("selection.json",)),
-    Stage("map-emotion", "stage_map", ("mapping_method", "kmeans_clusters", "seed"),
+    Stage("map-emotion", "stage_map", ("mapping_method", "seed"),
           ("split", "extract", "select-attrs"), (), ("mapping.json",)),
     Stage("train", "stage_train",
-          ("model_size", "dtype", "dropout", "train_steps", "batch_size", "base_lr",
-           "warmup_steps", "grad_clip_norm", "seed"),
+          ("model_size", "train_steps", "batch_size", "base_lr", "warmup_steps", "seed"),
           ("split", "extract", "map-emotion"), ("corpus",),
           ("checkpoint.npz", "checkpoint.json", "loss_log.csv")),
     Stage("generate", "stage_generate",
-          ("n_generate_per_quadrant", "sampler_p", "sampler_temperature",
-           "max_generate_tokens", "seed"),
+          ("n_generate_per_quadrant", "sampler_p", "max_generate_tokens", "seed"),
           ("train", "map-emotion"), (), ("generated",)),
     Stage("evaluate", "stage_evaluate", (), ("generate", "train-forest", "select-attrs"),
           (), ("report.json", "distances.csv", "pca.csv")),
@@ -506,8 +498,7 @@ class Pipeline:
         cfg = self.config
         indices = load_selection(self.selection_path)["indices"]
         corpus = self._labeled_corpus(self._train_rows())
-        table = compute_mapping(corpus, indices, method=cfg.mapping_method,
-                                k_clusters=cfg.kmeans_clusters, seed=cfg.seed)
+        table = compute_mapping(corpus, indices, method=cfg.mapping_method, seed=cfg.seed)
         table.save(self.mapping_path)
 
     @_stage
@@ -527,7 +518,7 @@ class Pipeline:
         token_lists = fork_map(tokens_of, [items[row] for row in rows])
         dataset = [(tokens, binarize(values[indices], medians))
                    for tokens, values in zip(token_lists, corpus.matrix.values)]
-        state = init_state(model_cfg, seed=cfg.seed, dtype=np.dtype(cfg.dtype).type)
+        state = init_state(model_cfg, seed=cfg.seed, dtype=np.float32)
         state, log = train(state, dataset, cfg.train_config(),
                            log_every=max(1, cfg.train_steps // 200))
         save_checkpoint(self.checkpoint_path, state, step=cfg.train_steps,
@@ -604,7 +595,7 @@ class Pipeline:
         }
         self.report_path.write_text(json.dumps(report, indent=1) + "\n")
 
-    def analyze_bias(self, n: int | None = None) -> dict:
+    def analyze_bias(self) -> dict:
         """Center/boundary probe over the full corpus; retrains a forest on all
         rows so out-of-bag votes are available for the real-sample side.
         Brings extract and train up to date first, so a changed corpus is not
@@ -618,7 +609,7 @@ class Pipeline:
         medians = np.asarray(manifest["medians"])
         indices = manifest["indices"]
         report = bias_experiment(
-            corpus, indices, state, medians, forest, n or cfg.bias_n,
+            corpus, indices, state, medians, forest, cfg.bias_n,
             self.config.sampler_config(cfg.seed + 11))
         (self.art / "bias_report.json").write_text(json.dumps(report, indent=1) + "\n")
         return report

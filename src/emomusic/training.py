@@ -25,6 +25,8 @@ from .tokens import PAD
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.98
 ADAM_EPS = 1e-9
+# Global gradient-norm bound applied before every Adam step
+GRAD_CLIP_NORM = 1.0
 
 # glibc mallopt parameters, and the largest values a 64-bit glibc and a C int take
 M_TRIM_THRESHOLD = -1
@@ -47,7 +49,6 @@ class TrainConfig:
     base_lr: float = 1e-4
     warmup_steps: int = 16000
     max_steps: int = 100000
-    grad_clip_norm: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -94,7 +95,7 @@ def clip_gradients(params: dict, max_norm: float) -> float:
         if p.grad is not None:
             total += float((p.grad * p.grad).sum())
     norm = math.sqrt(total)
-    if max_norm > 0 and norm > max_norm:
+    if norm > max_norm:
         scale = max_norm / norm
         for p in params.values():
             if p.grad is not None:
@@ -248,7 +249,7 @@ def train(state: ModelState, dataset: list[tuple[list[int], np.ndarray]],
                     p.grad = shares[0] * shard_grads[0][name]
                     for share, grads in zip(shares[1:], shard_grads[1:]):
                         p.grad += share * grads[name]
-                clip_gradients(params, cfg.grad_clip_norm)
+                clip_gradients(params, GRAD_CLIP_NORM)
                 lr = lr_schedule(step, cfg)
                 optimizer.step(params, lr)
                 if step % log_every == 0 or step == cfg.max_steps:

@@ -73,7 +73,7 @@ def bias9(tmp_path_factory):
         train_steps=1500, batch_size=8, base_lr=1e-3, warmup_steps=100,
         n_generate_per_quadrant=2, max_generate_tokens=256, bias_n=15)
     Pipeline(config).run()
-    return Pipeline(config).analyze_bias(n=15)
+    return Pipeline(config).analyze_bias()
 
 
 def test_criterion_1_midi_round_trip():

@@ -288,7 +288,7 @@ def test_training_is_the_same_at_any_cpu_count(monkeypatch, forked):
     runs = []
     for cpus in CPUS:
         use_cpus(monkeypatch, cpus)
-        state = init_state(ModelConfig.small(attr_dim=6, dropout=0.1), seed=42,
+        state = init_state(ModelConfig.small(attr_dim=6), seed=42,
                            dtype=np.float32)
         _, log = train(state, dataset, TrainConfig(batch_size=5, base_lr=1e-3,
                                                    warmup_steps=4, max_steps=9, seed=43))

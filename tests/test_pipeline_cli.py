@@ -115,14 +115,6 @@ class TestPipeline:
         fresh = Pipeline(tiny_config(tmp_path / "fresh", train_steps=12)).run()
         assert result["report"] == fresh["report"]
 
-    @pytest.mark.parametrize("field, value", [("dtype", "float64"),
-                                              ("grad_clip_norm", 0.5)])
-    def test_training_setting_change_reruns_train(self, tmp_path, field, value):
-        Pipeline(tiny_config(tmp_path)).run()
-        result = Pipeline(tiny_config(tmp_path, **{field: value})).run()
-        assert result["stages"]["map-emotion"] == "skipped"
-        assert result["stages"]["train"] == "ran"
-
     def test_artifacts_embed_catalog_version(self, tmp_path):
         config = tiny_config(tmp_path)
         Pipeline(config).run()
@@ -153,7 +145,7 @@ class TestPipeline:
     def test_analyze_bias_writes_report(self, tmp_path):
         config = tiny_config(tmp_path)
         Pipeline(config).run()
-        report = Pipeline(config).analyze_bias(n=2)
+        report = Pipeline(config).analyze_bias()
         assert set(report["real"]) == {"center", "boundary"}
         assert set(report["generated"]) == {"center", "boundary"}
         assert (tmp_path / "artifacts" / "bias_report.json").exists()
@@ -162,10 +154,10 @@ class TestPipeline:
         config = tiny_config(tmp_path)
         Pipeline(config).run(until="train")
         report = tmp_path / "artifacts" / "bias_report.json"
-        Pipeline(config).analyze_bias(n=2)
+        Pipeline(config).analyze_bias()
         before = report.read_bytes()
         synth_corpus(SynthSpec(noise=0.9), 6, seed=4, out_dir=tmp_path / "corpus")
-        Pipeline(config).analyze_bias(n=2)
+        Pipeline(config).analyze_bias()
         assert report.read_bytes() != before
 
     def test_config_json_round_trip(self, tmp_path):
@@ -319,6 +311,14 @@ class TestCli:
         assert code == 2
         assert str(squatter) in capsys.readouterr().err
 
+    def test_synth_negative_seed_exits_2(self, tmp_path, capsys):
+        art = tmp_path / "artifacts"
+        code = main(["synth-corpus", "--artifact-dir", str(art), "--seed", "-1",
+                     "--n-per-quadrant", "1"])
+        assert code == 2
+        assert "config field seed" in capsys.readouterr().err
+        assert not art.exists()
+
     def test_generate_out_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
         art = tmp_path / "artifacts"
         write_generate_artifacts(art)
@@ -345,14 +345,13 @@ class TestCli:
 
 
 # For each stage row that reads a config field no earlier row reads: that
-# field and a new value for it. Under the "closest" mapping, kmeans_clusters
-# leaves mapping.json byte-identical, so only the chain of dependency
-# signatures makes the stages after map-emotion re-run.
+# field and a new value for it. The "center" mapping writes a new mapping.json,
+# and the stages after map-emotion read it, so they re-run.
 FIELD_CHANGES = {
     "split": ("split_ratios", (0.5, 0.25, 0.25)),
     "train-forest": ("forest_trees", 6),
     "select-attrs": ("selection_k", 4),
-    "map-emotion": ("kmeans_clusters", 3),
+    "map-emotion": ("mapping_method", "center"),
     "train": ("train_steps", 12),
     "generate": ("n_generate_per_quadrant", 1),
 }
@@ -553,20 +552,26 @@ class TestCacheAndConfigErrors:
         assert main(["extract", "--config", str(path)]) == 2
         assert str(path) in capsys.readouterr().err
 
-    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+    # fields of older versions
+    @pytest.mark.parametrize("key,value", [
+        ("workers", 2), ("dtype", "float32"), ("dropout", 0.1), ("grad_clip_norm", 1.0),
+        ("sampler_temperature", 1.0), ("kmeans_clusters", 4),
+    ])
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, key, value):
         config = tiny_config(tmp_path)
         write_config(config, tmp_path / "config.json")
         doc = json.loads((tmp_path / "config.json").read_text())
-        doc["workers"] = 2  # a field of older versions
+        doc[key] = value
         (tmp_path / "config.json").write_text(json.dumps(doc))
         assert main(["extract", "--config", str(tmp_path / "config.json")]) == 2
-        assert "workers" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("field,value", [
-        ("dtype", "foo"), ("dtype", "float16"), ("seed", "x"), ("split_ratios", 5),
-        ("base_lr", "a"), ("batch_size", 0), ("forest_trees", 0), ("dropout", 2.0),
+        ("seed", "x"), ("seed", -1), ("split_ratios", 5),
+        pytest.param("split_ratios", [0.5, 0.7, -0.2], id="split_ratios-negative"),
+        ("base_lr", "a"), ("batch_size", 0), ("forest_trees", 0),
         ("base_lr", -0.01), ("max_generate_tokens", 0), ("selection_method", "best"),
-        ("mapping_method", "nearest"), ("kmeans_clusters", 0), ("selection_k", 0),
+        ("mapping_method", "nearest"), ("selection_k", 0),
         ("n_generate_per_quadrant", 0), ("train_steps", 0), ("bias_n", 0), ("bias_n", -1),
     ])
     def test_unworkable_config_value_exits_2(self, tmp_path, capsys, field, value):
@@ -576,8 +581,7 @@ class TestCacheAndConfigErrors:
 
     @pytest.mark.parametrize("field,value,message", [
         ("warmup_steps", 0, "warmup_steps must be"), ("sampler_p", 0, "p must be"),
-        ("sampler_temperature", 0, "temperature must be"),
-    ], ids=["warmup_steps", "sampler_p", "sampler_temperature"])
+    ], ids=["warmup_steps", "sampler_p"])
     def test_stage_config_value_exits_2_before_any_stage(self, tmp_path, capsys,
                                                          field, value, message):
         assert self.run_with(tmp_path, field, value) == 2
