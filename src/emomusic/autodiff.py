@@ -236,7 +236,9 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
         p = np.exp(shifted)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(n), targets] -= 1.0
-        return (g * p * (mask[:, None] / count),)
+        # the float64 mask weights would make the gradient float64; one
+        # cast keeps it in the forward dtype
+        return ((g * p * (mask[:, None] / count)).astype(logits.data.dtype, copy=False),)
 
     loss = Tensor(np.asarray(loss_value, dtype=logits.data.dtype),
                   parents=(logits,), backward=backward)

@@ -26,7 +26,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from operator import add, attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +68,11 @@ class FeatureCatalog:
     entries: list[FeatureDef]
     version: str = CATALOG_VERSION
     _offsets: dict[str, tuple[int, int]] = field(default_factory=dict, repr=False)
+    # the one-dim features' ids and offsets, and (id, start, stop) of the others
+    _scalar_ids: list[str] = field(default_factory=list, repr=False, compare=False)
+    _scalar_at: np.ndarray = field(default=None, repr=False, compare=False)
+    _blocks: list[tuple[str, int, int]] = field(default_factory=list, repr=False,
+                                                compare=False)
 
     def __post_init__(self) -> None:
         ids = [e.id for e in self.entries]
@@ -75,9 +82,16 @@ class FeatureCatalog:
             if e.group not in GROUPS:
                 raise EmoMusicError(f"unknown feature group {e.group!r}")
         start = 0
+        scalar_at = []
         for e in self.entries:
             self._offsets[e.id] = (start, e.dim)
+            if e.dim == 1:
+                self._scalar_ids.append(e.id)
+                scalar_at.append(start)
+            else:
+                self._blocks.append((e.id, start, start + e.dim))
             start += e.dim
+        self._scalar_at = np.array(scalar_at, dtype=np.intp)
 
     @property
     def total_dim(self) -> int:
@@ -90,6 +104,14 @@ class FeatureCatalog:
     def indices(self, feature_id: str) -> list[int]:
         start, dim = self.span(feature_id)
         return list(range(start, start + dim))
+
+    def flatten(self, values: dict[str, float | np.ndarray]) -> np.ndarray:
+        """The flattened vector holding ``values[id]`` at each feature's span."""
+        out = np.zeros(self.total_dim)
+        out[self._scalar_at] = [values[fid] for fid in self._scalar_ids]
+        for fid, start, stop in self._blocks:
+            out[start:stop] = values[fid]
+        return out
 
     def dim_names(self) -> list[str]:
         """One name per flattened dimension (histograms get _<bin> suffixes)."""
@@ -247,8 +269,23 @@ def manual_indices(catalog: FeatureCatalog) -> list[int]:
     return idx
 
 
+_NOTE_FIELDS = attrgetter("onset", "duration", "pitch", "velocity", "track")
+_SEMITONES = np.arange(128)
+_NOMINALS = np.asarray(RHYTHMIC_VALUE_BINS)
+
+
+def _mean(x: np.ndarray) -> float:
+    """``x.mean()``, bit for bit, without its wrapper layers."""
+    return float(np.add.reduce(x, dtype=float) / x.size)
+
+
 def _pop_std(x: np.ndarray) -> float:
-    return float(np.std(x)) if x.size else 0.0
+    """``np.std(x)``, bit for bit: ``np.var``'s own steps without its wrapper
+    layers. 0.0 for no values."""
+    if not x.size:
+        return 0.0
+    centred = x - np.add.reduce(x, dtype=float) / x.size
+    return float(np.sqrt(np.add.reduce(centred * centred) / x.size))
 
 
 def _normalized(counts: np.ndarray) -> np.ndarray:
@@ -271,157 +308,157 @@ def _piece_seconds(score: Score, end_tick: int) -> float:
     return seconds
 
 
-def _vertical_intervals(score: Score) -> tuple[np.ndarray, int]:
-    """128-bin weighted interval counts plus the simultaneous-onset note count."""
-    counts = np.zeros(128)
-    notes = score.notes  # sorted by (onset, pitch, track)
-    tpq = score.ticks_per_quarter
-    active: list[int] = []  # indices into notes, pruned lazily
-    simultaneous = np.zeros(len(notes), dtype=bool)
-    for j, note in enumerate(notes):
-        active = [i for i in active if notes[i].end > note.onset]
+def _vertical_intervals(onsets: tuple[int, ...], ends: list[int], pitches: tuple[int, ...],
+                        tpq: int) -> tuple[np.ndarray, int]:
+    """128-bin weighted interval counts plus the simultaneous-onset note count,
+    from the notes' onsets, ends and pitches in score order."""
+    counts = [0.0] * 128
+    active: list[int] = []  # indices of notes that may still sound
+    simultaneous = [False] * len(onsets)
+    for j, onset in enumerate(onsets):
+        end, pitch = ends[j], pitches[j]
+        active = [i for i in active if ends[i] > onset]
         for i in active:
-            other = notes[i]
-            overlap = (min(other.end, note.end) - note.onset) / tpq
-            counts[abs(other.pitch - note.pitch)] += overlap
-            if other.onset == note.onset:
+            counts[abs(pitches[i] - pitch)] += (min(ends[i], end) - onset) / tpq
+            if onsets[i] == onset:
                 simultaneous[i] = simultaneous[j] = True
         active.append(j)
-    return counts, int(simultaneous.sum())
-
-
-def _rhythmic_value_bins(durations_quarters: np.ndarray) -> np.ndarray:
-    nominals = np.asarray(RHYTHMIC_VALUE_BINS)
-    # nearest nominal, ties to the lower bin; the last bin is open-ended
-    gaps = np.abs(durations_quarters[:, None] - nominals[None, :])
-    return np.argmin(gaps, axis=1)
+    return np.array(counts), sum(simultaneous)
 
 
 def extract_features(score: Score, catalog: FeatureCatalog | None = None) -> AttributeVector:
     """Compute the full attribute vector for one score.
 
     An empty score yields an all-zero vector with the ``empty`` flag set.
+    Means, standard deviations and normalised histograms are numpy's own
+    arithmetic, reached without its wrapper layers, and distinct counts are
+    read off the histograms' bin counts.
     """
     catalog = catalog or default_catalog()
-    out = np.zeros(catalog.total_dim)
     if score.is_empty:
-        return AttributeVector(out, catalog.version, empty=True)
+        return AttributeVector(np.zeros(catalog.total_dim), catalog.version, empty=True)
 
     notes = score.notes
     n = len(notes)
     tpq = score.ticks_per_quarter
-    onsets = np.array([nt.onset for nt in notes], dtype=float)
-    durations = np.array([nt.duration for nt in notes], dtype=float)
-    pitches = np.array([nt.pitch for nt in notes], dtype=int)
-    velocities = np.array([nt.velocity for nt in notes], dtype=float)
-    tracks = np.array([nt.track for nt in notes], dtype=int)
-    end_tick = score.end_tick
+    onset_list, duration_list, pitch_list, velocity_list, track_list = \
+        zip(*map(_NOTE_FIELDS, notes))
+    end_list = list(map(add, onset_list, duration_list))
+    onsets = np.array(onset_list, dtype=float)
+    durations = np.array(duration_list, dtype=float)
+    pitches = np.array(pitch_list)
+    velocities = np.array(velocity_list, dtype=float)
+    tracks = np.array(track_list)
+    end_tick = max(end_list)
     quarters = end_tick / tpq
     dur_quarters = durations / tpq
 
     values: dict[str, float | np.ndarray] = {}
 
-    # pitch
-    pcs = pitches % 12
-    pch = _normalized(np.bincount(pcs, minlength=12).astype(float))
-    ph = _normalized(np.bincount(pitches, minlength=128).astype(float))
+    # pitch; every note counts once in each note histogram, so its total is n
+    pitch_counts = np.bincount(pitches, minlength=128)
+    pc_counts = np.bincount(pitches % 12, minlength=12)
+    pch = pc_counts / n
     nonzero = pch[pch > 0]
-    values["mean_pitch"] = float(pitches.mean())
+    low, high = min(pitch_list), max(pitch_list)
+    values["mean_pitch"] = _mean(pitches)
     values["pitch_std"] = _pop_std(pitches)
-    values["pitch_range"] = float(pitches.max() - pitches.min())
-    values["min_pitch"] = float(pitches.min())
-    values["max_pitch"] = float(pitches.max())
-    values["distinct_pitch_count"] = float(np.unique(pitches).size)
-    values["distinct_pitch_class_count"] = float(np.unique(pcs).size)
-    values["pitch_class_entropy"] = float(-(nonzero * np.log2(nonzero)).sum())
-    values["most_common_pitch_prevalence"] = float(np.bincount(pitches).max() / n)
+    values["pitch_range"] = float(high - low)
+    values["min_pitch"] = float(low)
+    values["max_pitch"] = float(high)
+    values["distinct_pitch_count"] = float(np.count_nonzero(pitch_counts))
+    values["distinct_pitch_class_count"] = float(np.count_nonzero(pc_counts))
+    values["pitch_class_entropy"] = float(-np.add.reduce(nonzero * np.log2(nonzero)))
+    values["most_common_pitch_prevalence"] = float(pitch_counts.max() / n)
     values["most_common_pitch_class_prevalence"] = float(pch.max())
     values["pitch_class_histogram"] = pch
-    values["pitch_histogram"] = ph
+    values["pitch_histogram"] = pitch_counts / n
 
     # melody
-    steps = np.diff(pitches) if n > 1 else np.zeros(0, dtype=int)
+    steps = pitches[1:] - pitches[:-1]
     jumps = np.abs(steps)
-    mih = _normalized(np.bincount(jumps, minlength=128).astype(float)) if steps.size \
-        else np.zeros(128)
-    values["mean_melodic_interval"] = float(jumps.mean()) if steps.size else 0.0
+    n_steps = steps.size
+    n_moving = np.count_nonzero(steps)
+    values["mean_melodic_interval"] = _mean(jumps) if n_steps else 0.0
     values["melodic_interval_std"] = _pop_std(jumps)
     values["stepwise_motion_fraction"] = \
-        float(((jumps >= 1) & (jumps <= 2)).mean()) if steps.size else 0.0
-    values["leap_fraction"] = float((jumps >= 5).mean()) if steps.size else 0.0
-    values["repeated_pitch_fraction"] = float((jumps == 0).mean()) if steps.size else 0.0
-    moving = steps[steps != 0]
-    values["ascending_interval_fraction"] = float((moving > 0).mean()) if moving.size else 0.0
-    values["melodic_interval_histogram"] = mih
+        np.count_nonzero((jumps >= 1) & (jumps <= 2)) / n_steps if n_steps else 0.0
+    values["leap_fraction"] = np.count_nonzero(jumps >= 5) / n_steps if n_steps else 0.0
+    values["repeated_pitch_fraction"] = (n_steps - n_moving) / n_steps if n_steps else 0.0
+    values["ascending_interval_fraction"] = \
+        np.count_nonzero(steps > 0) / n_moving if n_moving else 0.0
+    values["melodic_interval_histogram"] = \
+        np.bincount(jumps, minlength=128) / n_steps if n_steps else np.zeros(128)
 
     # chord / vertical
-    vih_counts, n_simultaneous = _vertical_intervals(score)
+    vih_counts, n_simultaneous = _vertical_intervals(onset_list, end_list, pitch_list, tpq)
     vih = _normalized(vih_counts)
     values["simultaneous_onset_fraction"] = n_simultaneous / n
-    values["mean_vertical_interval"] = float((vih * np.arange(128)).sum())
+    values["mean_vertical_interval"] = float(np.add.reduce(vih * _SEMITONES))
     values["vertical_interval_histogram"] = vih
 
     # rhythm
     windows = np.bincount((onsets / tpq).astype(int), minlength=max(1, math.ceil(quarters)))
-    iois = np.diff(onsets) / tpq if n > 1 else np.zeros(0)
-    rv_bins = _rhythmic_value_bins(dur_quarters)
-    rvh = _normalized(np.bincount(rv_bins, minlength=12).astype(float))
-    slot_durs = np.clip(np.round(dur_quarters * SIXTEENTHS_PER_QUARTER), 1, 32).astype(int)
-    dur_hist = _normalized(np.bincount(slot_durs - 1, minlength=32).astype(float))
+    iois = (onsets[1:] - onsets[:-1]) / tpq
+    # nearest nominal rhythmic value, ties to the lower bin; the last is open-ended
+    rv_bins = np.abs(dur_quarters[:, None] - _NOMINALS).argmin(axis=1)
+    rvh = np.bincount(rv_bins, minlength=12) / n
+    slot_durs = np.minimum(np.maximum(np.rint(dur_quarters * SIXTEENTHS_PER_QUARTER), 1),
+                           32).astype(int)
     ticks_per_slot = tpq / SIXTEENTHS_PER_QUARTER
-    onset_slots = np.round(onsets / ticks_per_slot).astype(int)
-    pos_hist = _normalized(np.bincount(onset_slots % 16, minlength=16).astype(float))
+    onset_slots = np.rint(onsets / ticks_per_slot).astype(int)
     seconds = _piece_seconds(score, end_tick)
-    tempo_ticks = [t for t, _ in score.tempo_map] + [end_tick]
-    tempo_weights = np.maximum(0, np.diff(np.minimum(tempo_ticks, end_tick)))
+    tempo_ticks = np.minimum([t for t, _ in score.tempo_map] + [end_tick], end_tick)
+    tempo_weights = np.maximum(0, tempo_ticks[1:] - tempo_ticks[:-1])
     tempo_values = np.array([bpm for _, bpm in score.tempo_map])
-    mean_tempo = (float((tempo_values * tempo_weights).sum() / tempo_weights.sum())
-                  if tempo_weights.sum() > 0 else tempo_values[0])
+    tempo_time = np.add.reduce(tempo_weights)
     values["total_number_of_notes"] = float(n)
     values["note_density_per_quarter_note"] = n / quarters if quarters > 0 else 0.0
     values["note_density_per_quarter_note_variability"] = _pop_std(windows)
     values["prevalence_of_long_rhythmic_values"] = \
-        float((dur_quarters >= LONG_VALUE_QUARTERS).mean())
+        np.count_nonzero(dur_quarters >= LONG_VALUE_QUARTERS) / n
     values["prevalence_of_very_long_rhythmic_values"] = \
-        float((dur_quarters >= VERY_LONG_VALUE_QUARTERS).mean())
-    values["mean_duration_quarters"] = float(dur_quarters.mean())
+        np.count_nonzero(dur_quarters >= VERY_LONG_VALUE_QUARTERS) / n
+    values["mean_duration_quarters"] = _mean(dur_quarters)
     values["duration_std_quarters"] = _pop_std(dur_quarters)
-    values["mean_ioi_quarters"] = float(iois.mean()) if iois.size else 0.0
+    values["mean_ioi_quarters"] = _mean(iois) if iois.size else 0.0
     values["ioi_std_quarters"] = _pop_std(iois)
     values["prevalence_of_most_common_rhythmic_value"] = float(rvh.max())
     values["notes_per_second"] = n / seconds if seconds > 0 else 0.0
     values["initial_tempo_bpm"] = float(score.tempo_map[0][1])
-    values["mean_tempo_bpm"] = mean_tempo
+    values["mean_tempo_bpm"] = float(np.add.reduce(tempo_values * tempo_weights) / tempo_time) \
+        if tempo_time > 0 else tempo_values[0]
     values["tempo_change_count"] = float(len(score.tempo_map) - 1)
     values["rhythmic_value_histogram"] = rvh
-    values["duration_sixteenths_histogram"] = dur_hist
-    values["onset_position_histogram"] = pos_hist
+    values["duration_sixteenths_histogram"] = np.bincount(slot_durs - 1, minlength=32) / n
+    values["onset_position_histogram"] = np.bincount(onset_slots % 16, minlength=16) / n
 
     # sounding-count profile on the sixteenth grid
     total_slots = max(1, math.ceil(end_tick / ticks_per_slot))
-    delta = np.zeros(total_slots + 1)
     start_slots = np.floor(onsets / ticks_per_slot).astype(int)
-    end_slots = np.clip(np.ceil((onsets + durations) / ticks_per_slot).astype(int),
-                        None, total_slots)
-    np.add.at(delta, start_slots, 1)
-    np.add.at(delta, end_slots, -1)
-    sounding = np.cumsum(delta[:-1])
+    end_slots = np.minimum(np.ceil((onsets + durations) / ticks_per_slot).astype(int),
+                           total_slots)
+    delta = (np.bincount(start_slots, minlength=total_slots + 1)
+             - np.bincount(end_slots, minlength=total_slots + 1))
+    sounding = delta[:-1].cumsum()
     occupied = sounding[sounding > 0]
-    values["rest_fraction"] = float((sounding == 0).mean())
+    values["rest_fraction"] = np.count_nonzero(sounding == 0) / sounding.size
 
     # dynamics
-    vel_steps = np.abs(np.diff(velocities)) if n > 1 else np.zeros(0)
+    vel_steps = np.abs(velocities[1:] - velocities[:-1])
     values["average_note_to_note_change_in_dynamics"] = \
-        float(vel_steps.mean()) if vel_steps.size else 0.0
-    values["mean_velocity"] = float(velocities.mean())
+        _mean(vel_steps) if vel_steps.size else 0.0
+    values["mean_velocity"] = _mean(velocities)
     values["velocity_std"] = _pop_std(velocities)
-    values["velocity_range"] = float(velocities.max() - velocities.min())
-    values["accented_note_fraction"] = float((velocities >= ACCENT_VELOCITY).mean())
-    values["velocity_histogram"] = _normalized(
-        np.bincount((velocities // 4).astype(int), minlength=32).astype(float))
+    values["velocity_range"] = float(max(velocity_list) - min(velocity_list))
+    values["accented_note_fraction"] = np.count_nonzero(velocities >= ACCENT_VELOCITY) / n
+    values["velocity_histogram"] = \
+        np.bincount((velocities // 4).astype(int), minlength=32) / n
 
     # texture
-    track_ids, track_counts = np.unique(tracks, return_counts=True)
+    per_track = np.bincount(tracks)
+    track_ids = per_track.nonzero()[0]
+    track_counts = per_track[track_ids]
     if track_ids.size == 1:
         values["relative_note_density_of_highest_line"] = 1.0
     else:
@@ -429,22 +466,20 @@ def extract_features(score: Score, catalog: FeatureCatalog | None = None) -> Att
         highest = track_ids[int(np.argmax(mean_track_pitch))]
         values["relative_note_density_of_highest_line"] = \
             float((tracks == highest).sum() / track_counts.mean())
-    values["polyphony_rate"] = float((occupied >= 2).mean()) if occupied.size else 0.0
-    values["mean_simultaneous_pitches"] = float(occupied.mean()) if occupied.size else 0.0
+    values["polyphony_rate"] = \
+        np.count_nonzero(occupied >= 2) / occupied.size if occupied.size else 0.0
+    values["mean_simultaneous_pitches"] = _mean(occupied) if occupied.size else 0.0
     values["max_simultaneous_pitches"] = float(sounding.max())
     values["simultaneity_std"] = _pop_std(occupied)
 
     # instrumentation
     values["active_track_count"] = float(track_ids.size)
-    values["total_track_count"] = float(tracks.max() + 1)
+    values["total_track_count"] = float(per_track.size)
     values["densest_track_note_share"] = float(track_counts.max() / n)
     values["mean_notes_per_track"] = float(n / track_ids.size)
 
-    for entry in catalog.entries:
-        start, dim = catalog.span(entry.id)
-        v = values[entry.id]
-        out[start:start + dim] = v
-    if not np.all(np.isfinite(out)):
+    out = catalog.flatten(values)
+    if not np.isfinite(out).all():
         raise EmoMusicError("non-finite feature value produced")
     return AttributeVector(out, catalog.version)
 
@@ -460,15 +495,25 @@ def extract_corpus(scores: list[Score],
                         catalog.version, [v.empty for v in vectors])
 
 
-def save_corpus_csv(path: str | Path, matrix: CorpusMatrix,
+def csv_row(values: np.ndarray) -> str:
+    """One feature row as csv.writer writes it, built without it: each float
+    as its repr, comma-separated, ending in CRLF. The +0.0 entries, most of
+    a row, take the text "0.0" without a repr call each."""
+    texts = ["0.0"] * values.size
+    others = np.flatnonzero(values.view(np.int64))  # every bit pattern but +0.0's
+    for i, text in zip(others.tolist(), map(repr, values[others].tolist())):
+        texts[i] = text
+    return ",".join(texts) + "\r\n"
+
+
+def save_corpus_csv(path: str | Path, rows: Iterable[str],
                     catalog: FeatureCatalog | None = None) -> None:
-    """The catalog's dim names, then one line per row: the bytes csv.writer
-    writes, built here without it (a float is written as its repr)."""
+    """The catalog's dim names, then ``rows``, each one line from ``csv_row``,
+    written as they come."""
     catalog = catalog or default_catalog()
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(catalog.dim_names())
-        fh.write("".join(",".join(map(repr, row)) + "\r\n"
-                         for row in matrix.values.tolist()))
+        fh.writelines(rows)
 
 
 def save_corpus_npz(path: str | Path, matrix: CorpusMatrix) -> None:

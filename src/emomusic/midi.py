@@ -13,7 +13,9 @@ opaque payloads, so ``parse_midi(write_midi(f)) == f`` event-for-event and
 Velocity-0 NoteOns exist only on the wire: the parser normalizes them to
 NoteOff, and the in-memory invariant is NoteOn velocity >= 1.
 SMPTE time divisions are rejected; the rest of the pipeline assumes
-ticks-per-quarter timing.
+ticks-per-quarter timing. So are what the format forbids and later stages
+could not use: a tempo of 0, and a channel-message data byte of 0x80 or
+above (a pitch, velocity or program past 127).
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ class UnsupportedDivision(EmoMusicError):
 
 class InvariantViolation(EmoMusicError):
     pass
+
+
+class BadEvent(EmoMusicError):
+    """An event the format forbids: a tempo of 0, or a channel message with a
+    data byte of 0x80 or above."""
 
 
 MAX_VLQ_VALUE = 0x0FFFFFFF  # largest delta encodable in 4 VLQ bytes
@@ -150,12 +157,18 @@ _CHANNEL_DATA_BYTES = {0x80: 2, 0x90: 2, 0xA0: 2, 0xB0: 2, 0xC0: 1, 0xD0: 1, 0xE
 
 
 def _parse_track(chunk: bytes) -> MidiTrack:
-    track = MidiTrack()
+    events: list[tuple[int, MidiEvent]] = []
+    append = events.append
+    size = len(chunk)
     pos = 0
     running_status: int | None = None
-    while pos < len(chunk):
-        delta, pos = read_vlq(chunk, pos)
-        if pos >= len(chunk):
+    while pos < size:
+        delta = chunk[pos]
+        if delta < 0x80:  # the one-byte VLQ most deltas are
+            pos += 1
+        else:
+            delta, pos = read_vlq(chunk, pos)
+        if pos >= size:
             raise TruncatedInput("event missing after delta time")
         status = chunk[pos]
         if status < 0x80:
@@ -167,65 +180,63 @@ def _parse_track(chunk: bytes) -> MidiTrack:
 
         if status == 0xFF:
             running_status = None  # meta events clear running status
-            if pos >= len(chunk):
+            if pos >= size:
                 raise TruncatedInput("meta event missing type byte")
             meta_type = chunk[pos]
-            pos += 1
-            length, pos = read_vlq(chunk, pos)
-            if pos + length > len(chunk):
+            length, pos = read_vlq(chunk, pos + 1)
+            if pos + length > size:
                 raise TruncatedInput("meta payload exceeds track chunk")
-            payload = chunk[pos:pos + length]
+            append((delta, _decode_meta(meta_type, chunk[pos:pos + length])))
             pos += length
-            track.events.append((delta, _decode_meta(meta_type, payload)))
             if meta_type == 0x2F:
                 break
         elif status in (0xF0, 0xF7):
             running_status = None
             length, pos = read_vlq(chunk, pos)
-            if pos + length > len(chunk):
+            if pos + length > size:
                 raise TruncatedInput("sysex payload exceeds track chunk")
-            track.events.append((delta, OtherChannel(status, chunk[pos:pos + length])))
+            append((delta, OtherChannel(status, chunk[pos:pos + length])))
             pos += length
         else:
             running_status = status
             n = _CHANNEL_DATA_BYTES.get(status & 0xF0)
             if n is None:
                 raise TruncatedInput(f"unknown status byte 0x{status:02X}")
-            if pos + n > len(chunk):
+            if pos + n > size:
                 raise TruncatedInput("channel event payload exceeds track chunk")
-            payload = chunk[pos:pos + n]
+            first, last = chunk[pos], chunk[pos + n - 1]
+            if (first | last) & 0x80:
+                bad = first if first & 0x80 else last
+                raise BadEvent(f"data byte 0x{bad:02X} in a 0x{status:02X} message "
+                               f"at byte {pos} of its track")
+            kind = status & 0xF0
+            if kind == 0x90:
+                append((delta, NoteOn(status & 0x0F, first, last) if last
+                        else NoteOff(status & 0x0F, first, 0)))
+            elif kind == 0x80:
+                append((delta, NoteOff(status & 0x0F, first, last)))
+            elif kind == 0xC0:
+                append((delta, ProgramChange(status & 0x0F, first)))
+            else:
+                append((delta, OtherChannel(status, chunk[pos:pos + n])))
             pos += n
-            track.events.append((delta, _decode_channel(status, payload)))
 
-    if not track.events or not isinstance(track.events[-1][1], EndOfTrack):
-        track.events.append((0, EndOfTrack()))
-    return track
+    if not events or not isinstance(events[-1][1], EndOfTrack):
+        append((0, EndOfTrack()))
+    return MidiTrack(events)
 
 
 def _decode_meta(meta_type: int, payload: bytes) -> MidiEvent:
     if meta_type == 0x2F:
         return EndOfTrack()
     if meta_type == 0x51 and len(payload) == 3:
-        return SetTempo(int.from_bytes(payload, "big"))
+        tempo = int.from_bytes(payload, "big")
+        if not tempo:
+            raise BadEvent("set-tempo event with a tempo of 0 microseconds per quarter")
+        return SetTempo(tempo)
     if meta_type == 0x58 and len(payload) == 4:
         return TimeSignature(payload[0], payload[1])
     return OtherMeta(meta_type, payload)
-
-
-def _decode_channel(status: int, payload: bytes) -> MidiEvent:
-    kind = status & 0xF0
-    channel = status & 0x0F
-    if kind == 0x90:
-        pitch, velocity = payload
-        if velocity == 0:
-            return NoteOff(channel, pitch, 0)
-        return NoteOn(channel, pitch, velocity)
-    if kind == 0x80:
-        pitch, velocity = payload
-        return NoteOff(channel, pitch, velocity)
-    if kind == 0xC0:
-        return ProgramChange(channel, payload[0])
-    return OtherChannel(status, payload)
 
 
 def parse_midi(data: bytes) -> MidiFile:
@@ -306,6 +317,7 @@ def _encode_event(event: MidiEvent) -> bytes:
         n = _CHANNEL_DATA_BYTES.get(event.status & 0xF0)
         if n is None or n != len(event.data):
             raise InvariantViolation(f"payload length does not match status 0x{event.status:02X}")
+        _check_7bit(event, *event.data)
         return bytes((event.status,)) + event.data
     raise InvariantViolation(f"unknown event type {type(event).__name__}")
 

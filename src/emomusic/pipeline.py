@@ -45,6 +45,7 @@ from .evaluation import (
 )
 from .features import (
     CorpusMatrix,
+    csv_row,
     default_catalog,
     extract_corpus,
     extract_features,
@@ -452,15 +453,17 @@ class Pipeline:
         items = load_manifest(self.manifest_path)
         labels = [EmotionQuadrant.from_name(item["label"]).name for item in items]
 
-        def features_of(item: dict) -> tuple[np.ndarray, bool]:
+        def features_of(item: dict) -> tuple[np.ndarray, bool, str]:
             vector = extract_features(_read_score(self.manifest_path, item), self.catalog)
-            return vector.values, vector.empty
+            return vector.values, vector.empty, csv_row(vector.values)
 
-        rows = fork_map(features_of, items)  # only the rows come back from the workers
-        matrix = CorpusMatrix(np.stack([values for values, _ in rows]),
-                              self.catalog.version, [empty for _, empty in rows])
+        # the rows and their CSV lines are made in the workers; only they come back
+        rows = fork_map(features_of, items)
+        matrix = CorpusMatrix(np.stack([values for values, _, _ in rows]),
+                              self.catalog.version, [empty for _, empty, _ in rows])
         save_corpus_npz(self.features_path, matrix)
-        save_corpus_csv(self.art / "features.csv", matrix, self.catalog)
+        save_corpus_csv(self.art / "features.csv", (line for _, _, line in rows),
+                        self.catalog)
         self.labels_path.write_text(json.dumps(
             {"labels": labels, "files": [item["file"] for item in items]}, indent=1) + "\n")
         save_vocabulary(self.art / "vocabulary.json")

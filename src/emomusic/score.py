@@ -9,7 +9,8 @@ track); the tempo map and time-signature list always start at tick 0
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import EmoMusicError
 from .midi import (
@@ -32,11 +33,14 @@ class Note:
     duration: int   # ticks, >= 1
     pitch: int      # 0..127
     velocity: int   # 1..127
-    track: int = 0
+    track: int = 0  # >= 0
 
     @property
     def end(self) -> int:
         return self.onset + self.duration
+
+
+_NOTE_ORDER = attrgetter("onset", "pitch", "track")
 
 
 @dataclass(slots=True)
@@ -49,7 +53,7 @@ class Score:
     def __post_init__(self) -> None:
         if self.ticks_per_quarter <= 0:
             raise EmoMusicError("ticks_per_quarter must be positive")
-        self.notes = sorted(self.notes, key=lambda n: (n.onset, n.pitch, n.track))
+        self.notes = sorted(self.notes, key=_NOTE_ORDER)
         self.tempo_map = sorted(self.tempo_map, key=lambda e: e[0])
         self.time_signatures = sorted(self.time_signatures, key=lambda e: e[0])
         if not self.tempo_map or self.tempo_map[0][0] != 0:
@@ -192,9 +196,13 @@ def quantize_score(score: Score) -> Score:
 
 
 def merge_tracks(score: Score) -> Score:
-    """Flatten all tracks into track 0 (the pipeline treats scores as one stream)."""
-    return Score([replace(n, track=0) for n in score.notes], score.ticks_per_quarter,
-                 list(score.tempo_map), list(score.time_signatures))
+    """Flatten all tracks into track 0 (the pipeline treats scores as one stream).
+
+    Notes are immutable, so those already on track 0 are shared, not copied."""
+    return Score([n if not n.track else Note(n.onset, n.duration, n.pitch, n.velocity)
+                  for n in score.notes],
+                 score.ticks_per_quarter, list(score.tempo_map),
+                 list(score.time_signatures))
 
 
 def score_to_midi(score: Score) -> MidiFile:

@@ -270,9 +270,12 @@ def save_loss_log(path: str | Path, log: list[tuple[int, float, float]]) -> None
 def save_checkpoint(path: str | Path, state: ModelState, *, step: int = 0,
                     catalog_version: str = "", indices: list[int] | None = None,
                     medians: np.ndarray | None = None) -> None:
-    """Binary tensor blob (.npz) plus a JSON manifest (same stem, .json)."""
+    """Binary tensor blob (.npz) plus a JSON manifest (same stem, .json).
+
+    The blob is stored uncompressed: float weights barely compress, and an
+    uncompressed one loads in about half the time."""
     path = Path(path)
-    np.savez_compressed(path, **{k: p.data for k, p in state.params.items()})
+    np.savez(path, **{k: p.data for k, p in state.params.items()})
     cfg = state.config
     manifest = {
         "config": {

@@ -10,7 +10,9 @@ import pytest
 
 from emomusic.features import (
     GROUPS,
-    CorpusMatrix,
+    _mean,
+    _pop_std,
+    csv_row,
     default_catalog,
     extract_corpus,
     extract_features,
@@ -244,6 +246,20 @@ class TestInvariants:
                 assert total == pytest.approx(1.0, abs=1e-9) or total == 0.0
 
 
+class TestNumpyParity:
+    """The per-score kernels call numpy's reductions directly, skipping the
+    wrappers of ``ndarray.mean`` and ``np.std``; the bits must not move."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 127, 128, 129, 1000, 9000])
+    def test_mean_and_std_are_numpys_bit_for_bit(self, dtype, size):
+        rng = np.random.default_rng(size)
+        x = (rng.standard_normal(size) * 1000 + 60).astype(dtype)
+        assert _mean(x).hex() == float(x.mean()).hex()
+        assert _pop_std(x).hex() == float(np.std(x)).hex()
+        assert _pop_std(x[:0]) == 0.0
+
+
 class TestCorpus:
     def test_single_score_matches_single_extraction(self, four_note_score):
         matrix = extract_corpus([four_note_score], CATALOG)
@@ -275,7 +291,7 @@ class TestCorpus:
         values[0, :6] = [-0.0, 1e16, 0.1 + 0.2, 5e-324, 3.0, -12.0]
         values[1, :4] = [0.0, 1e-7, 123456789.0, -1e300]
         values[2] = np.round(values[2] * 100)  # whole numbers only
-        save_corpus_csv(tmp_path / "got.csv", CorpusMatrix(values), CATALOG)
+        save_corpus_csv(tmp_path / "got.csv", map(csv_row, values), CATALOG)
         with open(tmp_path / "want.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CATALOG.dim_names())

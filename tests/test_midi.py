@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from emomusic.midi import (
+    BadEvent,
     BadHeader,
     EndOfTrack,
     InvariantViolation,
@@ -104,6 +105,22 @@ class TestParse:
         midi = parse_midi(data)
         assert len(midi.tracks) == 1
         assert len(midi.warnings) == 1
+
+    def test_zero_tempo_rejected(self, minimal_midi):
+        body = (b"\x00\xff\x51\x03\x00\x00\x00"   # delta 0, SetTempo 0
+                + minimal_midi[22:])
+        raw = minimal_midi[:14] + b"MTrk" + len(body).to_bytes(4, "big") + body
+        with pytest.raises(BadEvent, match="tempo of 0"):
+            parse_midi(raw)
+
+    @pytest.mark.parametrize("offset, byte", [(24, 0xC8), (25, 0x80), (30, 0xFF)],
+                             ids=["noteon-pitch", "noteon-velocity", "noteoff-velocity"])
+    def test_data_byte_of_0x80_or_above_rejected(self, minimal_midi, offset, byte):
+        # bytes 23-25 are the NoteOn (0x90 60 64), 28-30 the NoteOff (0x80 60 64)
+        data = bytearray(minimal_midi)
+        data[offset] = byte
+        with pytest.raises(BadEvent, match=f"data byte 0x{byte:02X}"):
+            parse_midi(bytes(data))
 
     def test_never_reads_past_declared_chunk_length(self):
         # declared track length cuts the NoteOff event in half

@@ -485,6 +485,26 @@ class TestGradientCheck:
                 assert abs(numeric - grad[i]) / denom < 1e-3, name
 
 
+def test_float32_backward_passes_only_float32_gradients(monkeypatch):
+    """Every gradient a float32 loss hands to a node keeps the forward data's
+    dtype, the loss's own backward included."""
+    state = init_state(tiny_config(), seed=13, dtype=np.float32)
+    ids = np.array([[BOS, 9, 55, 200, 7, EOS], [BOS, 120, 33, EOS, PAD, PAD]])
+    bits = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]])
+    dtypes = []
+    accumulate = Tensor._accumulate
+
+    def recording(self, grad, source=None):
+        dtypes.append(grad.dtype)
+        accumulate(self, grad, source)
+
+    monkeypatch.setattr(Tensor, "_accumulate", recording)
+    loss, _ = next_token_loss(forward_batch(state, ids, bits), ids)
+    loss.backward()
+    assert len(dtypes) > 50
+    assert [d for d in dtypes if d != np.float32] == []
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         state = init_state(tiny_config(), seed=15)
@@ -511,6 +531,17 @@ class TestCheckpoint:
         for name, p in state.params.items():
             assert loaded.params[name].data.tobytes() == p.data.tobytes()
             assert loaded.params[name].requires_grad
+
+    def test_compressed_checkpoint_still_loads(self, tmp_path):
+        # checkpoints used to be written with np.savez_compressed
+        state = init_state(tiny_config(), seed=15, dtype=np.float32)
+        save_checkpoint(tmp_path / "ckpt.npz", state, medians=np.zeros(4))
+        np.savez_compressed(tmp_path / "ckpt.npz",
+                            **{name: p.data for name, p in state.params.items()})
+        loaded, _ = load_checkpoint(tmp_path / "ckpt.npz")
+        for name, p in state.params.items():
+            assert loaded.params[name].data.dtype == p.data.dtype
+            assert (loaded.params[name].data == p.data).all(), name
 
     def save_edited(self, path, edit):
         save_checkpoint(path, init_state(tiny_config(), seed=15), medians=np.zeros(4))

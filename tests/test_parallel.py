@@ -2,6 +2,7 @@
 same artifacts at any CPU count, errors raised in the parent, and no worker
 left behind."""
 
+import hashlib
 import json
 import mmap
 import os
@@ -20,6 +21,7 @@ from emomusic.errors import EmoMusicError
 from emomusic.forest import ForestConfig, train_forest
 from emomusic.model import ModelConfig, init_state
 from emomusic.parallel import Workers, _loaded_openblas, fork_map
+from emomusic.pipeline import PipelineConfig
 from emomusic.synth import SynthSpec, synth_corpus
 from emomusic.tokens import BOS, EOS, VOCAB_SIZE
 from emomusic.training import TrainConfig, train
@@ -222,6 +224,34 @@ def test_stages_write_the_same_bytes_at_any_worker_count(tmp_path, monkeypatch, 
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
     assert forked  # the two- and three-worker runs did fork
+    assert_reaped(forked)
+
+
+STAGE_ONE_OUTPUTS = ("splits.json", "features.npz", "features.json", "features.csv",
+                     "labels.json", "vocabulary.json", "forest.json", "selection.json",
+                     "mapping.json")
+# sha256 over the name and bytes of each stage-one output above, in that
+# order, as written at 8008ba9, before the per-file extraction path was
+# rewritten for speed
+STAGE_ONE_DIGEST = "4cb25b5354fc109a6ac2ab8350f24c3c4ffa03fe40e24093d962322e148f8b90"
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_stage_one_bytes_are_pinned(tmp_path, monkeypatch, forked, capsys, cpus):
+    use_cpus(monkeypatch, cpus)
+    manifest = synth_corpus(SynthSpec(noise=0.3, boundary_label_noise=0.3), 6, seed=11,
+                            out_dir=tmp_path / "corpus")
+    config = PipelineConfig(artifact_dir=str(tmp_path / "artifacts"),
+                            corpus_manifest=str(manifest), forest_trees=5, selection_k=20)
+    write_config(config, tmp_path / "config.json")
+    assert main(["map-emotion", "--config", str(tmp_path / "config.json")]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256()
+    for name in STAGE_ONE_OUTPUTS:
+        digest.update(name.encode())
+        digest.update((tmp_path / "artifacts" / name).read_bytes())
+    assert digest.hexdigest() == STAGE_ONE_DIGEST
+    assert len(forked) == (2 * 3 if cpus == 2 else 0)  # synth, extract and the forest
     assert_reaped(forked)
 
 

@@ -18,6 +18,16 @@ from conftest import use_cpus
 from emomusic import features
 from emomusic.cli import main
 from emomusic.mapping import EmotionQuadrant
+from emomusic.midi import (
+    EndOfTrack,
+    MidiFile,
+    MidiTrack,
+    NoteOn,
+    SetTempo,
+    encode_vlq,
+    parse_midi,
+    write_midi,
+)
 from emomusic.model import ModelConfig, init_state
 from emomusic.pipeline import (
     STAGES,
@@ -47,6 +57,17 @@ def tiny_config(tmp_path, n_per_quadrant=6, **overrides):
 def write_config(config: PipelineConfig, path: Path) -> None:
     """Write ``config`` as a --config file."""
     path.write_text(json.dumps(dataclasses.asdict(config), indent=1) + "\n")
+
+
+def first_event_offset(data: bytes, kind) -> int:
+    """The offset of the status byte of the first ``kind`` event in ``data``,
+    a one-track file as write_midi writes it."""
+    midi = parse_midi(data)
+    events = midi.tracks[0].events
+    i = next(i for i, (_, event) in enumerate(events) if isinstance(event, kind))
+    before = MidiFile(0, midi.division, [MidiTrack(events[:i] + [(0, EndOfTrack())])])
+    assert write_midi(midi) == data
+    return len(write_midi(before)) - len(b"\x00\xff\x2f\x00") + len(encode_vlq(events[i][0]))
 
 
 class TestSplitDataset:
@@ -302,6 +323,23 @@ class TestCli:
                      "--corpus-manifest", str(manifest)])
         assert code == 2
         assert str(piece) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, patch, why", [
+        (SetTempo, lambda data, at: data[:at + 3] + b"\x00\x00\x00" + data[at + 6:],
+         "tempo of 0"),
+        (NoteOn, lambda data, at: data[:at + 1] + b"\xc8" + data[at + 2:],
+         "data byte 0xC8"),
+    ], ids=["zero-tempo", "pitch-0xC8"])
+    def test_corrupt_corpus_event_exits_2(self, tmp_path, capsys, kind, patch, why):
+        manifest = synth_corpus(SynthSpec(), 3, seed=4, out_dir=tmp_path / "corpus")
+        piece = tmp_path / "corpus" / json.loads(manifest.read_text())["items"][5]["file"]
+        data = piece.read_bytes()
+        piece.write_bytes(patch(data, first_event_offset(data, kind)))
+        code = main(["extract", "--artifact-dir", str(tmp_path / "a"),
+                     "--corpus-manifest", str(manifest)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"stage extract: {piece}: " in err and why in err
 
     @pytest.mark.parametrize("flag", ["--artifact-dir", "--out-dir"])
     def test_synth_output_path_that_is_a_file_exits_2(self, tmp_path, capsys, flag):
