@@ -7,7 +7,10 @@ decrease, and every tie anywhere (feature, threshold, class vote) breaks
 toward the lowest index. The split search scores every cut of every
 candidate at once, in one array pass over the node's candidate block; the
 tie rules above hold exactly as in a feature-by-feature scan, so the trees
-are the same bytes as that scan grows. Feature importance is the classic
+are the same bytes as that scan grows. A drawn candidate that is constant
+over the tree's bootstrap sample has no cut and could only score -inf, so
+the search skips it before any array work; the draws themselves are
+unchanged. Feature importance is the classic
 mean decrease in impurity, weighted by node sample counts, averaged over
 trees and normalized to sum 1.
 """
@@ -119,12 +122,13 @@ def _best_split(x: np.ndarray, y_onehot: np.ndarray,
     features a later one must beat the best so far by more than 1e-15.
     """
     n_node = x.shape[0]
-    parent_counts = y_onehot.sum(axis=0)
-    parent_gini = _gini_rows(parent_counts[None])[0]
     cols = np.arange(x.shape[1])
     order = np.argsort(x, axis=0, kind="stable")
     xs = x[order, cols]
     cum = np.cumsum(y_onehot[order], axis=0)  # (n, m, classes) left of each cut
+    parent_counts = cum[-1, 0]  # the last row of any column holds the node's counts
+    p = parent_counts / n_node
+    parent_gini = 1.0 - (p * p).sum()  # as _gini_rows computes it for one row
     left_counts = cum[:-1]  # cut after sorted row i has i + 1 rows on its left
     right_counts = parent_counts - left_counts
     n_left = np.arange(1.0, n_node)[:, None]
@@ -132,21 +136,24 @@ def _best_split(x: np.ndarray, y_onehot: np.ndarray,
     gini_left = 1.0 - ((left_counts / n_left[..., None]) ** 2).sum(axis=2)
     gini_right = 1.0 - ((right_counts / n_right[..., None]) ** 2).sum(axis=2)
     decrease = parent_gini - (n_left * gini_left + n_right * gini_right) / n_node
-    decrease[~(xs[:-1] < xs[1:])] = -np.inf  # cut only between distinct values
-    rows = np.argmax(decrease, axis=0)  # first max = lowest threshold
-    col_best = decrease[rows, cols]
-    thresholds = (xs[rows, cols] + xs[rows + 1, cols]) / 2.0
-    best: tuple[int, float, float] | None = None
-    for j in np.flatnonzero(col_best > 1e-12):
-        if best is None or col_best[j] > best[2] + 1e-15:
-            best = (int(candidates[j]), float(thresholds[j]), float(col_best[j]))
-    return best
+    # cut only between distinct values
+    decrease = np.where(xs[:-1] < xs[1:], decrease, -np.inf)
+    best_j, best = -1, 0.0
+    for j, value in enumerate(decrease.max(axis=0).tolist()):
+        if value > 1e-12 and (best_j < 0 or value > best + 1e-15):
+            best_j, best = j, value
+    if best_j < 0:
+        return None
+    row = int(np.argmax(decrease[:, best_j]))  # first max = lowest threshold
+    threshold = (xs[row, best_j] + xs[row + 1, best_j]) / 2.0
+    return int(candidates[best_j]), float(threshold), best
 
 
 def _grow_tree(x: np.ndarray, y: np.ndarray, rng: np.random.Generator,
                mtry: int) -> DecisionTree:
     n_features = x.shape[1]
     y_onehot = np.eye(N_CLASSES)[y]
+    varies = x.min(axis=0) != x.max(axis=0)  # over this tree's bootstrap sample
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -160,17 +167,21 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, rng: np.random.Generator,
         node = len(feature)
         if parent >= 0:
             (left if is_left else right)[parent] = node
-        node_counts = y_onehot[samples].sum(axis=0)
+        node_onehot = y_onehot[samples]
+        node_counts = node_onehot.sum(axis=0)
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
         counts.append(node_counts)
 
-        if (node_counts > 0).sum() <= 1:
+        if np.count_nonzero(node_counts) <= 1:
             continue
         candidates = np.sort(rng.choice(n_features, size=mtry, replace=False))
-        best = _best_split(x[np.ix_(samples, candidates)], y_onehot[samples], candidates)
+        candidates = candidates[varies[candidates]]  # the rest cannot split
+        if candidates.size == 0:
+            continue
+        best = _best_split(x[samples[:, None], candidates], node_onehot, candidates)
         if best is None:
             continue
         f, thr, _ = best

@@ -15,7 +15,8 @@ in float64 it matches the chunked form within 1e-9 absolute, not bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,10 +51,19 @@ class ModelConfig:
     attr_dim: int = 100
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "dropout":
+                if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                        and 0 <= value < 1):
+                    raise EmoMusicError(f"dropout must be a number in [0, 1), not {value!r}")
+            elif not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                      and value >= 1):
+                raise EmoMusicError(f"{f.name} must be an integer of at least 1, "
+                                    f"not {value!r}")
         if self.d_model % self.n_heads:
-            raise EmoMusicError("d_model must be divisible by n_heads")
-        if self.attr_dim < 1:
-            raise EmoMusicError(f"attr_dim must be at least 1, not {self.attr_dim}")
+            raise EmoMusicError(f"n_heads {self.n_heads} does not divide "
+                                f"d_model {self.d_model}")
 
     @classmethod
     def small(cls, attr_dim: int) -> "ModelConfig":

@@ -267,9 +267,8 @@ def save_loss_log(path: str | Path, log: list[tuple[int, float, float]]) -> None
         writer.writerows(log)
 
 
-def save_checkpoint(path: str | Path, state: ModelState, *, step: int = 0,
-                    catalog_version: str = "", indices: list[int] | None = None,
-                    medians: np.ndarray | None = None) -> None:
+def save_checkpoint(path: str | Path, state: ModelState, *, indices: list[int],
+                    medians: np.ndarray, step: int = 0, catalog_version: str = "") -> None:
     """Binary tensor blob (.npz) plus a JSON manifest (same stem, .json).
 
     The blob is stored uncompressed: float weights barely compress, and an
@@ -285,8 +284,8 @@ def save_checkpoint(path: str | Path, state: ModelState, *, step: int = 0,
             "attr_dim": cfg.attr_dim,
         },
         "catalog_version": catalog_version,
-        "indices": indices if indices is not None else [],
-        "medians": medians.tolist() if medians is not None else [],
+        "indices": indices,
+        "medians": medians.tolist(),
         "step": step,
     }
     path.with_suffix(".json").write_text(json.dumps(manifest, indent=1) + "\n")
@@ -297,6 +296,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
     manifest_path = path.with_suffix(".json")
     manifest = read_json(manifest_path, "checkpoint manifest",
                          keys=("config", "indices", "medians"))
+    if not isinstance(manifest["config"], dict):
+        raise EmoMusicError(f"checkpoint {manifest_path}: config must be a JSON object, "
+                            f"not {manifest['config']!r}")
     config = dict(manifest["config"])
     # older manifests name the attention kind; linear is the only one there is
     attention = config.pop("attention", "linear")
@@ -305,17 +307,30 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
                             f"{attention!r}; only linear attention is implemented")
     try:
         model_config = ModelConfig(**config)
-    except TypeError as exc:
+    except (TypeError, EmoMusicError) as exc:
         raise EmoMusicError(f"checkpoint {manifest_path}: bad model config "
                             f"({exc})") from exc
+    # one catalog index and one median per attribute the model is conditioned on
+    for key, kinds in (("indices", (int,)), ("medians", (int, float))):
+        values = manifest[key]
+        if not (isinstance(values, list) and len(values) == model_config.attr_dim
+                and all(type(v) in kinds for v in values)):
+            raise EmoMusicError(f"checkpoint {manifest_path}: {key} must be a list of "
+                                f"attr_dim = {model_config.attr_dim} numbers")
     blob_path = path if path.suffix == ".npz" else path.with_suffix(".npz")
     try:
         with np.load(blob_path) as blob:
             arrays = {name: blob[name] for name in blob.files}
     except Exception as exc:  # noqa: BLE001 - a damaged archive fails in a dozen ways
         raise EmoMusicError(f"cannot read checkpoint {blob_path}: {exc!r}") from exc
+    table = param_table(model_config)
+    extra = sorted(set(arrays) - set(table))
+    if extra:
+        raise EmoMusicError(f"checkpoint {blob_path} holds {len(extra)} array(s) its "
+                            f"config does not name: {', '.join(extra[:4])}"
+                            f"{', ...' if len(extra) > 4 else ''}")
     params = {}
-    for name, (shape, _) in param_table(model_config).items():
+    for name, (shape, _) in table.items():
         if name not in arrays:
             raise EmoMusicError(f"checkpoint {blob_path} lacks parameter {name}")
         data = arrays[name]

@@ -5,12 +5,15 @@ implementations; the library's array versions must reproduce them byte for
 byte, so seeded forests and rankings do not depend on how they are computed.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emomusic import forest as forest_mod
 from emomusic.features import CorpusMatrix
-from emomusic.forest import ForestConfig, feature_importance, train_forest
+from emomusic.forest import ForestConfig, feature_importance, forest_to_json, train_forest
 from emomusic.mapping import EmotionQuadrant, LabeledCorpus
 
 QUADS = list(EmotionQuadrant)
@@ -163,3 +166,65 @@ def test_random_nodes_match_oracle():
         rng.integers(1, 4)  # the former min_leaf draw; keeps the later nodes as they were
         got = forest_mod._best_split(x, onehot(labels), candidates)
         assert got == best_split_oracle(x, onehot(labels), candidates)
+
+
+# sha256 of forest.json as the search grew it before it skipped candidates
+# that cannot split; skipping them must not move a byte of any tree
+PINNED_FORESTS = {
+    (0, 0, 1): "234fafb8e2d4baece546bb2eca186a5a6271f71c3c8044a04a5fdc980f1cf9ef",
+    (0, 21, 12): "a5ba972c2ccf04b57aa07a4eba7898d3938e5a7fd358a4473646bd101ae2eebe",
+    (1, 5, 25): "802732406685327b7d1a2c5a6d918385e4b56d787bcb1fdb8c9a7ecdf06bfcfa",
+    (2, 31, 40): "f645772c7b230f06d29f75bfac858cb5f55d3598a50d77dd7dcfdeb687eddec0",
+}
+
+
+@pytest.mark.parametrize("corpus_seed, seed, n_trees", sorted(PINNED_FORESTS))
+def test_forest_bytes_are_pinned(tmp_path, corpus_seed, seed, n_trees):
+    forest = train_forest(awkward_corpus(corpus_seed), ForestConfig(n_trees=n_trees, seed=seed))
+    path = tmp_path / "forest.json"
+    forest_to_json(forest, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == PINNED_FORESTS[corpus_seed, seed, n_trees]
+
+
+@st.composite
+def skip_heavy_nodes(draw):
+    """A node block cut from a larger sample: most columns constant over the
+    whole sample, some constant over the node rows only, some mixing +0.0
+    and -0.0 (equal, so no cut between them), and a few that vary."""
+    n_node = draw(st.integers(2, 24))
+    n_rest = draw(st.integers(0, 12))
+    n = n_node + n_rest
+    small = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["constant", "constant", "constant", "node_constant", "signed_zero", "ties",
+             "continuous"]), min_size=1, max_size=12)):
+        if kind == "constant":
+            col = [draw(small)] * n
+        elif kind == "node_constant":
+            col = [draw(small)] * n_node + draw(st.lists(small, min_size=n_rest,
+                                                         max_size=n_rest))
+        elif kind == "signed_zero":
+            col = draw(st.lists(st.sampled_from([-0.0, 0.0, -0.0, 0.0, 1.0]),
+                                min_size=n, max_size=n))
+        elif kind == "ties":
+            col = draw(st.lists(small, min_size=n, max_size=n))
+        else:
+            col = draw(st.lists(st.floats(-10, 10, allow_nan=False, allow_subnormal=False),
+                                min_size=n, max_size=n))
+        columns.append(col)
+    block = np.array(columns, dtype=float).T[:n_node]
+    labels = draw(st.lists(st.integers(0, 3), min_size=n_node, max_size=n_node))
+    candidates = np.array(sorted(draw(st.sets(st.integers(0, 99), min_size=len(columns),
+                                              max_size=len(columns)))))
+    return block, onehot(labels), candidates
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(skip_heavy_nodes())
+def test_skip_heavy_nodes_match_oracle(node):
+    x, y_onehot, candidates = node
+    got = forest_mod._best_split(x, y_onehot, candidates)
+    # repr, so that a threshold of -0.0 against 0.0 would count as a difference
+    assert repr(got) == repr(best_split_oracle(x, y_onehot, candidates))

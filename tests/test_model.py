@@ -2,6 +2,7 @@
 training behavior, and checkpointing."""
 
 import ctypes
+import json
 import platform
 import resource
 import tracemalloc
@@ -505,6 +506,12 @@ def test_float32_backward_passes_only_float32_gradients(monkeypatch):
     assert [d for d in dtypes if d != np.float32] == []
 
 
+def edit_manifest(path, change):
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         state = init_state(tiny_config(), seed=15)
@@ -524,7 +531,8 @@ class TestCheckpoint:
 
     def test_load_draws_no_random_model(self, tmp_path, monkeypatch):
         state = init_state(tiny_config(), seed=15)
-        save_checkpoint(tmp_path / "ckpt.npz", state, medians=np.zeros(4))
+        save_checkpoint(tmp_path / "ckpt.npz", state, indices=[0, 1, 2, 3],
+                        medians=np.zeros(4))
         monkeypatch.setattr(np.random, "default_rng", None)  # a draw would raise
         loaded, _ = load_checkpoint(tmp_path / "ckpt.npz")
         assert list(loaded.params) == list(state.params)
@@ -535,7 +543,8 @@ class TestCheckpoint:
     def test_compressed_checkpoint_still_loads(self, tmp_path):
         # checkpoints used to be written with np.savez_compressed
         state = init_state(tiny_config(), seed=15, dtype=np.float32)
-        save_checkpoint(tmp_path / "ckpt.npz", state, medians=np.zeros(4))
+        save_checkpoint(tmp_path / "ckpt.npz", state, indices=[0, 1, 2, 3],
+                        medians=np.zeros(4))
         np.savez_compressed(tmp_path / "ckpt.npz",
                             **{name: p.data for name, p in state.params.items()})
         loaded, _ = load_checkpoint(tmp_path / "ckpt.npz")
@@ -544,7 +553,8 @@ class TestCheckpoint:
             assert (loaded.params[name].data == p.data).all(), name
 
     def save_edited(self, path, edit):
-        save_checkpoint(path, init_state(tiny_config(), seed=15), medians=np.zeros(4))
+        save_checkpoint(path, init_state(tiny_config(), seed=15), indices=[0, 1, 2, 3],
+                        medians=np.zeros(4))
         params = dict(np.load(path))
         edit(params)
         np.savez(path, **params)
@@ -561,6 +571,66 @@ class TestCheckpoint:
         self.save_edited(tmp_path / "ckpt.npz", shrink)
         with pytest.raises(EmoMusicError, match=r"attr_b1.*\(1,\)"):
             load_checkpoint(tmp_path / "ckpt.npz")
+
+    def test_array_the_config_does_not_name_rejected(self, tmp_path):
+        self.save_edited(tmp_path / "ckpt.npz",
+                         lambda params: params.update(l9_extra=np.zeros(3)))
+        with pytest.raises(EmoMusicError, match=r"ckpt\.npz.*l9_extra"):
+            load_checkpoint(tmp_path / "ckpt.npz")
+
+    def test_fewer_layers_than_the_blob_rejected(self, tmp_path):
+        # the l1.* arrays of a 2-layer blob used to be dropped without a word
+        save_checkpoint(tmp_path / "ckpt.npz", init_state(tiny_config(), seed=15),
+                        indices=[0, 1, 2, 3], medians=np.zeros(4))
+        edit_manifest(tmp_path / "ckpt.json", lambda doc: doc["config"].update(n_layers=1))
+        with pytest.raises(EmoMusicError, match=r"ckpt\.npz.*l1\."):
+            load_checkpoint(tmp_path / "ckpt.npz")
+
+    @pytest.mark.parametrize("key, value", [
+        ("medians", [0.0, 0.0, 0.0]),
+        ("medians", [0.0] * 5),
+        ("medians", {"a": 1}),
+        ("medians", [0.0, 0.0, 0.0, "a"]),
+        ("indices", [0, 1, 2]),
+        ("indices", "0123"),
+        ("indices", [0, 1, 2, 3.5]),
+    ], ids=["medians-short", "medians-long", "medians-object", "medians-string",
+            "indices-short", "indices-string", "indices-float"])
+    def test_manifest_vector_that_does_not_fit_attr_dim_rejected(self, tmp_path, key,
+                                                                   value):
+        save_checkpoint(tmp_path / "ckpt.npz", init_state(tiny_config(), seed=15),
+                        indices=[0, 1, 2, 3], medians=np.zeros(4))
+        edit_manifest(tmp_path / "ckpt.json", lambda doc: doc.update({key: value}))
+        with pytest.raises(EmoMusicError, match=rf"ckpt\.json.*{key}"):
+            load_checkpoint(tmp_path / "ckpt.npz")
+
+    @pytest.mark.parametrize("config", ["x", [1], None, 3])
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, config):
+        save_checkpoint(tmp_path / "ckpt.npz", init_state(tiny_config(), seed=15),
+                        indices=[0, 1, 2, 3], medians=np.zeros(4))
+        edit_manifest(tmp_path / "ckpt.json", lambda doc: doc.update(config=config))
+        with pytest.raises(EmoMusicError, match=r"ckpt\.json.*config"):
+            load_checkpoint(tmp_path / "ckpt.npz")
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_heads", 0), ("n_layers", 0), ("d_model", -4), ("d_ffn", 0), ("max_len", 0),
+        ("vocab_size", 0), ("attr_dim", 0), ("n_heads", 3), ("n_heads", 1.0),
+        ("d_model", "16"), ("n_layers", True), ("dropout", "a"), ("dropout", 1.0),
+        ("dropout", -0.1), ("dropout", None), ("dropout", float("nan")),
+    ])
+    def test_bad_config_field_rejected(self, tmp_path, field, value):
+        with pytest.raises(EmoMusicError, match=field):
+            tiny_config(**{field: value})
+        save_checkpoint(tmp_path / "ckpt.npz", init_state(tiny_config(), seed=15),
+                        indices=[0, 1, 2, 3], medians=np.zeros(4))
+        edit_manifest(tmp_path / "ckpt.json", lambda doc: doc["config"].update({field: value}))
+        with pytest.raises(EmoMusicError, match=rf"ckpt\.json.*{field}"):
+            load_checkpoint(tmp_path / "ckpt.npz")
+
+    def test_good_config_values_accepted(self):
+        assert tiny_config(dropout=0).dropout == 0
+        assert tiny_config(dropout=0.999).dropout == 0.999
+        assert tiny_config(n_heads=np.int64(2)).n_heads == 2
 
 
 class TestAdam:

@@ -739,6 +739,23 @@ class TestTruncatedArtifacts:
                      id="checkpoint-no-config"),
         pytest.param("checkpoint.json", edit_json(lambda doc: doc.pop("medians")),
                      id="checkpoint-no-medians"),
+        pytest.param("checkpoint.json", edit_json(lambda doc: doc.update(config="x")),
+                     id="checkpoint-config-string"),
+        pytest.param("checkpoint.json", edit_json(lambda doc: doc.update(config=[1])),
+                     id="checkpoint-config-list"),
+        pytest.param("checkpoint.json",
+                     edit_json(lambda doc: doc["config"].update(n_heads=0)),
+                     id="checkpoint-zero-heads"),
+        pytest.param("checkpoint.json",
+                     edit_json(lambda doc: doc["config"].update(dropout="a")),
+                     id="checkpoint-dropout-string"),
+        pytest.param("checkpoint.json",
+                     edit_json(lambda doc: doc["config"].update(n_layers=0)),
+                     id="checkpoint-zero-layers"),
+        pytest.param("checkpoint.json", edit_json(lambda doc: doc["medians"].pop()),
+                     id="checkpoint-medians-short"),
+        pytest.param("checkpoint.json", edit_json(lambda doc: doc["indices"].pop()),
+                     id="checkpoint-indices-short"),
         pytest.param("mapping.json", lambda text: text.replace('"Q4"', '"Q5"'),
                      id="mapping-quadrant-Q5"),
         pytest.param("mapping.json", edit_json(lambda doc: doc.pop("vectors")),
