@@ -343,6 +343,17 @@ def extract_features(score: Score, catalog: FeatureCatalog | None = None) -> Att
     tpq = score.ticks_per_quarter
     onset_list, duration_list, pitch_list, velocity_list, track_list = \
         zip(*map(_NOTE_FIELDS, notes))
+    low, high = min(pitch_list), max(pitch_list)
+    softest, loudest = min(velocity_list), max(velocity_list)
+    lowest_track = min(track_list)
+    # the parser cannot produce these; a hand-built Score can
+    if low < 0 or high > 127:
+        raise EmoMusicError(f"note pitch {low if low < 0 else high} is outside 0..127")
+    if softest < 1 or loudest > 127:
+        raise EmoMusicError(f"note velocity {softest if softest < 1 else loudest} "
+                            f"is outside 1..127")
+    if lowest_track < 0:
+        raise EmoMusicError(f"note track {lowest_track} is negative")
     end_list = list(map(add, onset_list, duration_list))
     onsets = np.array(onset_list, dtype=float)
     durations = np.array(duration_list, dtype=float)
@@ -360,7 +371,6 @@ def extract_features(score: Score, catalog: FeatureCatalog | None = None) -> Att
     pc_counts = np.bincount(pitches % 12, minlength=12)
     pch = pc_counts / n
     nonzero = pch[pch > 0]
-    low, high = min(pitch_list), max(pitch_list)
     values["mean_pitch"] = _mean(pitches)
     values["pitch_std"] = _pop_std(pitches)
     values["pitch_range"] = float(high - low)
@@ -450,7 +460,7 @@ def extract_features(score: Score, catalog: FeatureCatalog | None = None) -> Att
         _mean(vel_steps) if vel_steps.size else 0.0
     values["mean_velocity"] = _mean(velocities)
     values["velocity_std"] = _pop_std(velocities)
-    values["velocity_range"] = float(max(velocity_list) - min(velocity_list))
+    values["velocity_range"] = float(loudest - softest)
     values["accented_note_fraction"] = np.count_nonzero(velocities >= ACCENT_VELOCITY) / n
     values["velocity_histogram"] = \
         np.bincount((velocities // 4).astype(int), minlength=32) / n

@@ -143,11 +143,33 @@ def _merge_heads(x: Tensor) -> Tensor:
 _CHUNK = 32
 
 
+# numpy's accumulate along a middle axis is several times slower than a
+# Python loop over that axis's slices; it too adds one chunk at a time in
+# order, so the loops below give the np.cumsum forms' bits (the forms are
+# kept in tests/reference.py)
+
+
+def _prefix_sums_before(x: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums over chunks (axis 2), as ``np.cumsum(x, axis=2) - x``:
+    the running sums less each chunk's own term."""
+    out = np.empty_like(x)
+    out[:, :, 0] = x[:, :, 0]
+    for n in range(1, x.shape[2]):
+        np.add(out[:, :, n - 1], x[:, :, n], out=out[:, :, n])
+    out -= x
+    return out
+
+
 def _sums_after(x: np.ndarray) -> np.ndarray:
-    """Exclusive suffix sums over chunks (axis 2): out[n] = sum of x[m], m > n.
-    The backward of an exclusive prefix sum."""
-    out = np.zeros_like(x)
-    out[:, :, :-1] = np.cumsum(x[:, :, :0:-1], axis=2)[:, :, ::-1]
+    """Exclusive suffix sums over chunks (axis 2): out[n] = sum of x[m], m > n,
+    added from the last chunk back. The backward of an exclusive prefix sum."""
+    last = x.shape[2] - 1
+    out = np.empty_like(x)
+    out[:, :, last] = 0
+    if last:
+        out[:, :, last - 1] = x[:, :, last]
+    for n in range(last - 2, -1, -1):
+        np.add(out[:, :, n + 1], x[:, :, n + 1], out=out[:, :, n])
     return out
 
 
@@ -169,7 +191,9 @@ def _linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
     def chunked(x: np.ndarray) -> np.ndarray:
         if pad:
-            x = np.pad(x, ((0, 0), (0, 0), (0, pad), (0, 0)))
+            full = np.zeros((b, h, t + pad, hd), dtype=x.dtype)
+            full[:, :, :t] = x
+            x = full
         return x.reshape(cshape)
 
     phi_q, slope_q = phi_and_slope(q.data)
@@ -180,9 +204,8 @@ def _linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     causal = np.tril(np.ones((_CHUNK, _CHUNK), dtype=q.data.dtype))
     scores = (phi_q @ phi_kt) * causal                      # (B,H,nC,C,C)
     kv = phi_kt @ vc                                        # per-chunk phi(k)^T v
-    s_prev = np.cumsum(kv, axis=2) - kv                     # exclusive prefix
-    k_sum = phi_k.sum(axis=3)
-    z_prev = (np.cumsum(k_sum, axis=2) - k_sum).reshape(b, h, n_chunks, 1, hd)
+    s_prev = _prefix_sums_before(kv)
+    z_prev = _prefix_sums_before(phi_k.sum(axis=3)).reshape(b, h, n_chunks, 1, hd)
 
     num = scores @ vc + phi_q @ s_prev
     den = scores.sum(axis=4, keepdims=True) \

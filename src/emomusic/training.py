@@ -9,7 +9,7 @@ import json
 import math
 import mmap
 import platform
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,28 +64,49 @@ def lr_schedule(step: int, cfg: TrainConfig) -> float:
                              math.sqrt(cfg.warmup_steps / step))
 
 
+# Adam works through the flat weight span this many elements at a time, so
+# its temporaries stay small next to the span
+ADAM_BLOCK = 32768
+
+
 @dataclass(slots=True)
 class Adam:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """Adam over one flat weight array and its same-shaped gradient; the
+    moments are flat arrays of that shape, made at the first step."""
+
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     t: int = 0
 
-    def step(self, params: dict, lr: float) -> None:
+    def step(self, weights: np.ndarray, grads: np.ndarray, lr: float) -> None:
+        """One update of ``weights`` in place (workers read them). Each element
+        takes the textbook arithmetic in its order, written into block buffers:
+        m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, and
+        w -= lr (m / c1) / (sqrt(v / c2) + eps)."""
         self.t += 1
         correction1 = 1.0 - ADAM_BETA1 ** self.t
         correction2 = 1.0 - ADAM_BETA2 ** self.t
-        for name, p in params.items():
-            g = p.grad
-            if g is None:
-                continue
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p.data)
-                self.v[name] = np.zeros_like(p.data)
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
-            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
-            m_hat = self.m[name] / correction1
-            v_hat = self.v[name] / correction2
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)  # in place: workers read it
+        if self.m is None:
+            self.m, self.v = np.zeros_like(weights), np.zeros_like(weights)
+        scratch = np.empty((2, min(ADAM_BLOCK, weights.size)), dtype=weights.dtype)
+        for start in range(0, weights.size, ADAM_BLOCK):
+            part = slice(start, start + ADAM_BLOCK)
+            w, g, m, v = weights[part], grads[part], self.m[part], self.v[part]
+            a, b = scratch[0, :w.size], scratch[1, :w.size]
+            np.multiply(m, ADAM_BETA1, out=m)
+            np.multiply(g, 1 - ADAM_BETA1, out=a)
+            np.add(m, a, out=m)
+            np.multiply(v, ADAM_BETA2, out=v)
+            np.multiply(g, 1 - ADAM_BETA2, out=a)
+            np.multiply(a, g, out=a)
+            np.add(v, a, out=v)
+            np.divide(v, correction2, out=a)
+            np.sqrt(a, out=a)
+            np.add(a, ADAM_EPS, out=a)
+            np.divide(m, correction1, out=b)
+            np.multiply(b, lr, out=b)
+            np.divide(b, a, out=b)
+            np.subtract(w, b, out=w)
 
 
 def clip_gradients(params: dict, max_norm: float) -> float:
@@ -150,19 +171,28 @@ def _keep_heap() -> tuple[int, ...]:
             libc.mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_MAX))
 
 
-def _shared_zeros(like: dict[str, np.ndarray], copies: int) -> list[dict[str, np.ndarray]]:
+def _shared_zeros(like: dict[str, np.ndarray],
+                  copies: int) -> list[tuple[dict[str, np.ndarray], np.ndarray]]:
     """``copies`` sets of zeroed arrays shaped like ``like``, all in one
-    anonymous shared mmap, so that forked processes see each other's writes."""
+    anonymous shared mmap, so that forked processes see each other's writes.
+    Each set comes with its flat span: one 1-D array over all of its arrays
+    and the zeros that align each to 64 bytes. The arrays must share a dtype."""
+    dtypes = {a.dtype for a in like.values()}
+    if len(dtypes) != 1:
+        raise EmoMusicError(f"parameters must share one dtype, not {sorted(map(str, dtypes))}")
+    dtype = dtypes.pop()
     sizes = [-(-a.nbytes // 64) * 64 for a in like.values()]  # 64-byte aligned
-    buffer = mmap.mmap(-1, max(1, copies * sum(sizes)))
-    out, offset = [], 0
-    for _ in range(copies):
-        arrays = {}
+    span = sum(sizes)
+    buffer = mmap.mmap(-1, max(1, copies * span))
+    out = []
+    for copy in range(copies):
+        arrays, offset = {}, copy * span
         for (name, a), size in zip(like.items(), sizes):
-            arrays[name] = np.frombuffer(buffer, dtype=a.dtype, count=a.size,
+            arrays[name] = np.frombuffer(buffer, dtype=dtype, count=a.size,
                                          offset=offset).reshape(a.shape)
             offset += size
-        out.append(arrays)
+        out.append((arrays, np.frombuffer(buffer, dtype=dtype, count=span // dtype.itemsize,
+                                          offset=copy * span)))
     return out
 
 
@@ -209,14 +239,16 @@ def train(state: ModelState, dataset: list[tuple[list[int], np.ndarray]],
     which reads the weights from, and writes its gradient to, memory shared
     with this process; otherwise the same shard calls run here. The step's
     gradient is the count-weighted sum of the shard gradients, in shard
-    order, and one Adam in this process updates the weights in place.
+    order, formed in place in shard 0's gradient memory; one Adam in this
+    process updates the flat weight span in place.
     """
     if not dataset:
         raise EmoMusicError("empty training dataset")
     _keep_heap()
     params = state.params
-    weights, *shard_grads = _shared_zeros({k: p.data for k, p in params.items()},
-                                          1 + SHARDS)
+    (weights, flat_weights), *shards = _shared_zeros(
+        {k: p.data for k, p in params.items()}, 1 + SHARDS)
+    shard_grads, flat_grads = zip(*shards)
     for name, p in params.items():
         weights[name][...] = p.data
         p.data = weights[name]
@@ -245,18 +277,25 @@ def train(state: ModelState, dataset: list[tuple[list[int], np.ndarray]],
                 if not math.isfinite(value):
                     raise NonFiniteLoss(f"loss became {value} at step {step}")
                 shares = [count / n if n else 0.0 for _, count in answers]
+                # combined in place in shard 0's span, which the grads view;
+                # the next call overwrites every shard's span
+                combined = flat_grads[0]
+                combined *= shares[0]
+                for share, flat in zip(shares[1:], flat_grads[1:]):
+                    flat *= share
+                    combined += flat
                 for name, p in params.items():
-                    p.grad = shares[0] * shard_grads[0][name]
-                    for share, grads in zip(shares[1:], shard_grads[1:]):
-                        p.grad += share * grads[name]
+                    p.grad = shard_grads[0][name]
                 clip_gradients(params, GRAD_CLIP_NORM)
                 lr = lr_schedule(step, cfg)
-                optimizer.step(params, lr)
+                optimizer.step(flat_weights, combined, lr)
                 if step % log_every == 0 or step == cfg.max_steps:
                     log.append((step, lr, value))
     finally:
         for p in params.values():  # off the shared mmap, which goes with this call
             p.data = p.data.copy()
+            if p.grad is not None:
+                p.grad = p.grad.copy()
     return state, log
 
 

@@ -12,12 +12,19 @@ form of ``model.forward_batch``. ``linear_attention`` is the graph form of
 ``Tensor`` ops, whose forward the fused op must repeat bit for bit.
 ``mul``, ``sub``, ``div`` and ``sum_axis`` are the elementwise and reduction
 nodes the graph-form oracles need and ``Tensor`` does not define.
+
+The forms the training step had before it was rewritten for speed, which the
+rewrites must repeat bit for bit: ``embedding_backward`` (a 2-D ``np.add.at``
+over rows), ``prefix_sums_before`` and ``sums_after`` (``np.cumsum`` along
+the chunk axis), ``cross_entropy`` (the exp taken again in the backward) and
+``adam_step`` (Adam array by array, with whole-array temporaries).
 """
 
 import numpy as np
 
 from emomusic.autodiff import Tensor, _unbroadcast, elu_plus_one
 from emomusic.model import _CHUNK, ModelState, forward_batch
+from emomusic.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -181,3 +188,59 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         den = den + Tensor(guard)
     out = div(num, den).reshape(b, h, t + pad, hd)
     return out[:, :, :t, :]
+
+
+def embedding_backward(table: np.ndarray, ids: np.ndarray, g: np.ndarray) -> np.ndarray:
+    full = np.zeros_like(table)
+    np.add.at(full, ids.reshape(-1), g.reshape(-1, table.shape[-1]))
+    return full
+
+
+def prefix_sums_before(x: np.ndarray) -> np.ndarray:
+    return np.cumsum(x, axis=2) - x
+
+
+def sums_after(x: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(x)
+    out[:, :, :-1] = np.cumsum(x[:, :, :0:-1], axis=2)[:, :, ::-1]
+    return out
+
+
+def cross_entropy(logits: Tensor, targets: np.ndarray,
+                  mask: np.ndarray) -> tuple[Tensor, int]:
+    n, _ = logits.data.shape
+    targets = np.asarray(targets)
+    mask = np.asarray(mask, dtype=bool)
+    count = int(mask.sum())
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1)) + logits.data.max(axis=1)
+    nll = lse - logits.data[np.arange(n), targets]
+    loss_value = float((nll * mask).sum() / count) if count else 0.0
+
+    def backward(g):
+        if count == 0:
+            return (np.zeros_like(logits.data),)
+        p = np.exp(shifted)
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(n), targets] -= 1.0
+        return ((g * p * (mask[:, None] / count)).astype(logits.data.dtype, copy=False),)
+
+    loss = Tensor(np.asarray(loss_value, dtype=logits.data.dtype),
+                  parents=(logits,), backward=backward)
+    return loss, count
+
+
+def adam_step(moments: dict, t: int, params: dict, lr: float) -> None:
+    """Step ``t`` (from 1) of Adam on each ``Tensor`` in ``params`` with a
+    grad; ``moments`` maps each name to its (m, v), made at the first step."""
+    correction1 = 1.0 - ADAM_BETA1 ** t
+    correction2 = 1.0 - ADAM_BETA2 ** t
+    for name, p in params.items():
+        g = p.grad
+        m, v = moments.get(name, (np.zeros_like(p.data), np.zeros_like(p.data)))
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+        moments[name] = m, v
+        m_hat = m / correction1
+        v_hat = v / correction2
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emomusic.autodiff import (
     Tensor,
@@ -263,3 +264,60 @@ class TestGraph:
         x = Tensor(np.ones(3))
         y = x + Tensor(2.0)
         assert not y.requires_grad
+
+
+# values whose sums depend on the order they are added in, and both zeros
+EXACT_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1e8, -1e8, 1.0, 1e-8]),
+                         st.floats(-1e3, 1e3, allow_nan=False, width=32))
+
+
+@st.composite
+def embedding_cases(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    vocab, d = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 7)))
+    size = shape[0] * shape[1]
+    ids = np.array(draw(st.lists(st.integers(0, vocab - 1), min_size=size, max_size=size)))
+    g = draw(st.lists(EXACT_VALUES, min_size=size * d, max_size=size * d))
+    return (np.zeros((vocab, d), dtype=dtype), ids.reshape(shape),
+            np.array(g, dtype=dtype).reshape(*shape, d))
+
+
+@st.composite
+def cross_entropy_cases(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n, vocab = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    logits = draw(st.lists(st.floats(-30, 30, allow_nan=False, width=32),
+                            min_size=n * vocab, max_size=n * vocab))
+    targets = draw(st.lists(st.integers(0, vocab - 1), min_size=n, max_size=n))
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    upstream = draw(st.sampled_from([1.0, -1.0, 0.37, 3.0]))
+    return (np.array(logits, dtype=dtype).reshape(n, vocab), np.array(targets),
+            np.array(mask), upstream)
+
+
+class TestExactRewrites:
+    """The fast forms equal the forms they replaced, kept in reference.py, bit
+    for bit."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(embedding_cases())
+    def test_embedding_backward_matches_2d_add_at(self, case):
+        table, ids, g = case
+        weights = Tensor(table, requires_grad=True)
+        embedding(weights, ids).backward(g)
+        expected = reference.embedding_backward(table, ids, g)
+        assert weights.grad.dtype == expected.dtype
+        assert weights.grad.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(cross_entropy_cases())
+    def test_cross_entropy_matches_two_exp_form(self, case):
+        logits, targets, mask, upstream = case
+        results = []
+        for op in (cross_entropy, reference.cross_entropy):
+            x = Tensor(logits.copy(), requires_grad=True)
+            loss, count = op(x, targets, mask)
+            loss.backward(upstream)
+            results.append((loss.data.tobytes(), count, x.grad.dtype, x.grad.tobytes()))
+        assert results[0] == results[1]

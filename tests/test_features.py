@@ -19,6 +19,7 @@ from emomusic.features import (
     manual_indices,
     save_corpus_csv,
 )
+from emomusic.errors import EmoMusicError
 from emomusic.score import Note, Score
 
 CATALOG = default_catalog()
@@ -244,6 +245,28 @@ class TestInvariants:
             for fid in hist_ids:
                 total = feat(score, fid).sum()
                 assert total == pytest.approx(1.0, abs=1e-9) or total == 0.0
+
+
+class TestNoteRanges:
+    """A hand-built score with a note outside the ranges ``Note`` states
+    raises EmoMusicError naming the field, not a numpy ValueError."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("pitch", 200, "note pitch 200 is outside 0..127"),
+        ("pitch", -1, "note pitch -1 is outside 0..127"),
+        ("velocity", 200, "note velocity 200 is outside 1..127"),
+        ("velocity", 0, "note velocity 0 is outside 1..127"),
+        ("track", -1, "note track -1 is negative"),
+    ])
+    def test_one_note_out_of_range(self, field, value, message):
+        note = dict(onset=0, duration=TPQ, pitch=60, velocity=80, track=0)
+        note[field] = value
+        with pytest.raises(EmoMusicError, match=f"^{message}$"):
+            extract_features(Score([Note(**note)], TPQ, [(0, 120.0)]), CATALOG)
+
+    def test_range_ends_are_accepted(self):
+        score = Score([Note(0, TPQ, 0, 1, 0), Note(TPQ, TPQ, 127, 127, 3)], TPQ, [(0, 120.0)])
+        assert feat(score, "pitch_range") == 127.0
 
 
 class TestNumpyParity:

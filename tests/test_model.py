@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import emomusic.model
 import emomusic.training
@@ -19,6 +20,8 @@ from emomusic.model import (
     ModelConfig,
     ShapeMismatch,
     _linear_attention,
+    _prefix_sums_before,
+    _sums_after,
     forward_batch,
     init_state,
     next_token_loss,
@@ -147,6 +150,22 @@ class TestLinearAttention:
         for fused, graph in zip(*grads):
             assert np.abs(fused - graph).max() <= 1e-12
 
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from([np.float32, np.float64]), st.integers(1, 9),
+           st.sampled_from([(3,), (2, 3)]), st.integers(0, 2**32 - 1))
+    def test_chunk_loops_match_cumsum_forms(self, dtype, n_chunks, tail, seed):
+        # (B, H, nC, ...) as z (hd) and S (hd x hd), with large and tiny
+        # terms so that the order of the additions shows, and both zeros
+        rng = np.random.default_rng(seed)
+        x = (rng.normal(size=(2, 3, n_chunks, *tail))
+             * rng.choice([1e-8, 1.0, 1e8], size=(2, 3, n_chunks, *tail))).astype(dtype)
+        x[rng.random(x.shape) < 0.2] = -0.0
+        for fast, slow in ((_prefix_sums_before, reference.prefix_sums_before),
+                           (_sums_after, reference.sums_after)):
+            got, expected = fast(x), slow(x)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
     def test_length_one_equals_softmax_attention(self):
         rng = np.random.default_rng(42)
         q = rng.normal(size=(1, 2, 1, 4))
@@ -254,6 +273,13 @@ class TestTraining:
               TrainConfig(batch_size=2, base_lr=0.0, warmup_steps=5, max_steps=20))
         for name, p in state.params.items():
             assert (p.data == before[name]).all()
+
+    def test_mixed_parameter_dtypes_are_rejected(self):
+        # the weights and gradients live in one flat span of one dtype
+        state = init_state(tiny_config(), seed=7)
+        state.params["ln_f_b"].data = state.params["ln_f_b"].data.astype(np.float32)
+        with pytest.raises(EmoMusicError, match="one dtype"):
+            train(state, two_sequence_dataset(), TrainConfig(batch_size=2, max_steps=1))
 
     def test_same_seed_identical_loss_log(self):
         cfg = TrainConfig(batch_size=2, base_lr=1e-3, warmup_steps=10,
@@ -635,9 +661,30 @@ class TestCheckpoint:
 
 class TestAdam:
     def test_single_step_matches_hand_formula(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        p.grad = np.array([0.5])
+        weights = np.array([1.0])
         opt = Adam()
-        opt.step({"p": p}, lr=0.1)
+        opt.step(weights, np.array([0.5]), lr=0.1)
         # first step: m_hat = g, v_hat = g^2 -> update = lr * g / (|g| + eps)
-        assert p.data[0] == pytest.approx(1.0 - 0.1 * 0.5 / (0.5 + 1e-9))
+        assert weights[0] == pytest.approx(1.0 - 0.1 * 0.5 / (0.5 + 1e-9))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_match_array_by_array_adam(self, monkeypatch, dtype):
+        # blocks of 7 cut across the arrays and leave a short last block
+        monkeypatch.setattr(emomusic.training, "ADAM_BLOCK", 7)
+        rng = np.random.default_rng(48)
+        shapes = [(3, 4), (5,), (2, 3)]
+        params = {f"p{i}": Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+                  for i, shape in enumerate(shapes)}
+        weights = np.concatenate([p.data.reshape(-1) for p in params.values()])
+        opt, moments = Adam(), {}
+        for t, lr in enumerate([1e-3, 0.5, 2e-2], 1):
+            grads = rng.normal(size=weights.size).astype(dtype)
+            grads[::5] = -0.0
+            offset = 0
+            for p in params.values():
+                p.grad = grads[offset:offset + p.data.size].reshape(p.data.shape)
+                offset += p.data.size
+            opt.step(weights, grads, lr)
+            reference.adam_step(moments, t, params, lr)
+            assert weights.tobytes() == np.concatenate(
+                [p.data.reshape(-1) for p in params.values()]).tobytes()

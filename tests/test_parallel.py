@@ -255,6 +255,42 @@ def test_stage_one_bytes_are_pinned(tmp_path, monkeypatch, forked, capsys, cpus)
     assert_reaped(forked)
 
 
+def blas_pair() -> tuple[str, str]:
+    """The numpy version and the BLAS build that training's bytes depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return np.__version__, f"{blas.get('name')} {blas.get('version')}"
+
+
+# sha256 over each checkpoint array's name and bytes, in the checkpoint's
+# order, then "loss_log.csv" and its bytes, for the tiny-config train below,
+# as written at 092f9b1, before the training step was rewritten for speed.
+# Training runs through BLAS, so the digest holds for this (numpy, BLAS) pair.
+TRAIN_DIGEST = "a008e8c08e5399dc512f6c7c33d96b20e737e1c84a18fb25516f7f8b622603b4"
+TRAIN_DIGEST_PAIR = ("2.4.6", "scipy-openblas 0.3.31.188.0")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_train_bytes_are_pinned(tmp_path, monkeypatch, forked, capsys, cpus):
+    use_cpus(monkeypatch, cpus)
+    write_config(tiny_config(tmp_path), tmp_path / "config.json")
+    assert main(["train", "--config", str(tmp_path / "config.json")]) == 0
+    capsys.readouterr()
+    art = tmp_path / "artifacts"
+    digest = hashlib.sha256()
+    with np.load(art / "checkpoint.npz") as blob:
+        for name in blob.files:
+            digest.update(name.encode())
+            digest.update(blob[name].tobytes())
+    digest.update(b"loss_log.csv")
+    digest.update((art / "loss_log.csv").read_bytes())
+    numpy_version, blas = blas_pair()
+    assert digest.hexdigest() == TRAIN_DIGEST, (
+        f"training bytes moved; the digest was pinned with numpy {TRAIN_DIGEST_PAIR[0]} "
+        f"and {TRAIN_DIGEST_PAIR[1]}, this run has numpy {numpy_version} and {blas}")
+    assert bool(forked) == (cpus == 2)
+    assert_reaped(forked)
+
+
 def test_corpus_is_the_same_at_any_cpu_count(tmp_path, monkeypatch, forked):
     corpora = []
     for cpus in CPUS:
