@@ -8,7 +8,9 @@ Gradients are dense numpy arrays of the same dtype as the forward data.
 ``backward`` frees the graph as it goes: once a node has passed its gradient
 to its parents it drops that gradient, its parents and its backward closure,
 and with them the activations only it kept alive. Leaves keep their gradients;
-a second ``backward`` through a spent graph raises.
+a second ``backward`` through a spent graph raises. An op none of whose
+inputs requires a gradient, as in decoding, returns a bare Tensor with the
+same forward arithmetic and builds no graph.
 """
 
 from __future__ import annotations
@@ -98,6 +100,9 @@ class Tensor:
     # __add__ leaves a constant operand's gradient as None, so a mask or
     # guard costs no backward work
     def __add__(self, other: Tensor):
+        if not (self.requires_grad or other.requires_grad):
+            return Tensor(self.data + other.data)
+
         def backward(g):
             return (_unbroadcast(g, self.shape) if self.requires_grad else None,
                     _unbroadcast(g, other.shape) if other.requires_grad else None)
@@ -105,6 +110,9 @@ class Tensor:
         return Tensor(self.data + other.data, parents=(self, other), backward=backward)
 
     def __matmul__(self, other: Tensor):
+        if not (self.requires_grad or other.requires_grad):
+            return Tensor(self.data @ other.data)
+
         def backward(g):
             ga = g @ np.swapaxes(other.data, -1, -2)
             gb = np.swapaxes(self.data, -1, -2) @ g
@@ -113,6 +121,9 @@ class Tensor:
         return Tensor(self.data @ other.data, parents=(self, other), backward=backward)
 
     def __getitem__(self, key):
+        if not self.requires_grad:
+            return Tensor(self.data[key])
+
         def backward(g):
             full = np.zeros_like(self.data)
             full[key] = g
@@ -121,12 +132,18 @@ class Tensor:
         return Tensor(self.data[key], parents=(self,), backward=backward)
 
     def reshape(self, *shape):
+        if not self.requires_grad:
+            return Tensor(self.data.reshape(*shape))
+
         def backward(g):
             return (g.reshape(self.shape),)
 
         return Tensor(self.data.reshape(*shape), parents=(self,), backward=backward)
 
     def transpose(self, *axes):
+        if not self.requires_grad:
+            return Tensor(self.data.transpose(*axes))
+
         def backward(g):
             return (g.transpose(*np.argsort(axes)),)
 
@@ -168,6 +185,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """
     out_data = x.data @ w.data
     out_data += b.data
+    if not (x.requires_grad or w.requires_grad or b.requires_grad):
+        return Tensor(out_data)
 
     def backward(g):
         # a constant x (the attribute bits) gets no gradient
@@ -181,6 +200,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of ``table`` (V, d) at integer ``ids`` (any shape)."""
     ids = np.asarray(ids)
+    if not table.requires_grad:
+        return Tensor(table.data[ids])
 
     def backward(g):
         # one 1-D scatter on flat indices id*d + col adds the same values in
@@ -204,6 +225,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xc = x.data - np.add.reduce(x.data, -1, keepdims=True) / d
     var = np.add.reduce(xc * xc, -1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
+    if not (x.requires_grad or gamma.requires_grad or beta.requires_grad):
+        # the graph form's scale and shift, in place on the centred temporary
+        xc *= inv
+        xc *= gamma.data
+        xc += beta.data
+        return Tensor(xc)
     xhat = xc * inv
 
     def backward(g):

@@ -142,13 +142,17 @@ def _cmd_generate(args, config: PipelineConfig) -> int:
     if args.attr_file:
         path = Path(args.attr_file)
         custom = read_json(path, "attribute file")
-        if not isinstance(custom, list):
-            raise EmoMusicError(f"attribute file {path} must hold a JSON list of values")
+        # true and false would pass as 1 and 0, and NaN as bit 0
+        if not isinstance(custom, list) or any(type(v) not in (int, float) for v in custom):
+            raise EmoMusicError(f"attribute file {path} must hold a JSON list of numbers")
         try:
-            values = {"custom": np.asarray(custom, dtype=float)}
-        except (TypeError, ValueError) as exc:
-            raise EmoMusicError(f"attribute file {path} must hold a JSON list of "
-                                f"numbers ({exc})") from exc
+            vector = np.asarray(custom, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            vector = np.array([np.inf])
+        if not np.isfinite(vector).all():
+            raise EmoMusicError(f"attribute file {path} holds a value that is not "
+                                f"a finite number")
+        values = {"custom": vector}
     else:
         table = MappingTable.load(pipe.mapping_path)
         quadrants = [EmotionQuadrant[args.emotion]] if args.emotion \

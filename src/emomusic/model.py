@@ -255,13 +255,17 @@ class DecodeCache:
             self.attr = self.attr[rows]
 
     def attend(self, layer: int, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        """``_linear_attention`` for one new position: q, k, v are (B, H, 1, dk)."""
-        phi_q, phi_k = elu_plus_one(q).data, elu_plus_one(k).data
-        self.s[layer] += phi_k.transpose(0, 1, 3, 2) * v.data
-        self.z[layer] += phi_k
-        num = phi_q @ self.s[layer]
-        den = (phi_q * self.z[layer]).sum(axis=-1, keepdims=True)
-        return Tensor(num / den)
+        """``_linear_attention`` for one new position, heads merged: q, k, v
+        and the result are (B, 1, d_model). At one position a reshape alone
+        splits and merges the heads."""
+        heads = self.z.shape[1:]  # (B, H, 1, dk)
+        phi_q = elu_plus_one(q.reshape(*heads)).data
+        phi_k = elu_plus_one(k.reshape(*heads)).data
+        s, z = self.s[layer], self.z[layer]
+        s += phi_k.transpose(0, 1, 3, 2) * v.data.reshape(heads)
+        z += phi_k
+        out = (phi_q @ s) / (phi_q * z).sum(axis=-1, keepdims=True)
+        return Tensor(out.reshape(q.shape))
 
 
 def _block(state: ModelState, layer: int, x: Tensor,
@@ -270,11 +274,15 @@ def _block(state: ModelState, layer: int, x: Tensor,
     cfg = state.config
     pre = f"l{layer}."
     y = layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
-    q = _heads(linear(y, p[pre + "wq"], p[pre + "bq"]), cfg.n_heads)
-    k = _heads(linear(y, p[pre + "wk"], p[pre + "bk"]), cfg.n_heads)
-    v = _heads(linear(y, p[pre + "wv"], p[pre + "bv"]), cfg.n_heads)
-    heads = _linear_attention(q, k, v) if cache is None else cache.attend(layer, q, k, v)
-    attn = linear(_merge_heads(heads), p[pre + "wo"], p[pre + "bo"])
+    q = linear(y, p[pre + "wq"], p[pre + "bq"])
+    k = linear(y, p[pre + "wk"], p[pre + "bk"])
+    v = linear(y, p[pre + "wv"], p[pre + "bv"])
+    if cache is None:
+        h = cfg.n_heads
+        heads = _merge_heads(_linear_attention(_heads(q, h), _heads(k, h), _heads(v, h)))
+    else:
+        heads = cache.attend(layer, q, k, v)
+    attn = linear(heads, p[pre + "wo"], p[pre + "bo"])
     x = x + dropout(attn, cfg.dropout, rng)
     y = layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
     hidden = relu(linear(y, p[pre + "ffn_w1"], p[pre + "ffn_b1"]))

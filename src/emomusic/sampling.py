@@ -2,15 +2,20 @@
 
 Decoding runs ``model.backbone`` one token per row at a time with a
 ``DecodeCache``, in float64 on a float64 copy of the weights. The copy's
-tensors do not require gradients, so no op in a step builds a backward
-graph. Its logits match the full forward within 1e-9 absolute, not bit for
+tensors do not require gradients, so every op in a step takes its no-graph
+shortcut. Its logits match the full forward within 1e-9 absolute, not bit for
 bit: the two forms sum in different orders. Every product is taken row by
 row, so a piece does not depend on the rows decoded with it.
+
+Each step takes one softmax over all live rows; elementwise ops and sums
+along the last axis give each row the bits of its own 1-D softmax. The
+nucleus draw stays per row: the stable sort, the cutoff, the nucleus sum
+(numpy's pairwise order depends on the row) and one draw from the row's own
+generator.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,40 +42,78 @@ class SamplerConfig:
             raise EmoMusicError("temperature must be positive")
 
 
-def nucleus_probabilities(probs: np.ndarray, p: float) -> np.ndarray:
-    """Zero out everything outside the smallest prefix of descending-sorted
-    probabilities whose cumulative mass reaches p, then renormalize."""
-    probs = np.asarray(probs, dtype=float)
-    # array methods rather than their np.* wrappers: this runs for every token
-    order = (-probs).argsort(kind="stable")
-    ranked = probs[order]
-    cutoff = int(ranked.cumsum().searchsorted(p)) + 1  # smallest prefix >= p
-    top = ranked[:cutoff]
-    out = np.zeros(probs.shape)
-    out[order[:cutoff]] = top / top.sum()
-    return out
+def sample_rows(logits: np.ndarray, cfgs: list[SamplerConfig],
+                rngs: list[np.random.Generator]) -> np.ndarray:
+    """One token per row of ``logits`` (B, V), row i drawn under ``cfgs[i]``
+    with ``rngs[i]``: temperature, softmax, nucleus truncation, then one
+    categorical draw.
+
+    The nucleus is the smallest prefix of the descending stable-sorted
+    probabilities whose cumulative mass reaches p, renormalized. Tokens
+    outside it can never be returned, even under float round-off in the
+    cumulative sum. Logits of -inf are never drawn; a row with a NaN or +inf
+    logit, or with every logit -inf, raises EmoMusicError.
+    """
+    scaled = np.asarray(logits, dtype=float)
+    if any(cfg.temperature != 1.0 for cfg in cfgs):  # x / 1.0 is x, bit for bit
+        scaled = scaled / np.array([cfg.temperature for cfg in cfgs])[:, None]
+    top = scaled.max(axis=1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise EmoMusicError("logits are NaN, +inf or all -inf; cannot sample")
+    probs = scaled - top
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)  # each row's sum is the 1-D sum's bits
+    nucleus = np.zeros(probs.shape)
+    tokens = []
+    for row, negated, out, cfg, rng in zip(probs, -probs, nucleus, cfgs, rngs):
+        # array methods rather than their np.* wrappers: this runs per row and token
+        order = negated.argsort(kind="stable")
+        ranked = row[order]
+        cutoff = int(ranked.cumsum().searchsorted(cfg.p)) + 1  # smallest prefix >= p
+        kept = ranked[:cutoff]
+        out[order[:cutoff]] = kept / kept.sum()  # pairwise sum: per row
+        # the running sum in token order passes over the zeros outside the
+        # nucleus unchanged, so it holds the nucleus' own running sums
+        cumulative = out.cumsum()
+        j = cumulative.searchsorted(rng.random() * cumulative[-1], side="right")
+        # the first token whose running sum passes the target, or the last
+        # token in the nucleus if none does (a draw of 1.0)
+        tokens.append(j if j < cumulative.size else out.nonzero()[0][-1])
+    return np.array(tokens)
 
 
 def sample_top_p(logits: np.ndarray, cfg: SamplerConfig,
                  rng: np.random.Generator) -> int:
-    """Temperature, softmax, nucleus truncation, then one categorical draw.
+    """``sample_rows`` for one row of logits (V,)."""
+    return int(sample_rows(np.asarray(logits, dtype=float)[None], [cfg], [rng])[0])
 
-    Tokens outside the nucleus can never be returned, even under float
-    round-off in the cumulative sum. Logits of -inf are never drawn; NaN or
-    +inf logits raise EmoMusicError.
-    """
-    scaled = np.asarray(logits, dtype=float) / cfg.temperature
-    m = scaled.max()
-    if not math.isfinite(m):  # a NaN or +inf, or every logit -inf
-        raise EmoMusicError("logits are NaN, +inf or all -inf; cannot sample")
-    scaled -= m
-    probs = np.exp(scaled)
-    probs /= probs.sum()
-    probs = nucleus_probabilities(probs, cfg.p)
-    kept = probs.nonzero()[0]
-    cumulative = probs[kept].cumsum()
-    i = cumulative.searchsorted(rng.random() * cumulative[-1], side="right")
-    return int(kept[min(i, kept.size - 1)])
+
+def _decode(decoder: ModelState, bits: np.ndarray, cfgs: list[SamplerConfig],
+            limits: np.ndarray) -> list[list[int]]:
+    """The pieces of rows decoded together, row i from BOS until EOS or
+    ``limits[i]`` tokens."""
+    rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
+    tokens = np.empty((len(cfgs), max(limits.max(), 1)), dtype=np.int64)
+    tokens[:, 0] = BOS
+    ends = np.empty(len(cfgs), dtype=int)  # row i's piece is tokens[i, :ends[i]]
+    live = np.arange(len(cfgs))  # the rows still drawing
+    last = tokens[:, 0]  # each live row's last token
+    cache = DecodeCache(decoder.config, live.size)
+    length = 1  # of every live row's piece
+    while True:
+        running = (last != EOS) & (limits[live] > length)
+        if not running.all():
+            ends[live[~running]] = length
+            live, last = live[running], last[running]
+            cfgs = [cfg for cfg, keep in zip(cfgs, running) if keep]
+            rngs = [rng for rng, keep in zip(rngs, running) if keep]
+            cache.keep(running)
+        if not live.size:
+            return [row[:end].tolist() for row, end in zip(tokens, ends)]
+        hidden = backbone(decoder, last[:, None], bits[live], cache=cache)
+        last = sample_rows(logits_from_hidden(decoder, hidden).data[:, 0], cfgs, rngs)
+        tokens[live, length] = last
+        length += 1
 
 
 def generate_pieces(state: ModelState, bits: np.ndarray,
@@ -84,25 +127,11 @@ def generate_pieces(state: ModelState, bits: np.ndarray,
         raise EmoMusicError(f"{len(bits)} rows of bits but {len(cfgs)} sampler configs")
     decoder = ModelState(state.config, {name: Tensor(p.data.astype(np.float64))
                                         for name, p in state.params.items()})
-    rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
-    limits = [min(cfg.max_tokens, state.config.max_len) for cfg in cfgs]
-    pieces = [[BOS] for _ in cfgs]
+    limits = np.array([min(cfg.max_tokens, state.config.max_len) for cfg in cfgs])
+    pieces = []
     for first in range(0, len(cfgs), MAX_DECODE_ROWS):
-        live = np.arange(first, min(first + MAX_DECODE_ROWS, len(cfgs)))  # still drawing
-        cache = DecodeCache(state.config, live.size)
-        while True:
-            running = np.array([pieces[row][-1] != EOS and len(pieces[row]) < limits[row]
-                                for row in live], dtype=bool)
-            if not running.all():
-                live = live[running]
-                cache.keep(running)
-            if not live.size:
-                break
-            ids = np.array([[pieces[row][-1]] for row in live])
-            hidden = backbone(decoder, ids, bits[live], cache=cache)
-            logits = logits_from_hidden(decoder, hidden).data[:, 0]
-            for row, row_logits in zip(live, logits):
-                pieces[row].append(sample_top_p(row_logits, cfgs[row], rngs[row]))
+        rows = slice(first, first + MAX_DECODE_ROWS)
+        pieces += _decode(decoder, bits[rows], cfgs[rows], limits[rows])
     return pieces
 
 

@@ -5,9 +5,11 @@
 must match bit for bit, as ``relu`` and ``elu_plus_one`` are the ``np.where``
 forms and ``dropout`` the two-node float64-mask form that their ``autodiff``
 namesakes must match; ``linear`` is the two-node ``x @ w + b`` that
-``autodiff.linear`` must match bit for bit; ``sample_top_p`` is the form whose draws
-``sampling.sample_top_p`` must repeat; ``forward`` is the single-sequence
-form of ``model.forward_batch``. ``linear_attention`` is the graph form of
+``autodiff.linear`` must match bit for bit; ``sample_top_p`` is the per-row
+form whose draws ``sampling.sample_rows`` must repeat, and
+``nucleus_probabilities`` the truncated, renormalized distribution a draw
+samples from; ``forward`` is the single-sequence form of
+``model.forward_batch``. ``linear_attention`` is the graph form of
 ``model._linear_attention``, built from ``pad_axis``, ``cumsum`` and
 ``Tensor`` ops, whose forward the fused op must repeat bit for bit.
 ``mul``, ``sub``, ``div`` and ``sum_axis`` are the elementwise and reduction
@@ -77,6 +79,19 @@ def elu_plus_one(x: Tensor) -> Tensor:
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
     return mul(x, Tensor(keep.astype(x.data.dtype)))
+
+
+def nucleus_probabilities(probs: np.ndarray, p: float) -> np.ndarray:
+    """Zero out everything outside the smallest prefix of descending-sorted
+    probabilities whose cumulative mass reaches p, then renormalize."""
+    probs = np.asarray(probs, dtype=float)
+    order = (-probs).argsort(kind="stable")
+    ranked = probs[order]
+    cutoff = int(ranked.cumsum().searchsorted(p)) + 1  # smallest prefix >= p
+    top = ranked[:cutoff]
+    out = np.zeros(probs.shape)
+    out[order[:cutoff]] = top / top.sum()
+    return out
 
 
 def sample_top_p(logits: np.ndarray, p: float, temperature: float,

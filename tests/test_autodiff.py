@@ -265,6 +265,22 @@ class TestGraph:
         y = x + Tensor(2.0)
         assert not y.requires_grad
 
+    @pytest.mark.parametrize("op", [
+        lambda x, w, b: x + b, lambda x, w, b: x @ w, lambda x, w, b: x[1:, ::2],
+        lambda x, w, b: x.reshape(4, 3, 2), lambda x, w, b: x.transpose(1, 0, 2),
+        lambda x, w, b: linear(x, w, b), lambda x, w, b: embedding(w, [[0, 2], [1, 1]]),
+        lambda x, w, b: layer_norm(x, b, b)],
+        ids=["add", "matmul", "getitem", "reshape", "transpose", "linear", "embedding",
+             "layer_norm"])
+    def test_ops_on_constants_build_no_graph(self, op):
+        arrays = [RNG.normal(size=(2, 3, 4)), RNG.normal(size=(4, 4)), RNG.normal(size=4)]
+        graph = op(*[Tensor(a.copy(), requires_grad=True) for a in arrays])
+        bare = op(*[Tensor(a.copy()) for a in arrays])
+        assert bare.requires_grad is False
+        assert bare._parents == () and bare._backward is None
+        assert bare.data.dtype == graph.data.dtype
+        assert bare.data.tobytes() == graph.data.tobytes()
+
 
 # values whose sums depend on the order they are added in, and both zeros
 EXACT_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1e8, -1e8, 1.0, 1e-8]),

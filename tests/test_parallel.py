@@ -291,6 +291,37 @@ def test_train_bytes_are_pinned(tmp_path, monkeypatch, forked, capsys, cpus):
     assert_reaped(forked)
 
 
+# sha256 over the relative path and bytes of each file of generated/, then of
+# the `generate --n 2` output dir, both in path order, for the tiny-config run
+# below, as written at 2bf5a21, before decoding was rewritten for speed. The
+# pieces follow the trained weights and the decoder's matmuls, so the digest
+# holds for this (numpy, BLAS) pair.
+GENERATE_DIGEST = "708de27e4f673923c15f3e02e37e7b86a984fab33fd24447f2949a549b0aa7df"
+GENERATE_DIGEST_PAIR = ("2.4.6", "scipy-openblas 0.3.31.188.0")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_generate_bytes_are_pinned(tmp_path, monkeypatch, forked, capsys, cpus):
+    use_cpus(monkeypatch, cpus)
+    config = tmp_path / "config.json"
+    write_config(tiny_config(tmp_path), config)
+    assert main(["run", "--config", str(config)]) == 0
+    assert main(["generate", "--config", str(config), "--n", "2",
+                 "--out-dir", str(tmp_path / "cli")]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256()
+    for root in (tmp_path / "artifacts" / "generated", tmp_path / "cli"):
+        for path in sorted(root.rglob("*")):
+            digest.update(str(path.relative_to(root)).encode())
+            digest.update(path.read_bytes())
+    numpy_version, blas = blas_pair()
+    assert digest.hexdigest() == GENERATE_DIGEST, (
+        f"generated bytes moved; the digest was pinned with numpy "
+        f"{GENERATE_DIGEST_PAIR[0]} and {GENERATE_DIGEST_PAIR[1]}, this run has "
+        f"numpy {numpy_version} and {blas}")
+    assert_reaped(forked)
+
+
 def test_corpus_is_the_same_at_any_cpu_count(tmp_path, monkeypatch, forked):
     corpora = []
     for cpus in CPUS:

@@ -845,8 +845,11 @@ class TestBadJsonInputs:
         assert path.read_bytes() == whole
 
     @pytest.mark.parametrize("text", ["{not json", None, '{"values": [1, 2, 3]}',
-                                      '["a", "b", "c"]'],
-                             ids=["not-json", "missing", "object", "not-numbers"])
+                                      '["a", "b", "c"]', "[NaN, 1.0, 0.0]",
+                                      "[Infinity, 1.0, 0.0]", "[true, 1.0, 0.0]",
+                                      f"[{'9' * 400}, 1.0, 0.0]"],
+                             ids=["not-json", "missing", "object", "not-numbers",
+                                  "nan", "infinity", "boolean", "huge-integer"])
     def test_bad_attr_file_exits_2(self, tmp_path, capsys, text):
         art = tmp_path / "artifacts"
         write_generate_artifacts(art)

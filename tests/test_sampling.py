@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emomusic import sampling
 from emomusic.errors import EmoMusicError
@@ -15,12 +16,7 @@ from emomusic.model import (
     init_state,
     logits_from_hidden,
 )
-from emomusic.sampling import (
-    SamplerConfig,
-    generate_pieces,
-    nucleus_probabilities,
-    sample_top_p,
-)
+from emomusic.sampling import SamplerConfig, generate_pieces, sample_rows, sample_top_p
 from emomusic.tokens import BOS, EOS
 
 import reference
@@ -30,12 +26,12 @@ from reference import forward
 class TestNucleus:
     def test_cited_distribution(self):
         probs = np.array([0.5, 0.3, 0.15, 0.05])
-        out = nucleus_probabilities(probs, 0.9)
+        out = reference.nucleus_probabilities(probs, 0.9)
         assert out == pytest.approx([0.5 / 0.95, 0.3 / 0.95, 0.15 / 0.95, 0.0])
 
     def test_p_one_keeps_everything(self):
         probs = np.array([0.4, 0.35, 0.25])
-        assert nucleus_probabilities(probs, 1.0) == pytest.approx(probs)
+        assert reference.nucleus_probabilities(probs, 1.0) == pytest.approx(probs)
 
     def test_one_hot_always_sampled(self):
         logits = np.full(5, -100.0)
@@ -94,6 +90,70 @@ class TestNucleus:
         rng = np.random.default_rng(3)
         cfg = SamplerConfig(p=1.0)
         assert {sample_top_p(logits, cfg, rng) for _ in range(200)} == {1, 3}
+
+
+# p near 0, 0.5, 0.9 and 1, the last both below 1 and exactly 1
+NUCLEUS_P = st.one_of(st.floats(1e-12, 1e-3), st.floats(0.45, 0.55), st.floats(0.85, 0.95),
+                      st.floats(0.99, 1.0), st.just(1.0))
+TEMPERATURES = st.one_of(st.sampled_from([0.25, 0.7, 1.0, 1.5, 3.0]), st.floats(0.05, 10.0))
+
+
+@st.composite
+def logit_batches(draw):
+    """(logits (B, 244), configs) with B in 1..32. Rows may be rounded to
+    ties, may tie at the top, and may hold -inf entries; none is all -inf."""
+    rows = draw(st.integers(1, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scales = [draw(st.sampled_from([0.01, 0.1, 1.0, 4.0, 40.0])) for _ in range(rows)]
+    logits = rng.normal(size=(rows, 244)) * np.array(scales)[:, None]
+    for row in logits:
+        if draw(st.booleans()):
+            row[:] = np.round(row)  # ties in the descending sort
+        if draw(st.booleans()):
+            row[rng.integers(0, 244, size=draw(st.integers(1, 8)))] = row.max()
+        n_inf = draw(st.sampled_from([0, 0, 1, 60, 243]))
+        row[rng.permutation(244)[:n_inf]] = -np.inf
+    cfgs = [SamplerConfig(p=draw(NUCLEUS_P), temperature=draw(TEMPERATURES), seed=i)
+            for i in range(rows)]
+    return logits, cfgs
+
+
+class TestSampleRows:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(logit_batches())
+    def test_draws_repeat_the_reference_sampler_row_by_row(self, case):
+        logits, cfgs = case
+        ours = [np.random.default_rng(cfg.seed) for cfg in cfgs]
+        theirs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
+        for _ in range(3):
+            drawn = sample_rows(logits, cfgs, ours)
+            assert drawn.tolist() == [
+                reference.sample_top_p(row, cfg.p, cfg.temperature, rng)
+                for row, cfg, rng in zip(logits, cfgs, theirs)]
+
+    def test_a_draw_at_the_top_of_the_range_takes_the_last_nucleus_token(self):
+        class Top:
+            """A generator whose draw is the end of [0, 1], where no running sum
+            lies above the target."""
+
+            def random(self):
+                return 1.0
+
+        logits = np.log(np.array([0.05, 0.5, 0.3, 0.3, 0.15]))
+        logits[2] = -np.inf
+        cfg = SamplerConfig(p=0.9)
+        assert sample_rows(logits[None], [cfg], [Top()]).tolist() == [4]
+        assert reference.sample_top_p(logits, cfg.p, cfg.temperature, Top()) == 4
+
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @given(logit_batches(), st.sampled_from([np.nan, np.inf]), st.data())
+    def test_a_non_finite_row_in_the_batch_raises(self, case, bad, data):
+        logits, cfgs = case
+        row = data.draw(st.integers(0, len(logits) - 1))
+        logits[row, data.draw(st.integers(0, 243))] = bad
+        rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
+        with pytest.raises(EmoMusicError, match="logits"):
+            sample_rows(logits, cfgs, rngs)
 
 
 def tiny_state(seed=0):
