@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmoMusicError, make_dir, read_json
+from .errors import EmoMusicError, read_json
 from .mapping import EmotionQuadrant, MappingTable, binarize
 from .pipeline import STAGES, Pipeline, PipelineConfig
 from .synth import SynthSpec, synth_corpus
@@ -81,20 +81,14 @@ def _build_config(args) -> PipelineConfig:
         f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)})
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="emomusic", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth-corpus", help="write a synthetic labeled corpus")
-    _add_common(p)
+def _synth_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", help="corpus directory (default <artifacts>/corpus)")
     p.add_argument("--n-per-quadrant", type=int, default=100)
     p.add_argument("--noise", type=float, default=0.3)
     p.add_argument("--boundary-label-noise", type=float, default=0.0)
 
-    p = sub.add_parser("generate", help="generate pieces from the mapping table")
-    _add_common(p)
+
+def _generate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--emotion", choices=[q.name for q in EmotionQuadrant],
                    help="emotion quadrant to condition on")
     p.add_argument("--n", type=int, default=1)
@@ -103,21 +97,48 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", help="output directory (default <artifacts>/generated)")
     _add_fields(p, ["sampler_p"])
 
-    p = sub.add_parser("analyze-bias", help="center/boundary accuracy probe")
-    _add_common(p)
-    # Pipeline.analyze_bias brings the table through train up to date
-    through_train = [s.name for s in STAGES].index("train") + 1
-    _add_fields(p, _flags_of(STAGES[:through_train]) + ["bias_n"])
 
-    for stage in STAGES:
-        if stage.name in sub.choices:  # the generate stage has no command of its own
-            continue
-        p = sub.add_parser(stage.name, help=f"pipeline stage: {stage.name}")
-        _add_common(p)
-        _add_fields(p, _flags_of([stage]))
-    p = sub.add_parser("run", help="every pipeline stage")
-    _add_common(p)
-    _add_fields(p, [f for f in _STAGE_FLAGS if f != "split_ratios"])
+def _fields_args(names: list[str]):
+    return lambda p: _add_fields(p, names)
+
+
+# Pipeline.analyze_bias brings the table through train up to date
+_THROUGH_TRAIN = STAGES[:[s.name for s in STAGES].index("train") + 1]
+
+# every command, in the order usage and --help list them: its name, its help
+# and what adds its own arguments after the common ones
+_COMMANDS = (
+    ("synth-corpus", "write a synthetic labeled corpus", _synth_args),
+    ("generate", "generate pieces from the mapping table", _generate_args),
+    ("analyze-bias", "center/boundary accuracy probe",
+     _fields_args(_flags_of(_THROUGH_TRAIN) + ["bias_n"])),
+    # the generate stage has no command of its own
+    *((stage.name, f"pipeline stage: {stage.name}", _fields_args(_flags_of([stage])))
+      for stage in STAGES if stage.name != "generate"),
+    ("run", "every pipeline stage",
+     _fields_args([f for f in _STAGE_FLAGS if f != "split_ratios"])),
+)
+_NAMES = [name for name, _, _ in _COMMANDS]
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every command, or of ``command``'s subparser alone.
+
+    ``main`` builds only the named command's subparser; --help, -h and an
+    unknown or missing command build them all. Either way the top-level usage
+    line names every command, so usage errors print the same bytes."""
+    parser = _Parser(prog="emomusic", description=__doc__,  # the --help text
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    # argparse writes the choices as "{a,b,...}"; a narrowed parser's metavar
+    # spells the same line. Kept off the full parser, whose errors name the
+    # action by its metavar when it has one.
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=command and "{" + ",".join(_NAMES) + "}")
+    for name, text, add_args in _COMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            _add_common(p)
+            add_args(p)
     return parser
 
 
@@ -132,12 +153,12 @@ def _cmd_synth(args, config: PipelineConfig) -> int:
 
 
 def _cmd_generate(args, config: PipelineConfig) -> int:
+    """Every input is read and checked before any directory is made."""
     if args.n < 1:
         raise EmoMusicError(f"--n must be at least 1, not {args.n}")
     pipe = Pipeline(config)
     state, manifest = load_checkpoint(pipe.checkpoint_path)
     medians = np.asarray(manifest["medians"])
-    out_dir = make_dir(args.out_dir or pipe.generated_dir, "output directory")
 
     if args.attr_file:
         path = Path(args.attr_file)
@@ -145,6 +166,9 @@ def _cmd_generate(args, config: PipelineConfig) -> int:
         # true and false would pass as 1 and 0, and NaN as bit 0
         if not isinstance(custom, list) or any(type(v) not in (int, float) for v in custom):
             raise EmoMusicError(f"attribute file {path} must hold a JSON list of numbers")
+        if len(custom) != len(medians):
+            raise EmoMusicError(f"attribute file {path} holds {len(custom)} values; "
+                                f"the model takes {len(medians)}")
         try:
             vector = np.asarray(custom, dtype=float)
         except OverflowError:  # an integer beyond the float range
@@ -161,13 +185,17 @@ def _cmd_generate(args, config: PipelineConfig) -> int:
     # sum(name.encode()) keys the seeds stably across interpreter runs
     requests = [(name, binarize(v, medians), [config.seed, 13, sum(name.encode())])
                 for name, v in values.items()]
+    out_dir = Path(args.out_dir) if args.out_dir else pipe.generated_dir
     for _, path, n_notes in pipe.write_pieces(state, requests, out_dir, "cli", args.n):
         print(f"wrote {path} ({n_notes} notes)")
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # help, or a first word that is no command, needs every subparser
+    narrow = argv and argv[0] in _NAMES and not {"-h", "--help"} & set(argv)
+    args = build_parser(argv[0] if narrow else None).parse_args(argv)
     try:
         config = _build_config(args)
         if args.command == "synth-corpus":

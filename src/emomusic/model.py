@@ -9,8 +9,11 @@ attention per head follows
     out_i = (phi(q_i)^T sum_{j<=i} phi(k_j) v_j^T) / (phi(q_i)^T sum_{j<=i} phi(k_j))
 
 with phi(x) = elu(x) + 1. Decoding runs the same ``backbone`` one token at a
-time in the recurrent form (Katharopoulos et al. 2020) over a ``DecodeCache``;
-in float64 it matches the chunked form within 1e-9 absolute, not bit for bit.
+time in the recurrent form (Katharopoulos et al. 2020) over a ``DecodeCache``,
+with each layer's q, k and v projected by one matmul over the joined weights
+and one feature map over q|k; in float64 it matches the chunked form within
+1e-9 absolute, not bit for bit. Training keeps three projections: joined, the
+gradient of the layer-norm output would be summed in another order.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .autodiff import (
     Tensor,
     cross_entropy,
     dropout,
-    elu_plus_one,
     embedding,
     layer_norm,
     linear,
@@ -239,13 +241,16 @@ class DecodeCache:
     """Per-row, per-layer prefix sums S = sum_j phi(k_j) v_j^T (B, H, dk, dk) and
     z = sum_j phi(k_j) (B, H, 1, dk) of B decoded rows, plus each row's
     attribute embedding (B, 1, d_model), computed at the first step from that
-    step's bits and kept for the rest; ``t`` is the next position."""
+    step's bits and kept for the rest; ``t`` is the next position. Each
+    layer's q, k and v projections are kept side by side as one weight
+    [wq|wk|wv] and one bias [bq|bk|bv], joined at the layer's first step."""
 
     def __init__(self, config: ModelConfig, rows: int):
         h, dk = config.n_heads, config.d_model // config.n_heads
         self.s = np.zeros((config.n_layers, rows, h, dk, dk))
         self.z = np.zeros((config.n_layers, rows, h, 1, dk))
         self.attr: Tensor | None = None
+        self.qkv: list[tuple[Tensor, Tensor] | None] = [None] * config.n_layers
         self.t = 0
 
     def keep(self, rows: np.ndarray) -> None:
@@ -254,18 +259,29 @@ class DecodeCache:
         if self.attr is not None:
             self.attr = self.attr[rows]
 
-    def attend(self, layer: int, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        """``_linear_attention`` for one new position, heads merged: q, k, v
-        and the result are (B, 1, d_model). At one position a reshape alone
-        splits and merges the heads."""
+    def project(self, layer: int, y: Tensor, params: dict[str, Tensor]) -> np.ndarray:
+        """q|k|v (B, 1, 3 d_model) of the layer's normed input ``y``: one
+        ``linear`` over the joined weights. A column of x @ W depends only on
+        that column of W, so each third is its own projection's bits."""
+        if self.qkv[layer] is None:
+            self.qkv[layer] = tuple(Tensor(np.concatenate(
+                [params[f"l{layer}.{kind}{name}"].data for name in "qkv"], axis=-1))
+                for kind in "wb")
+        return linear(y, *self.qkv[layer]).data
+
+    def attend(self, layer: int, qkv: np.ndarray) -> Tensor:
+        """``_linear_attention`` for one new position, heads merged: q|k|v is
+        (B, 1, 3 d_model) and the result (B, 1, d_model). At one position a
+        reshape alone splits and merges the heads."""
         heads = self.z.shape[1:]  # (B, H, 1, dk)
-        phi_q = elu_plus_one(q.reshape(*heads)).data
-        phi_k = elu_plus_one(k.reshape(*heads)).data
+        d = qkv.shape[-1] // 3
+        phi, _ = phi_and_slope(qkv[..., :2 * d])  # elementwise: q's and k's own bits
+        phi_q, phi_k = phi[..., :d].reshape(heads), phi[..., d:].reshape(heads)
         s, z = self.s[layer], self.z[layer]
-        s += phi_k.transpose(0, 1, 3, 2) * v.data.reshape(heads)
+        s += phi_k.transpose(0, 1, 3, 2) * qkv[..., 2 * d:].reshape(heads)
         z += phi_k
         out = (phi_q @ s) / (phi_q * z).sum(axis=-1, keepdims=True)
-        return Tensor(out.reshape(q.shape))
+        return Tensor(out.reshape(heads[0], 1, d))
 
 
 def _block(state: ModelState, layer: int, x: Tensor,
@@ -274,14 +290,14 @@ def _block(state: ModelState, layer: int, x: Tensor,
     cfg = state.config
     pre = f"l{layer}."
     y = layer_norm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
-    q = linear(y, p[pre + "wq"], p[pre + "bq"])
-    k = linear(y, p[pre + "wk"], p[pre + "bk"])
-    v = linear(y, p[pre + "wv"], p[pre + "bv"])
     if cache is None:
+        q = linear(y, p[pre + "wq"], p[pre + "bq"])
+        k = linear(y, p[pre + "wk"], p[pre + "bk"])
+        v = linear(y, p[pre + "wv"], p[pre + "bv"])
         h = cfg.n_heads
         heads = _merge_heads(_linear_attention(_heads(q, h), _heads(k, h), _heads(v, h)))
     else:
-        heads = cache.attend(layer, q, k, v)
+        heads = cache.attend(layer, cache.project(layer, y, p))
     attn = linear(heads, p[pre + "wo"], p[pre + "bo"])
     x = x + dropout(attn, cfg.dropout, rng)
     y = layer_norm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
@@ -290,7 +306,7 @@ def _block(state: ModelState, layer: int, x: Tensor,
     return x + dropout(ffn, cfg.dropout, rng)
 
 
-def backbone(state: ModelState, ids: np.ndarray, bits: np.ndarray,
+def backbone(state: ModelState, ids: np.ndarray, bits: np.ndarray | None,
              rng: np.random.Generator | None = None,
              cache: DecodeCache | None = None) -> Tensor:
     """Final hidden states (B, T, d_model) for token ids (B, T).
@@ -298,7 +314,8 @@ def backbone(state: ModelState, ids: np.ndarray, bits: np.ndarray,
     ``bits`` is the (B, attr_dim) binarized attribute matrix. ``rng`` enables
     dropout; pass None for deterministic inference. With a ``cache``, ids (B, 1)
     are each row's token at position ``cache.t``, and the step moves it on;
-    the rows' attribute embedding comes from the first step's ``bits``.
+    the rows' attribute embedding comes from the first step's ``bits``, and
+    later steps neither read nor check theirs (None will do).
     """
     cfg = state.config
     p = state.params
@@ -309,15 +326,16 @@ def backbone(state: ModelState, ids: np.ndarray, bits: np.ndarray,
     start = 0 if cache is None else cache.t
     if start + t > cfg.max_len:
         raise ShapeMismatch(f"sequence length {start + t} exceeds max_len {cfg.max_len}")
-    bits = np.asarray(bits, dtype=float)
-    if bits.shape != (b, cfg.attr_dim):
-        raise ShapeMismatch(f"bits shape {bits.shape}, expected {(b, cfg.attr_dim)}")
+    if cache is not None and t != 1:
+        raise ShapeMismatch("a decoding step takes one token per row")
+    if cache is None or cache.attr is None:
+        bits = np.asarray(bits, dtype=float)
+        if bits.shape != (b, cfg.attr_dim):
+            raise ShapeMismatch(f"bits shape {bits.shape}, expected {(b, cfg.attr_dim)}")
     x = embedding(p["tok_emb"], ids) + p["pos_emb"][start:start + t]
     if cache is None:
         x = x + attribute_embedding(state, bits).reshape(b, 1, cfg.d_model)
     else:
-        if t != 1:
-            raise ShapeMismatch("a decoding step takes one token per row")
         if cache.attr is None:
             cache.attr = attribute_embedding(state, bits[:, None, :])  # row by row
         x = x + cache.attr

@@ -315,7 +315,7 @@ class Pipeline:
 
     def __init__(self, config: PipelineConfig):
         self.config = config
-        self.art = make_dir(config.artifact_dir, "artifact directory")
+        self.art = Path(config.artifact_dir)  # made by the first stage that runs
         self.manifest_path = Path(config.corpus_manifest)
         self.catalog = default_catalog()
 
@@ -415,6 +415,7 @@ class Pipeline:
         return h.hexdigest()
 
     def _run_stage(self, stage: Stage, body) -> str:
+        make_dir(self.art, "artifact directory")
         signature = self._signature(stage)
         record = self._record(stage.name)
         if record.get("signature") == signature and \
@@ -534,12 +535,14 @@ class Pipeline:
         """For each ``(name, bits, seed_key)`` in ``requests``, generate ``n``
         pieces conditioned on ``bits`` as ``out_dir/<prefix>_<name>_<i>.mid``,
         piece i seeded from ``seed_key + [i]``. All pieces are decoded before
-        any is written; yields each request name, path and note count."""
+        ``out_dir`` is made and any is written; yields each request name, path
+        and note count."""
         jobs = [(name, bits, i, self.config.sampler_config(
                     int(np.random.SeedSequence(seed_key + [i]).generate_state(1)[0])))
                 for name, bits, seed_key in requests for i in range(n)]
         pieces = generate_pieces(state, np.array([bits for _, bits, _, _ in jobs]),
                                  [cfg for _, _, _, cfg in jobs])
+        make_dir(out_dir, "output directory")
         for (name, _, i, _), tokens in zip(jobs, pieces):
             score, _ = tokens_to_score(tokens)
             path = out_dir / f"{prefix}_{name}_{i:04d}.mid"
@@ -552,7 +555,6 @@ class Pipeline:
         state, manifest = load_checkpoint(self.checkpoint_path)
         table = MappingTable.load(self.mapping_path)
         medians = np.asarray(manifest["medians"])
-        make_dir(self.generated_dir, "output directory")
         requests = [(q.name, binarize(table.vector_for(q), medians), [cfg.seed, 7, q.value])
                     for q in QUADRANTS]
         items = [{"file": path.name, "label": name}

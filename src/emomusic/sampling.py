@@ -3,9 +3,12 @@
 Decoding runs ``model.backbone`` one token per row at a time with a
 ``DecodeCache``, in float64 on a float64 copy of the weights. The copy's
 tensors do not require gradients, so every op in a step takes its no-graph
-shortcut. Its logits match the full forward within 1e-9 absolute, not bit for
-bit: the two forms sum in different orders. Every product is taken row by
-row, so a piece does not depend on the rows decoded with it.
+shortcut. Each layer projects q|k|v with one matmul (``DecodeCache.project``);
+only the first step reads the attribute bits, and the tied head's transpose
+is taken once per call. Its logits match the full forward within 1e-9
+absolute, not bit for bit: the two forms sum in different orders. Every
+product is taken row by row, so a piece does not depend on the rows decoded
+with it.
 
 Each step takes one softmax over all live rows; elementwise ops and sums
 along the last axis give each row the bits of its own 1-D softmax. The
@@ -22,7 +25,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import EmoMusicError
-from .model import DecodeCache, ModelState, backbone, logits_from_hidden
+from .model import DecodeCache, ModelState, backbone
 from .tokens import BOS, EOS
 
 MAX_DECODE_ROWS = 32  # rows decoded at once; a large-model row holds 1.5 MB of sums
@@ -99,6 +102,7 @@ def _decode(decoder: ModelState, bits: np.ndarray, cfgs: list[SamplerConfig],
     live = np.arange(len(cfgs))  # the rows still drawing
     last = tokens[:, 0]  # each live row's last token
     cache = DecodeCache(decoder.config, live.size)
+    head = decoder.params["tok_emb"].data.T  # the tied output projection
     length = 1  # of every live row's piece
     while True:
         running = (last != EOS) & (limits[live] > length)
@@ -110,8 +114,10 @@ def _decode(decoder: ModelState, bits: np.ndarray, cfgs: list[SamplerConfig],
             cache.keep(running)
         if not live.size:
             return [row[:end].tolist() for row, end in zip(tokens, ends)]
-        hidden = backbone(decoder, last[:, None], bits[live], cache=cache)
-        last = sample_rows(logits_from_hidden(decoder, hidden).data[:, 0], cfgs, rngs)
+        # only the first step reads the bits: the cache keeps their embedding
+        hidden = backbone(decoder, last[:, None], bits[live] if length == 1 else None,
+                          cache=cache)
+        last = sample_rows((hidden.data @ head)[:, 0], cfgs, rngs)
         tokens[live, length] = last
         length += 1
 

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from conftest import use_cpus
-from emomusic import features
-from emomusic.cli import main
+from emomusic import cli, features
+from emomusic.cli import build_parser, main
 from emomusic.mapping import EmotionQuadrant
 from emomusic.midi import (
     EndOfTrack,
@@ -272,6 +272,12 @@ class TestCli:
         assert "--n" in capsys.readouterr().err
         assert not (art / "generated").exists()
 
+    def test_generate_on_missing_artifact_dir_exits_2(self, tmp_path, capsys):
+        art = tmp_path / "artifacts"
+        assert main(["generate", "--artifact-dir", str(art), "--n", "1"]) == 2
+        assert str(art / "checkpoint.json") in capsys.readouterr().err
+        assert not art.exists()
+
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["not-a-command"])
@@ -393,6 +399,69 @@ FIELD_CHANGES = {
     "train": ("train_steps", 12),
     "generate": ("n_generate_per_quadrant", 1),
 }
+
+
+# every command is named, so every command's narrowed parser is exercised
+PARSED_ARGVS = [
+    ["synth-corpus", "--n-per-quadrant", "3", "--noise", "0.1", "--seed", "2"],
+    ["generate", "--emotion", "Q2", "--n", "3", "--sampler-p", "0.8", "--out-dir", "o"],
+    ["generate", "--attr-file", "a.json", "--artifact-dir", "art"],
+    ["analyze-bias", "--bias-n", "2", "--train-steps", "5", "--ratios", "0.6,0.2,0.2"],
+    ["split", "--ratios", "0.6,0.2,0.2", "--corpus-manifest", "m.json"],
+    ["extract", "--config", "c.json"],
+    ["train-forest", "--forest-trees", "7", "--seed", "3"],
+    ["select-attrs", "--selection-method", "forest", "--selection-k", "4"],
+    ["map-emotion", "--mapping-method", "center"],
+    ["train", "--train-steps", "4", "--batch-size", "2", "--base-lr", "0.01"],
+    ["evaluate"],
+    ["run", "--forest-trees", "5", "--sampler-p", "0.5", "--n-generate-per-quadrant", "1"],
+]
+
+# usage errors and help: what argparse prints and the exit code
+FAILED_ARGVS = [
+    [], ["nope"], ["--bogus"], ["-h"], ["--help"],
+    ["generate", "--help"], ["run", "-h"], ["synth-corpus", "--help"],
+    ["generate", "--bogus"], ["train", "-x"], ["evaluate", "extra"], ["run", "generate"],
+    ["generate", "--emotion", "Q9"], ["split", "--ratios", "a"], ["extract", "--seed", "x"],
+    ["generate", "--n"], ["train-forest", "--config"], ["analyze-bias", "--bias-n"],
+]
+
+
+class TestNarrowParser:
+    """``main`` builds only the subparser of the command it runs; nothing a
+    user sees may change with that."""
+
+    def test_every_command_is_exercised(self):
+        assert sorted({argv[0] for argv in PARSED_ARGVS}) == sorted(
+            build_parser()._subparsers._group_actions[0].choices)
+
+    @pytest.mark.parametrize("argv", PARSED_ARGVS, ids=lambda argv: argv[0])
+    def test_same_namespace(self, argv):
+        narrow = build_parser(argv[0])
+        assert list(narrow._subparsers._group_actions[0].choices) == [argv[0]]
+        assert vars(narrow.parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+    @staticmethod
+    def outcome(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    @pytest.mark.parametrize("argv", FAILED_ARGVS, ids=" ".join)
+    def test_same_output_and_exit_code(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        full = self.outcome(build_parser().parse_args, argv, capsys)
+        assert full[0] == (0 if {"-h", "--help"} & set(argv) else 1)
+        assert full[1] or full[2]
+        built = []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: built.append(command) or build_parser(command))
+        assert self.outcome(main, argv, capsys) == full
+        named = bool(argv) and argv[0] in cli._NAMES
+        assert built == [argv[0] if named and full[0] else None]
+        if named:
+            assert self.outcome(build_parser(argv[0]).parse_args, argv, capsys) == full
 
 
 class RecordingConfig:
@@ -847,9 +916,10 @@ class TestBadJsonInputs:
     @pytest.mark.parametrize("text", ["{not json", None, '{"values": [1, 2, 3]}',
                                       '["a", "b", "c"]', "[NaN, 1.0, 0.0]",
                                       "[Infinity, 1.0, 0.0]", "[true, 1.0, 0.0]",
-                                      f"[{'9' * 400}, 1.0, 0.0]"],
+                                      f"[{'9' * 400}, 1.0, 0.0]", "[1.0, 2.0]"],
                              ids=["not-json", "missing", "object", "not-numbers",
-                                  "nan", "infinity", "boolean", "huge-integer"])
+                                  "nan", "infinity", "boolean", "huge-integer",
+                                  "wrong-length"])
     def test_bad_attr_file_exits_2(self, tmp_path, capsys, text):
         art = tmp_path / "artifacts"
         write_generate_artifacts(art)
@@ -858,8 +928,11 @@ class TestBadJsonInputs:
             attr_file.write_text(text)
         assert main(["generate", "--artifact-dir", str(art),
                      "--attr-file", str(attr_file)]) == 2
-        assert str(attr_file) in capsys.readouterr().err
-        assert not list((art / "generated").glob("*.mid"))
+        err = capsys.readouterr().err
+        assert str(attr_file) in err
+        if text == "[1.0, 2.0]":  # the fixture's model takes 3 attributes
+            assert "2 values" in err and "takes 3" in err
+        assert not (art / "generated").exists()
 
 
 def test_checkpoint_without_attribute_encoder_exits_2(tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from emomusic import sampling
 from emomusic.errors import EmoMusicError
-from emomusic.autodiff import Tensor
+from emomusic.autodiff import Tensor, elu_plus_one, linear
 from emomusic.model import (
     DecodeCache,
     ModelConfig,
@@ -240,6 +240,46 @@ class TestDecodeCache:
         assert cache.s.shape[1] == cache.z.shape[1] == 2
         hidden = backbone(state, [[40], [40]], bits[rows], cache=cache)
         assert hidden.shape == (2, 1, state.config.d_model)
+
+
+def separate_step(cache: DecodeCache, layer: int, y: Tensor, params) -> np.ndarray:
+    """One decoding step's attention as three ``linear`` projections and two
+    ``elu_plus_one`` feature maps, updating ``cache``'s sums in place."""
+    q, k, v = (linear(y, params[f"l{layer}.w{n}"], params[f"l{layer}.b{n}"]) for n in "qkv")
+    heads = cache.z.shape[1:]
+    phi_q = elu_plus_one(q.reshape(*heads)).data
+    phi_k = elu_plus_one(k.reshape(*heads)).data
+    s, z = cache.s[layer], cache.z[layer]
+    s += phi_k.transpose(0, 1, 3, 2) * v.data.reshape(heads)
+    z += phi_k
+    return ((phi_q @ s) / (phi_q * z).sum(axis=-1, keepdims=True)).reshape(q.shape)
+
+
+class TestFusedDecodeStep:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 32), st.sampled_from([(1, 8), (2, 12), (4, 64), (8, 128)]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_one_projection_and_feature_map_match_the_separate_ops(self, rows, shape,
+                                                                  seed):
+        heads, d = shape
+        config = ModelConfig(n_layers=2, n_heads=heads, d_model=d, d_ffn=8, max_len=8,
+                             dropout=0.0, attr_dim=3)
+        rng = np.random.default_rng(seed)
+        params = {f"l{i}.{kind}{n}": Tensor(rng.normal(size=(d, d) if kind == "w" else d))
+                  for i in range(2) for kind in "wb" for n in "qkv"}
+        fused, separate = DecodeCache(config, rows), DecodeCache(config, rows)
+        for _ in range(3):
+            for layer in range(2):
+                y = Tensor(rng.normal(size=(rows, 1, d)))
+                qkv = fused.project(layer, y, params)
+                want = np.concatenate([linear(y, params[f"l{layer}.w{n}"],
+                                              params[f"l{layer}.b{n}"]).data
+                                       for n in "qkv"], axis=-1)
+                assert qkv.tobytes() == want.tobytes()
+                out = fused.attend(layer, qkv).data
+                assert out.tobytes() == separate_step(separate, layer, y, params).tobytes()
+        assert fused.s.tobytes() == separate.s.tobytes()
+        assert fused.z.tobytes() == separate.z.tobytes()
 
 
 def eos_prone_state():
