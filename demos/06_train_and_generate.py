@@ -16,7 +16,7 @@ from emomusic.forest import ForestConfig, SelectionConfig, feature_importance, \
     select_attributes, train_forest
 from emomusic.mapping import EmotionQuadrant, LabeledCorpus, binarize, compute_mapping
 from emomusic.model import ModelConfig, init_state
-from emomusic.sampling import SamplerConfig, generate_pieces
+from emomusic.sampling import generate_pieces
 from emomusic.synth import SynthSpec, synth_score
 from emomusic.tokens import score_to_tokens, tokens_to_score
 from emomusic.training import TrainConfig, train
@@ -53,8 +53,7 @@ print("\ngenerated pieces (conditioned on each quadrant's mapped attributes):")
 density_slot = catalog.span("note_density_per_quarter_note")[0]
 for quadrant in EmotionQuadrant:
     bits = binarize(table.vector_for(quadrant), table.medians)
-    [tokens] = generate_pieces(state, bits[None],
-                               [SamplerConfig(p=0.9, max_tokens=256, seed=quadrant.value)])
+    [tokens] = generate_pieces(state, bits[None], [quadrant.value], p=0.9, max_tokens=256)
     score, _ = tokens_to_score(tokens)
     from emomusic.features import extract_features
     density = extract_features(score, catalog).values[density_slot]

@@ -39,7 +39,7 @@ from .mapping import (
 from .midi import MidiFile, MidiTrack, parse_midi, write_midi
 from .model import ModelConfig, ModelState, init_state, next_token_loss
 from .pipeline import Pipeline, PipelineConfig, split_dataset
-from .sampling import SamplerConfig, sample_top_p
+from .sampling import sample_top_p
 from .score import (
     Note,
     Score,

@@ -179,6 +179,11 @@ def _cmd_generate(args, config: PipelineConfig) -> int:
         values = {"custom": vector}
     else:
         table = MappingTable.load(pipe.mapping_path)
+        if table.indices != manifest["indices"]:
+            raise EmoMusicError(
+                f"mapping file {pipe.mapping_path} maps other attributes than the ones "
+                f"checkpoint {pipe.checkpoint_path.with_suffix('.json')} was trained on; "
+                f"run train to train on this mapping")
         quadrants = [EmotionQuadrant[args.emotion]] if args.emotion \
             else list(EmotionQuadrant)
         values = {q.name: table.vector_for(q) for q in quadrants}

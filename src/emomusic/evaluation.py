@@ -30,7 +30,7 @@ from .mapping import (
     center_boundary_split,
 )
 from .model import ModelState
-from .sampling import SamplerConfig, generate_pieces
+from .sampling import generate_pieces
 from .tokens import tokens_to_score
 
 
@@ -123,8 +123,8 @@ def _accuracy_over(ids: list[int], predictions: np.ndarray,
 
 
 def bias_experiment(corpus: LabeledCorpus, indices: list[int], state: ModelState,
-                    medians: np.ndarray, forest: RandomForest, n: int,
-                    sampler: SamplerConfig) -> dict:
+                    medians: np.ndarray, forest: RandomForest, n: int, seed: int,
+                    p: float, max_tokens: int) -> dict:
     """Center-vs-boundary probe.
 
     Real side: classify the corpus' own center and boundary samples by the
@@ -146,10 +146,9 @@ def bias_experiment(corpus: LabeledCorpus, indices: list[int], state: ModelState
     rows = [row_id for quadrant in QUADRANTS for ids in split[quadrant] for row_id in ids]
     bits = np.array([binarize(corpus.matrix.values[row_id][indices], medians)
                      for row_id in rows])
-    cfgs = [SamplerConfig(sampler.p, sampler.temperature, sampler.max_tokens,
-                          (sampler.seed * 1_000_003 + row_id) % (2 ** 31))
-            for row_id in rows]
-    scores = [tokens_to_score(tokens)[0] for tokens in generate_pieces(state, bits, cfgs)]
+    seeds = [(seed * 1_000_003 + row_id) % (2 ** 31) for row_id in rows]
+    scores = [tokens_to_score(tokens)[0]
+              for tokens in generate_pieces(state, bits, seeds, p, max_tokens)]
     generated_preds = np.full(len(truth), -1)
     if scores:
         generated_preds[rows] = [q.class_index for q in

@@ -123,22 +123,39 @@ class MappingTable:
                 sorted(doc["vectors"]) != [q.name for q in EmotionQuadrant]:
             raise EmoMusicError(f"mapping file {path}: vectors must map each of "
                                 f"{', '.join(q.name for q in EmotionQuadrant)} to a vector")
+        indices = doc["indices"]
+        if not (isinstance(indices, list) and all(type(i) is int for i in indices)):
+            raise EmoMusicError(f"mapping file {path}: indices must be a list of integers")
         vectors = {}
         for name, v in doc["vectors"].items():
-            v = np.asarray(v, dtype=float)
-            if v.ndim == 2 and v.shape[0] == 1:
+            if isinstance(v, list) and len(v) == 1 and isinstance(v[0], list):
                 v = v[0]  # older files wrap each vector in a one-element list
-            if v.ndim != 1:
-                raise EmoMusicError(f"mapping file {path}: quadrant {name} must hold "
-                                    f"one attribute vector, not an array of shape {v.shape}")
-            vectors[EmotionQuadrant[name]] = v
+            vectors[EmotionQuadrant[name]] = _finite_vector(
+                v, len(indices), f"mapping file {path}: quadrant {name}")
+        medians = doc["medians"]
         return cls(
             method=doc["method"],
             catalog_version=doc["catalog_version"],
-            indices=list(doc["indices"]),
+            indices=indices,
             vectors=vectors,
-            medians=None if doc["medians"] is None else np.asarray(doc["medians"]),
+            medians=None if medians is None else _finite_vector(
+                medians, len(indices), f"mapping file {path}: medians"),
         )
+
+
+def _finite_vector(values, n: int, what: str) -> np.ndarray:
+    """``values`` as floats when it is a JSON list of ``n`` finite numbers;
+    otherwise raises EmoMusicError naming ``what``. true and false would pass
+    as 1 and 0, so they are not numbers here."""
+    if isinstance(values, list) and len(values) == n \
+            and all(type(v) in (int, float) for v in values):
+        try:
+            vector = np.array(values, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            vector = np.array([np.inf])
+        if np.isfinite(vector).all():
+            return vector
+    raise EmoMusicError(f"{what} must be a list of {n} finite numbers, one per index")
 
 
 @dataclass(slots=True)

@@ -78,7 +78,7 @@ from .mapping import (
 from .midi import parse_midi, write_midi
 from .model import ModelConfig, ModelState, init_state
 from .parallel import fork_map
-from .sampling import SamplerConfig, generate_pieces
+from .sampling import generate_pieces
 from .score import Score, merge_tracks, midi_to_score, score_to_midi
 from .tokens import score_to_tokens, save_vocabulary, tokens_to_score
 from .training import TrainConfig, load_checkpoint, save_checkpoint, save_loss_log, train
@@ -183,10 +183,6 @@ class PipelineConfig:
         return TrainConfig(batch_size=self.batch_size, base_lr=self.base_lr,
                            warmup_steps=self.warmup_steps, max_steps=self.train_steps,
                            seed=self.seed)
-
-    def sampler_config(self, seed: int) -> SamplerConfig:
-        return SamplerConfig(p=self.sampler_p, max_tokens=self.max_generate_tokens,
-                             seed=seed)
 
 
 def default_artifact_dir() -> str:
@@ -537,11 +533,12 @@ class Pipeline:
         piece i seeded from ``seed_key + [i]``. All pieces are decoded before
         ``out_dir`` is made and any is written; yields each request name, path
         and note count."""
-        jobs = [(name, bits, i, self.config.sampler_config(
-                    int(np.random.SeedSequence(seed_key + [i]).generate_state(1)[0])))
+        jobs = [(name, bits, i,
+                 int(np.random.SeedSequence(seed_key + [i]).generate_state(1)[0]))
                 for name, bits, seed_key in requests for i in range(n)]
         pieces = generate_pieces(state, np.array([bits for _, bits, _, _ in jobs]),
-                                 [cfg for _, _, _, cfg in jobs])
+                                 [seed for _, _, _, seed in jobs], self.config.sampler_p,
+                                 self.config.max_generate_tokens)
         make_dir(out_dir, "output directory")
         for (name, _, i, _), tokens in zip(jobs, pieces):
             score, _ = tokens_to_score(tokens)
@@ -613,9 +610,8 @@ class Pipeline:
         state, manifest = load_checkpoint(self.checkpoint_path)
         medians = np.asarray(manifest["medians"])
         indices = manifest["indices"]
-        report = bias_experiment(
-            corpus, indices, state, medians, forest, cfg.bias_n,
-            self.config.sampler_config(cfg.seed + 11))
+        report = bias_experiment(corpus, indices, state, medians, forest, cfg.bias_n,
+                                 cfg.seed + 11, cfg.sampler_p, cfg.max_generate_tokens)
         (self.art / "bias_report.json").write_text(json.dumps(report, indent=1) + "\n")
         return report
 

@@ -10,16 +10,15 @@ absolute, not bit for bit: the two forms sum in different orders. Every
 product is taken row by row, so a piece does not depend on the rows decoded
 with it.
 
-Each step takes one softmax over all live rows; elementwise ops and sums
-along the last axis give each row the bits of its own 1-D softmax. The
-nucleus draw stays per row: the stable sort, the cutoff, the nucleus sum
-(numpy's pairwise order depends on the row) and one draw from the row's own
-generator.
+All rows of a call are drawn under one nucleus p and one token cap; only
+the seed of each row's generator is its own. Each step takes one softmax
+over all live rows; elementwise ops and sums along the last axis give each
+row the bits of its own 1-D softmax. The nucleus draw stays per row: the
+stable sort, the cutoff, the nucleus sum (numpy's pairwise order depends on
+the row) and one draw from the row's own generator.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,25 +30,9 @@ from .tokens import BOS, EOS
 MAX_DECODE_ROWS = 32  # rows decoded at once; a large-model row holds 1.5 MB of sums
 
 
-@dataclass(frozen=True, slots=True)
-class SamplerConfig:
-    p: float = 0.9
-    temperature: float = 1.0
-    max_tokens: int = 1280
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.p <= 1.0:
-            raise EmoMusicError("p must be in (0, 1]")
-        if self.temperature <= 0.0:
-            raise EmoMusicError("temperature must be positive")
-
-
-def sample_rows(logits: np.ndarray, cfgs: list[SamplerConfig],
-                rngs: list[np.random.Generator]) -> np.ndarray:
-    """One token per row of ``logits`` (B, V), row i drawn under ``cfgs[i]``
-    with ``rngs[i]``: temperature, softmax, nucleus truncation, then one
-    categorical draw.
+def sample_rows(logits: np.ndarray, p: float, rngs: list[np.random.Generator]) -> np.ndarray:
+    """One token per row of ``logits`` (B, V), row i drawn with ``rngs[i]``:
+    softmax, nucleus truncation at ``p``, then one categorical draw.
 
     The nucleus is the smallest prefix of the descending stable-sorted
     probabilities whose cumulative mass reaches p, renormalized. Tokens
@@ -57,22 +40,22 @@ def sample_rows(logits: np.ndarray, cfgs: list[SamplerConfig],
     cumulative sum. Logits of -inf are never drawn; a row with a NaN or +inf
     logit, or with every logit -inf, raises EmoMusicError.
     """
-    scaled = np.asarray(logits, dtype=float)
-    if any(cfg.temperature != 1.0 for cfg in cfgs):  # x / 1.0 is x, bit for bit
-        scaled = scaled / np.array([cfg.temperature for cfg in cfgs])[:, None]
-    top = scaled.max(axis=1, keepdims=True)
+    if not 0.0 < p <= 1.0:
+        raise EmoMusicError("p must be in (0, 1]")
+    logits = np.asarray(logits, dtype=float)
+    top = logits.max(axis=1, keepdims=True)
     if not np.isfinite(top).all():
         raise EmoMusicError("logits are NaN, +inf or all -inf; cannot sample")
-    probs = scaled - top
+    probs = logits - top
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)  # each row's sum is the 1-D sum's bits
     nucleus = np.zeros(probs.shape)
     tokens = []
-    for row, negated, out, cfg, rng in zip(probs, -probs, nucleus, cfgs, rngs):
+    for row, negated, out, rng in zip(probs, -probs, nucleus, rngs):
         # array methods rather than their np.* wrappers: this runs per row and token
         order = negated.argsort(kind="stable")
         ranked = row[order]
-        cutoff = int(ranked.cumsum().searchsorted(cfg.p)) + 1  # smallest prefix >= p
+        cutoff = int(ranked.cumsum().searchsorted(p)) + 1  # smallest prefix >= p
         kept = ranked[:cutoff]
         out[order[:cutoff]] = kept / kept.sum()  # pairwise sum: per row
         # the running sum in token order passes over the zeros outside the
@@ -85,63 +68,61 @@ def sample_rows(logits: np.ndarray, cfgs: list[SamplerConfig],
     return np.array(tokens)
 
 
-def sample_top_p(logits: np.ndarray, cfg: SamplerConfig,
-                 rng: np.random.Generator) -> int:
+def sample_top_p(logits: np.ndarray, p: float, rng: np.random.Generator) -> int:
     """``sample_rows`` for one row of logits (V,)."""
-    return int(sample_rows(np.asarray(logits, dtype=float)[None], [cfg], [rng])[0])
+    return int(sample_rows(np.asarray(logits, dtype=float)[None], p, [rng])[0])
 
 
-def _decode(decoder: ModelState, bits: np.ndarray, cfgs: list[SamplerConfig],
-            limits: np.ndarray) -> list[list[int]]:
-    """The pieces of rows decoded together, row i from BOS until EOS or
-    ``limits[i]`` tokens."""
-    rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
-    tokens = np.empty((len(cfgs), max(limits.max(), 1)), dtype=np.int64)
+def _decode(decoder: ModelState, bits: np.ndarray, seeds: list[int], p: float,
+            limit: int) -> list[list[int]]:
+    """The pieces of rows decoded together, row i seeded with ``seeds[i]``, each
+    from BOS until EOS or ``limit`` tokens."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    tokens = np.empty((len(seeds), max(limit, 1)), dtype=np.int64)
     tokens[:, 0] = BOS
-    ends = np.empty(len(cfgs), dtype=int)  # row i's piece is tokens[i, :ends[i]]
-    live = np.arange(len(cfgs))  # the rows still drawing
+    ends = np.full(len(seeds), tokens.shape[1])  # row i's piece is tokens[i, :ends[i]]
+    live = np.arange(len(seeds))  # the rows still drawing
     last = tokens[:, 0]  # each live row's last token
     cache = DecodeCache(decoder.config, live.size)
     head = decoder.params["tok_emb"].data.T  # the tied output projection
-    length = 1  # of every live row's piece
-    while True:
-        running = (last != EOS) & (limits[live] > length)
+    for length in range(1, limit):  # of every live row's piece
+        running = last != EOS
         if not running.all():
             ends[live[~running]] = length
             live, last = live[running], last[running]
-            cfgs = [cfg for cfg, keep in zip(cfgs, running) if keep]
             rngs = [rng for rng, keep in zip(rngs, running) if keep]
+            if not live.size:
+                break
             cache.keep(running)
-        if not live.size:
-            return [row[:end].tolist() for row, end in zip(tokens, ends)]
         # only the first step reads the bits: the cache keeps their embedding
         hidden = backbone(decoder, last[:, None], bits[live] if length == 1 else None,
                           cache=cache)
-        last = sample_rows((hidden.data @ head)[:, 0], cfgs, rngs)
+        last = sample_rows((hidden.data @ head)[:, 0], p, rngs)
         tokens[live, length] = last
-        length += 1
+    return [row[:end].tolist() for row, end in zip(tokens, ends)]
 
 
-def generate_pieces(state: ModelState, bits: np.ndarray,
-                    cfgs: list[SamplerConfig]) -> list[list[int]]:
-    """One piece per row of ``bits`` (B, attr_dim), row i sampled under
-    ``cfgs[i]`` with a generator of its own, from BOS until EOS or its
-    ``max_tokens`` (both included). Rows are decoded ``MAX_DECODE_ROWS`` at a
-    time; a piece is the same whichever rows it is decoded with."""
+def generate_pieces(state: ModelState, bits: np.ndarray, seeds: list[int], p: float,
+                    max_tokens: int) -> list[list[int]]:
+    """One piece per row of ``bits`` (B, attr_dim), row i drawn from a
+    generator seeded with ``seeds[i]``, from BOS until EOS or ``max_tokens``
+    (both included), every row under the same nucleus ``p``. Rows are decoded
+    ``MAX_DECODE_ROWS`` at a time; a piece is the same whichever rows it is
+    decoded with."""
     bits = np.asarray(bits, dtype=float)
-    if len(bits) != len(cfgs):
-        raise EmoMusicError(f"{len(bits)} rows of bits but {len(cfgs)} sampler configs")
-    decoder = ModelState(state.config, {name: Tensor(p.data.astype(np.float64))
-                                        for name, p in state.params.items()})
-    limits = np.array([min(cfg.max_tokens, state.config.max_len) for cfg in cfgs])
+    if len(bits) != len(seeds):
+        raise EmoMusicError(f"{len(bits)} rows of bits but {len(seeds)} seeds")
+    decoder = ModelState(state.config, {name: Tensor(w.data.astype(np.float64))
+                                        for name, w in state.params.items()})
+    limit = min(max_tokens, state.config.max_len)
     pieces = []
-    for first in range(0, len(cfgs), MAX_DECODE_ROWS):
+    for first in range(0, len(seeds), MAX_DECODE_ROWS):
         rows = slice(first, first + MAX_DECODE_ROWS)
-        pieces += _decode(decoder, bits[rows], cfgs[rows], limits[rows])
+        pieces += _decode(decoder, bits[rows], seeds[rows], p, limit)
     return pieces
 
 
-def generate_from_bits(state: ModelState, bits: np.ndarray,
-                       cfg: SamplerConfig) -> list[int]:
-    """One piece for the attribute bits (attr_dim,), sampled under ``cfg``."""
-    return generate_pieces(state, np.asarray(bits)[None, :], [cfg])[0]
+def generate_from_bits(state: ModelState, bits: np.ndarray, seed: int, p: float,
+                       max_tokens: int) -> list[int]:
+    """One piece for the attribute bits (attr_dim,)."""
+    return generate_pieces(state, np.asarray(bits)[None, :], [seed], p, max_tokens)[0]

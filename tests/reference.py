@@ -24,7 +24,7 @@ the chunk axis), ``cross_entropy`` (the exp taken again in the backward) and
 
 import numpy as np
 
-from emomusic.autodiff import Tensor, _unbroadcast, elu_plus_one
+from emomusic.autodiff import Tensor, _unbroadcast
 from emomusic.model import _CHUNK, ModelState, forward_batch
 from emomusic.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
@@ -94,9 +94,8 @@ def nucleus_probabilities(probs: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def sample_top_p(logits: np.ndarray, p: float, temperature: float,
-                 rng: np.random.Generator) -> int:
-    scaled = np.asarray(logits, dtype=float) / temperature
+def sample_top_p(logits: np.ndarray, p: float, rng: np.random.Generator) -> int:
+    scaled = np.array(logits, dtype=float)
     scaled -= scaled.max()
     probs = np.exp(scaled)
     probs /= probs.sum()

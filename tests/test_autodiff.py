@@ -8,10 +8,10 @@ from emomusic.autodiff import (
     Tensor,
     cross_entropy,
     dropout,
-    elu_plus_one,
     embedding,
     layer_norm,
     linear,
+    phi_and_slope,
     relu,
 )
 
@@ -35,6 +35,12 @@ def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         flat[i] = old
         out[i] = (up - down) / (2 * h)
     return grad
+
+
+def phi(x: Tensor) -> Tensor:
+    """``phi_and_slope``'s value as a graph node whose backward scales by its slope."""
+    out, slope = phi_and_slope(x.data)
+    return Tensor(out, parents=(x,), backward=lambda g: (g * slope,))
 
 
 def check_grad(build, *arrays, tol=1e-6):
@@ -63,11 +69,10 @@ class TestElementwise:
 
     def test_elu_plus_one_both_branches(self):
         a = np.array([-2.0, -0.5, 0.3, 1.5, 3.0])
-        check_grad(elu_plus_one, a)
+        check_grad(phi, a)
 
     def test_elu_plus_one_is_positive(self):
-        x = Tensor(np.linspace(-20, 20, 101))
-        assert (elu_plus_one(x).data > 0).all()
+        assert (phi_and_slope(np.linspace(-20, 20, 101))[0] > 0).all()
 
 
 class TestShapes:
@@ -128,7 +133,7 @@ class TestNeuralOps:
             assert new.tobytes() == old.tobytes()
 
     @pytest.mark.parametrize("ops", [(relu, reference.relu),
-                                     (elu_plus_one, reference.elu_plus_one)],
+                                     (phi, reference.elu_plus_one)],
                              ids=["relu", "elu_plus_one"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("grad", [False, True], ids=["no-grad", "grad"])

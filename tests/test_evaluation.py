@@ -18,7 +18,6 @@ from emomusic.features import CorpusMatrix, default_catalog, extract_corpus
 from emomusic.forest import ForestConfig, train_forest
 from emomusic.mapping import EmotionQuadrant, LabeledCorpus, compute_medians
 from emomusic.model import ModelConfig, init_state
-from emomusic.sampling import SamplerConfig
 from emomusic.score import Note, Score
 
 Q1, Q2, Q3, Q4 = EmotionQuadrant
@@ -141,8 +140,8 @@ class TestBiasExperiment:
                                        d_ffn=16, max_len=8, dropout=0.0,
                                        attr_dim=2), seed=57)
         medians = compute_medians(corpus.matrix.values)
-        report = bias_experiment(corpus, [0, 1], state, medians, forest, n=4,
-                                 sampler=SamplerConfig(p=0.9, max_tokens=8, seed=58))
+        report = bias_experiment(corpus, [0, 1], state, medians, forest, n=4, seed=58,
+                                 p=0.9, max_tokens=8)
         assert report["real"]["center"] > report["real"]["boundary"]
         assert report["n_center"] == report["n_boundary"] == 16
         for value in report["generated"].values():
@@ -157,8 +156,8 @@ class TestBiasExperiment:
                                        d_ffn=16, max_len=8, dropout=0.0,
                                        attr_dim=2), seed=60)
         report = bias_experiment(corpus, [0, 1], state,
-                                 compute_medians(vectors), forest, n=3,
-                                 sampler=SamplerConfig(p=0.9, max_tokens=8, seed=61))
+                                 compute_medians(vectors), forest, n=3, seed=61,
+                                 p=0.9, max_tokens=8)
         assert report["real"]["center"] == report["real"]["boundary"]
 
 

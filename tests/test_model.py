@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import emomusic.model
 import emomusic.training
-from emomusic.autodiff import Tensor, elu_plus_one
+from emomusic.autodiff import Tensor
 from emomusic.errors import EmoMusicError
 from emomusic.model import (
     ModelConfig,
@@ -47,8 +47,8 @@ from reference import cumsum, div, forward, mul, softmax, sum_axis
 def _linear_attention_scan(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Direct causal prefix-sum evaluation; O(T * dk * dv) memory."""
     b, h, t, hd = q.shape
-    phi_q = elu_plus_one(q)
-    phi_k = elu_plus_one(k)
+    phi_q = reference.elu_plus_one(q)
+    phi_k = reference.elu_plus_one(k)
     kv = mul(phi_k.reshape(b, h, t, hd, 1), v.reshape(b, h, t, 1, hd))
     s = cumsum(kv, axis=2)                                  # (B,H,T,dk,dv)
     num = sum_axis(mul(phi_q.reshape(b, h, t, hd, 1), s), 3)  # (B,H,T,dv)

@@ -795,8 +795,9 @@ def edit_json(change):
 
 
 class TestTruncatedArtifacts:
-    """A missing or cut artifact, or a JSON one with a wrong key, is bad
-    input: exit 2 naming the file, not exit 3."""
+    """A missing or cut artifact, a JSON one with a wrong key, or a mapping
+    field that does not hold the numbers it should, is bad input: exit 2
+    naming the file, not exit 3."""
 
     @pytest.mark.parametrize("name,edit", [
         pytest.param("mapping.json", lambda text: text[:45], id="mapping.json"),
@@ -829,6 +830,37 @@ class TestTruncatedArtifacts:
                      id="mapping-quadrant-Q5"),
         pytest.param("mapping.json", edit_json(lambda doc: doc.pop("vectors")),
                      id="mapping-no-vectors"),
+        pytest.param("mapping.json", edit_json(lambda doc: doc.update(indices="012")),
+                     id="mapping-indices-string"),
+        pytest.param("mapping.json", edit_json(lambda doc: doc.update(indices=[0, 1.0, 2])),
+                     id="mapping-indices-float"),
+        pytest.param("mapping.json", edit_json(lambda doc: doc.update(indices=[0, True, 2])),
+                     id="mapping-indices-boolean"),
+        pytest.param("mapping.json",
+                     edit_json(lambda doc: doc["vectors"].update(Q2=[["a", -0.5, 1.0]])),
+                     id="mapping-vector-string"),
+        pytest.param("mapping.json",
+                     edit_json(lambda doc: doc["vectors"].update(Q2=[0.5, None, 1.0])),
+                     id="mapping-vector-null"),
+        pytest.param("mapping.json",
+                     edit_json(lambda doc: doc["vectors"].update(Q2=[0.5, True, 1.0])),
+                     id="mapping-vector-boolean"),
+        pytest.param("mapping.json",
+                     edit_json(lambda doc: doc["vectors"].update(Q2=[0.5, float("nan"), 1.0])),
+                     id="mapping-vector-nan"),
+        pytest.param("mapping.json",
+                     edit_json(lambda doc: doc["vectors"].update(Q2=[0.5, 10 ** 400, 1.0])),
+                     id="mapping-vector-huge-integer"),
+        pytest.param("mapping.json", edit_json(lambda doc: doc["vectors"].update(Q2=[0.5])),
+                     id="mapping-vector-short"),
+        pytest.param("mapping.json", edit_json(lambda doc: doc["vectors"].update(Q2=0.5)),
+                     id="mapping-vector-number"),
+        pytest.param("mapping.json", edit_json(lambda doc: doc.update(medians=["a", "b", "c"])),
+                     id="mapping-medians-strings"),
+        pytest.param("mapping.json", edit_json(lambda doc: doc.update(medians=[0.0, 0.0])),
+                     id="mapping-medians-short"),
+        pytest.param("mapping.json", edit_json(lambda doc: doc.update(medians=0.0)),
+                     id="mapping-medians-number"),
     ])
     def test_generate_exits_2(self, tmp_path, capsys, name, edit):
         art = tmp_path / "artifacts"
@@ -860,6 +892,35 @@ class TestTruncatedArtifacts:
             path.write_bytes(damage(path.read_bytes()))
         assert main(["generate", "--artifact-dir", str(art), "--n", "1"]) == 2
         assert str(path) in capsys.readouterr().err
+
+
+class TestMappingAgainstCheckpoint:
+    """A mapping.json over other attributes than the checkpoint was trained on
+    is bad input: exit 2 naming both files, before any directory is made. One
+    without medians loads."""
+
+    def test_mapping_without_medians_loads(self, tmp_path):
+        art = tmp_path / "artifacts"
+        write_generate_artifacts(art)
+        path = art / "mapping.json"
+        path.write_text(edit_json(lambda doc: doc.update(medians=None))(path.read_text()))
+        assert main(["generate", "--artifact-dir", str(art), "--n", "1"]) == 0
+
+    @pytest.mark.parametrize("indices", [[2, 1, 0], [0, 1, 2, 3]],
+                             ids=["same-count", "other-count"])
+    def test_mapping_from_another_selection_exits_2(self, tmp_path, capsys, indices):
+        art = tmp_path / "artifacts"
+        write_generate_artifacts(art)
+        path = art / "mapping.json"
+        path.write_text(json.dumps({
+            "method": "closest", "catalog_version": "v1", "indices": indices,
+            "vectors": {q.name: [0.5] * len(indices) for q in EmotionQuadrant},
+            "medians": [0.0] * len(indices)}))
+        assert main(["generate", "--artifact-dir", str(art), "--emotion", "Q1"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and str(art / "checkpoint.json") in err
+        assert "run train" in err
+        assert not (art / "generated").exists()
 
 
 class TestBadJsonInputs:

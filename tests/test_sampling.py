@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from emomusic import sampling
 from emomusic.errors import EmoMusicError
-from emomusic.autodiff import Tensor, elu_plus_one, linear
+from emomusic.autodiff import Tensor, linear, phi_and_slope
 from emomusic.model import (
     DecodeCache,
     ModelConfig,
@@ -16,7 +16,7 @@ from emomusic.model import (
     init_state,
     logits_from_hidden,
 )
-from emomusic.sampling import SamplerConfig, generate_pieces, sample_rows, sample_top_p
+from emomusic.sampling import generate_pieces, sample_rows, sample_top_p
 from emomusic.tokens import BOS, EOS
 
 import reference
@@ -37,38 +37,24 @@ class TestNucleus:
         logits = np.full(5, -100.0)
         logits[3] = 100.0
         rng = np.random.default_rng(0)
-        cfg = SamplerConfig(p=0.9, max_tokens=10)
-        assert all(sample_top_p(logits, cfg, rng) == 3 for _ in range(50))
+        assert all(sample_top_p(logits, 0.9, rng) == 3 for _ in range(50))
 
     def test_token_outside_nucleus_never_drawn(self):
-        # log-probs for [0.5, 0.3, 0.15, 0.05]; temperature 1 keeps them
+        # log-probs for [0.5, 0.3, 0.15, 0.05]
         logits = np.log(np.array([0.5, 0.3, 0.15, 0.05]))
         rng = np.random.default_rng(1)
-        cfg = SamplerConfig(p=0.9, max_tokens=10)
-        draws = np.array([sample_top_p(logits, cfg, rng) for _ in range(2000)])
+        draws = np.array([sample_top_p(logits, 0.9, rng) for _ in range(2000)])
         assert (draws != 3).all()
         freq = np.bincount(draws, minlength=4) / draws.size
         expected = np.array([0.5, 0.3, 0.15]) / 0.95
         sigma = np.sqrt(expected * (1 - expected) / draws.size)
         assert (np.abs(freq[:3] - expected) <= 3 * sigma).all()
 
-    def test_temperature_flattens(self):
-        logits = np.array([2.0, 0.0])
-        rng = np.random.default_rng(2)
-        hot = sum(sample_top_p(logits, SamplerConfig(p=1.0, temperature=10.0,
-                                                     max_tokens=4), rng)
-                  for _ in range(2000))
-        rng = np.random.default_rng(2)
-        cold = sum(sample_top_p(logits, SamplerConfig(p=1.0, temperature=0.1,
-                                                      max_tokens=4), rng)
-                   for _ in range(2000))
-        assert cold < hot  # low temperature sticks to the argmax
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "plus-inf"])
     def test_non_finite_logits_rejected(self, bad):
         logits = np.array([0.5, bad, -1.0])
         with pytest.raises(EmoMusicError, match="logits"):
-            sample_top_p(logits, SamplerConfig(), np.random.default_rng(0))
+            sample_top_p(logits, 0.9, np.random.default_rng(0))
 
     def test_draws_repeat_the_reference_sampler(self):
         rng = np.random.default_rng(12)
@@ -78,30 +64,29 @@ class TestNucleus:
                 logits = np.round(logits)  # ties in the descending sort
             if i % 5 == 0:
                 logits[rng.integers(0, 244, size=60)] = -np.inf
-            cfg = SamplerConfig(p=float(rng.choice([0.3, 0.9, 0.999, 1.0])),
-                                temperature=float(rng.choice([0.7, 1.0])), seed=i)
+            p = float(rng.choice([0.3, 0.9, 0.999, 1.0]))
+            # divided by 0.7 or 1, as the sampler once scaled them: every case
+            # keeps the logits it has always been sampled from
+            logits = logits / float(rng.choice([0.7, 1.0]))
             ours, theirs = np.random.default_rng(i), np.random.default_rng(i)
             for _ in range(3):
-                assert sample_top_p(logits, cfg, ours) == \
-                    reference.sample_top_p(logits, cfg.p, cfg.temperature, theirs)
+                assert sample_top_p(logits, p, ours) == reference.sample_top_p(logits, p, theirs)
 
     def test_minus_inf_logits_never_drawn(self):
         logits = np.array([-np.inf, 0.0, -np.inf, 0.5])
         rng = np.random.default_rng(3)
-        cfg = SamplerConfig(p=1.0)
-        assert {sample_top_p(logits, cfg, rng) for _ in range(200)} == {1, 3}
+        assert {sample_top_p(logits, 1.0, rng) for _ in range(200)} == {1, 3}
 
 
 # p near 0, 0.5, 0.9 and 1, the last both below 1 and exactly 1
 NUCLEUS_P = st.one_of(st.floats(1e-12, 1e-3), st.floats(0.45, 0.55), st.floats(0.85, 0.95),
                       st.floats(0.99, 1.0), st.just(1.0))
-TEMPERATURES = st.one_of(st.sampled_from([0.25, 0.7, 1.0, 1.5, 3.0]), st.floats(0.05, 10.0))
 
 
 @st.composite
 def logit_batches(draw):
-    """(logits (B, 244), configs) with B in 1..32. Rows may be rounded to
-    ties, may tie at the top, and may hold -inf entries; none is all -inf."""
+    """(logits (B, 244), p) with B in 1..32. Rows may be rounded to ties, may
+    tie at the top, and may hold -inf entries; none is all -inf."""
     rows = draw(st.integers(1, 32))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     scales = [draw(st.sampled_from([0.01, 0.1, 1.0, 4.0, 40.0])) for _ in range(rows)]
@@ -113,23 +98,20 @@ def logit_batches(draw):
             row[rng.integers(0, 244, size=draw(st.integers(1, 8)))] = row.max()
         n_inf = draw(st.sampled_from([0, 0, 1, 60, 243]))
         row[rng.permutation(244)[:n_inf]] = -np.inf
-    cfgs = [SamplerConfig(p=draw(NUCLEUS_P), temperature=draw(TEMPERATURES), seed=i)
-            for i in range(rows)]
-    return logits, cfgs
+    return logits, draw(NUCLEUS_P)
 
 
 class TestSampleRows:
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(logit_batches())
     def test_draws_repeat_the_reference_sampler_row_by_row(self, case):
-        logits, cfgs = case
-        ours = [np.random.default_rng(cfg.seed) for cfg in cfgs]
-        theirs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
+        logits, p = case
+        ours = [np.random.default_rng(i) for i in range(len(logits))]
+        theirs = [np.random.default_rng(i) for i in range(len(logits))]
         for _ in range(3):
-            drawn = sample_rows(logits, cfgs, ours)
-            assert drawn.tolist() == [
-                reference.sample_top_p(row, cfg.p, cfg.temperature, rng)
-                for row, cfg, rng in zip(logits, cfgs, theirs)]
+            drawn = sample_rows(logits, p, ours)
+            assert drawn.tolist() == [reference.sample_top_p(row, p, rng)
+                                      for row, rng in zip(logits, theirs)]
 
     def test_a_draw_at_the_top_of_the_range_takes_the_last_nucleus_token(self):
         class Top:
@@ -141,19 +123,18 @@ class TestSampleRows:
 
         logits = np.log(np.array([0.05, 0.5, 0.3, 0.3, 0.15]))
         logits[2] = -np.inf
-        cfg = SamplerConfig(p=0.9)
-        assert sample_rows(logits[None], [cfg], [Top()]).tolist() == [4]
-        assert reference.sample_top_p(logits, cfg.p, cfg.temperature, Top()) == 4
+        assert sample_rows(logits[None], 0.9, [Top()]).tolist() == [4]
+        assert reference.sample_top_p(logits, 0.9, Top()) == 4
 
     @settings(max_examples=50, derandomize=True, database=None, deadline=None)
     @given(logit_batches(), st.sampled_from([np.nan, np.inf]), st.data())
     def test_a_non_finite_row_in_the_batch_raises(self, case, bad, data):
-        logits, cfgs = case
+        logits, p = case
         row = data.draw(st.integers(0, len(logits) - 1))
         logits[row, data.draw(st.integers(0, 243))] = bad
-        rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
+        rngs = [np.random.default_rng(i) for i in range(len(logits))]
         with pytest.raises(EmoMusicError, match="logits"):
-            sample_rows(logits, cfgs, rngs)
+            sample_rows(logits, p, rngs)
 
 
 def tiny_state(seed=0):
@@ -166,14 +147,12 @@ class TestGenerate:
     def test_deterministic_given_seed(self):
         state = tiny_state(1)
         bits = np.array([1, 0, 1])
-        cfg = SamplerConfig(p=0.9, max_tokens=12, seed=5)
-        assert generate_pieces(state, bits[None], [cfg]) == \
-            generate_pieces(state, bits[None], [cfg])
+        assert generate_pieces(state, bits[None], [5], 0.9, 12) == \
+            generate_pieces(state, bits[None], [5], 0.9, 12)
 
     def test_starts_with_bos_and_bounded(self):
         state = tiny_state(2)
-        [tokens] = generate_pieces(state, np.array([[0, 1, 0]]),
-                                   [SamplerConfig(p=0.9, max_tokens=9, seed=6)])
+        [tokens] = generate_pieces(state, np.array([[0, 1, 0]]), [6], p=0.9, max_tokens=9)
         assert tokens[0] == BOS
         assert len(tokens) <= 9
 
@@ -186,8 +165,7 @@ class TestGenerate:
         state.params["ln_f_b"].data[0] = 1.0
         state.params["tok_emb"].data[EOS] = 0.0
         state.params["tok_emb"].data[EOS, 0] = 1000.0
-        [tokens] = generate_pieces(state, np.array([[1, 1, 1]]),
-                                   [SamplerConfig(p=0.5, max_tokens=16, seed=8)])
+        [tokens] = generate_pieces(state, np.array([[1, 1, 1]]), [8], p=0.5, max_tokens=16)
         assert tokens[-1] == EOS
         assert len(tokens) == 2
 
@@ -244,11 +222,11 @@ class TestDecodeCache:
 
 def separate_step(cache: DecodeCache, layer: int, y: Tensor, params) -> np.ndarray:
     """One decoding step's attention as three ``linear`` projections and two
-    ``elu_plus_one`` feature maps, updating ``cache``'s sums in place."""
+    ``phi_and_slope`` feature maps, updating ``cache``'s sums in place."""
     q, k, v = (linear(y, params[f"l{layer}.w{n}"], params[f"l{layer}.b{n}"]) for n in "qkv")
     heads = cache.z.shape[1:]
-    phi_q = elu_plus_one(q.reshape(*heads)).data
-    phi_k = elu_plus_one(k.reshape(*heads)).data
+    phi_q, _ = phi_and_slope(q.data.reshape(heads))
+    phi_k, _ = phi_and_slope(k.data.reshape(heads))
     s, z = cache.s[layer], cache.z[layer]
     s += phi_k.transpose(0, 1, 3, 2) * v.data.reshape(heads)
     z += phi_k
@@ -298,10 +276,10 @@ class TestBatchedDecoding:
         state = eos_prone_state()
         rng = np.random.default_rng(7)
         bits = rng.integers(0, 2, size=(30, 3))
-        cfgs = [SamplerConfig(p=0.95, max_tokens=16, seed=int(seed))
-                for seed in rng.integers(0, 2 ** 31, size=30)]
-        batch = generate_pieces(state, bits, cfgs)
-        alone = [generate_pieces(state, b[None], [cfg])[0] for b, cfg in zip(bits, cfgs)]
+        seeds = [int(seed) for seed in rng.integers(0, 2 ** 31, size=30)]
+        batch = generate_pieces(state, bits, seeds, 0.95, 16)
+        alone = [generate_pieces(state, b[None], [seed], 0.95, 16)[0]
+                 for b, seed in zip(bits, seeds)]
         assert batch == alone
         # the batch held rows that stopped at EOS while others ran to the end
         assert any(p[-1] == EOS and len(p) < 16 for p in batch)
@@ -309,8 +287,7 @@ class TestBatchedDecoding:
 
     def test_rows_stop_at_their_own_max_tokens(self):
         state = tiny_state(7)
-        cfgs = [SamplerConfig(max_tokens=m, seed=3) for m in (1, 5, 16)]
-        pieces = generate_pieces(state, np.ones((3, 3)), cfgs)
+        pieces = [generate_pieces(state, np.ones((1, 3)), [3], 0.9, m)[0] for m in (1, 5, 16)]
         assert pieces[0] == [BOS]
         assert len(pieces[1]) <= 5
         assert pieces[1] == pieces[2][:len(pieces[1])]
@@ -320,10 +297,15 @@ class TestBatchedDecoding:
         wide = init_state(tiny_state().config, seed=8, dtype=np.float32)
         for p in wide.params.values():
             p.data = p.data.astype(np.float64)
-        cfgs = [SamplerConfig(max_tokens=16, seed=s) for s in range(6)]
         bits = np.eye(3)[[0, 1, 2, 0, 1, 2]]
-        assert generate_pieces(state, bits, cfgs) == generate_pieces(wide, bits, cfgs)
+        assert generate_pieces(state, bits, range(6), 0.9, 16) == \
+            generate_pieces(wide, bits, range(6), 0.9, 16)
 
-    def test_one_config_per_row_required(self):
+    def test_one_seed_per_row_required(self):
         with pytest.raises(EmoMusicError, match="rows of bits"):
-            generate_pieces(tiny_state(), np.ones((2, 3)), [SamplerConfig()])
+            generate_pieces(tiny_state(), np.ones((2, 3)), [0], 0.9, 1280)
+
+    @pytest.mark.parametrize("p", [0.0, -0.5, 1.5, np.nan])
+    def test_p_outside_zero_one_rejected(self, p):
+        with pytest.raises(EmoMusicError, match=r"p must be in \(0, 1\]"):
+            generate_pieces(tiny_state(), np.ones((2, 3)), [0, 1], p, 4)

@@ -13,9 +13,8 @@ with:
   rows, from BOS on for ``--steps`` positions of fixed random tokens, the
   rows conditioned on the four quadrants' bits in turn.
 - ``draw_us_per_row``: softmax plus nucleus draw over the B rows of logits
-  that those steps give, per row. The draw is ``sampling.sample_rows`` where
-  the tree has it, and otherwise the per-row ``sampling.sample_top_p`` loop
-  that the tree's ``generate_pieces`` runs.
+  that those steps give, per row: ``sampling.sample_rows`` at p = 0.9, with
+  one ``SamplerConfig`` per row in trees whose sampler still takes them.
 - ``generate``: the workload's four requests, ``generate --emotion Q --n 4``
   for Q1 to Q4, through ``cli.main``, with ``pipeline.generate_pieces``
   timed: tokens drawn (BOS excluded), decoding ms and tokens/s over the four
@@ -100,18 +99,13 @@ def per_step(state, bits_by_quadrant, steps: int, repeats: int) -> tuple[dict, d
 
     decoder = ModelState(state.config, {name: Tensor(p.data.astype(np.float64))
                                         for name, p in state.params.items()})
-    draw = getattr(sampling, "sample_rows", None)
-    if draw is None:
-        def draw(logits, cfgs, rngs):
-            return [sampling.sample_top_p(row, cfg, rng)
-                    for row, cfg, rng in zip(logits, cfgs, rngs)]
-
+    per_row = hasattr(sampling, "SamplerConfig")  # a tree that takes one config per row
     step_us, draw_us = {}, {}
     for b in ROWS:
         bits = np.array([bits_by_quadrant[i % 4] for i in range(b)], dtype=float)
         ids = np.random.default_rng(b).integers(0, VOCAB_SIZE, size=(steps, b, 1))
         ids[0] = BOS
-        cfgs = [sampling.SamplerConfig(seed=i) for i in range(b)]
+        p = [sampling.SamplerConfig(p=0.9)] * b if per_row else 0.9
         steps_us, draws_us = [], []
         for _ in range(repeats):
             cache = DecodeCache(state.config, b)
@@ -122,7 +116,7 @@ def per_step(state, bits_by_quadrant, steps: int, repeats: int) -> tuple[dict, d
                 steps_us.append((time.perf_counter() - start) * 1e6)
                 logits = logits_from_hidden(decoder, hidden).data[:, 0]
                 start = time.perf_counter()
-                draw(logits, cfgs, rngs)
+                sampling.sample_rows(logits, p, rngs)
                 draws_us.append((time.perf_counter() - start) * 1e6 / b)
         step_us[str(b)], draw_us[str(b)] = summary(steps_us), summary(draws_us)
     return step_us, draw_us
