@@ -18,6 +18,9 @@ gradient of the layer-norm output would be summed in another order.
 
 from __future__ import annotations
 
+import itertools
+import math
+import mmap
 import numbers
 from dataclasses import dataclass, fields
 
@@ -79,15 +82,9 @@ class ModelConfig:
         return cls(attr_dim=attr_dim)
 
 
-@dataclass(slots=True)
-class ModelState:
-    config: ModelConfig
-    params: dict[str, Tensor]
-
-
 def param_table(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
     """Every parameter's shape and initialisation ("normal", "zeros" or "ones"),
-    in the order ``init_state`` draws them."""
+    in the order ``init_state`` draws them and a flat buffer holds them."""
     d, ffn = config.d_model, config.d_ffn
     table = {
         "tok_emb": ((config.vocab_size, d), "normal"),
@@ -114,14 +111,43 @@ def param_table(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
     return table
 
 
+# Parameters start at multiples of this many elements of a flat buffer, 64 bytes
+# at float32 (128 at float64): in elements, so a cast keeps the layout
+ALIGN = 16
+
+
+class ModelState:
+    """A model's parameters, zero when made: each ``params[name].data`` is a view
+    into one flat buffer ``flat``, in ``param_table`` order at multiples of
+    ``ALIGN``, zeros between. ``flat`` is anonymous shared memory, so processes
+    forked after it is made and this one see each other's writes to it."""
+
+    __slots__ = ("config", "flat", "params")
+
+    def __init__(self, config: ModelConfig, dtype=np.float64, requires_grad: bool = True):
+        table = param_table(config)
+        sizes = [math.prod(shape) for shape, _ in table.values()]
+        starts = list(itertools.accumulate((-(-n // ALIGN) * ALIGN for n in sizes), initial=0))
+        self.config = config
+        self.flat = np.frombuffer(mmap.mmap(-1, max(1, starts[-1] * np.dtype(dtype).itemsize)),
+                                  dtype=dtype, count=starts[-1])
+        self.params = {name: Tensor(self.flat[start:start + n].reshape(shape),
+                                    requires_grad=requires_grad)
+                       for (name, (shape, _)), start, n in zip(table.items(), starts, sizes)}
+
+
 def init_state(config: ModelConfig, seed: int = 0,
                dtype=np.float64) -> ModelState:
+    """A new model: each "normal" parameter drawn from N(0, 0.02) in float64,
+    in ``param_table`` order, and cast to ``dtype``; the rest zeros or ones."""
     rng = np.random.default_rng(seed)
-    init = {"normal": lambda shape: rng.normal(0.0, 0.02, size=shape).astype(dtype),
-            "zeros": lambda shape: np.zeros(shape, dtype=dtype),
-            "ones": lambda shape: np.ones(shape, dtype=dtype)}
-    return ModelState(config, {name: Tensor(init[kind](shape), requires_grad=True)
-                               for name, (shape, kind) in param_table(config).items()})
+    state = ModelState(config, dtype)
+    for (shape, kind), p in zip(param_table(config).values(), state.params.values()):
+        if kind == "normal":
+            p.data[...] = rng.normal(0.0, 0.02, size=shape)
+        elif kind == "ones":
+            p.data.fill(1)
+    return state
 
 
 def attribute_embedding(state: ModelState, bits: np.ndarray) -> Tensor:

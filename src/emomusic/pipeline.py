@@ -284,7 +284,7 @@ STAGES = (
     Stage("train", "stage_train",
           ("model_size", "train_steps", "batch_size", "base_lr", "warmup_steps", "seed"),
           ("split", "extract", "map-emotion"), ("corpus",),
-          ("checkpoint.npz", "checkpoint.json", "loss_log.csv")),
+          ("checkpoint.npy", "checkpoint.json", "loss_log.csv")),
     Stage("generate", "stage_generate",
           ("n_generate_per_quadrant", "sampler_p", "max_generate_tokens", "seed"),
           ("train", "map-emotion"), (), ("generated",)),
@@ -342,7 +342,7 @@ class Pipeline:
 
     @property
     def checkpoint_path(self) -> Path:
-        return self.art / "checkpoint.npz"
+        return self.art / "checkpoint.npy"
 
     @property
     def generated_dir(self) -> Path:

@@ -1,14 +1,14 @@
 """Nucleus (top-p) sampling and batched autoregressive generation.
 
 Decoding runs ``model.backbone`` one token per row at a time with a
-``DecodeCache``, in float64 on a float64 copy of the weights. The copy's
-tensors do not require gradients, so every op in a step takes its no-graph
-shortcut. Each layer projects q|k|v with one matmul (``DecodeCache.project``);
-only the first step reads the attribute bits, and the tied head's transpose
-is taken once per call. Its logits match the full forward within 1e-9
-absolute, not bit for bit: the two forms sum in different orders. Every
-product is taken row by row, so a piece does not depend on the rows decoded
-with it.
+``DecodeCache``, in float64 on ``decoder_weights``: the model's flat buffer
+cast in one copy, whose tensors do not require gradients, so every op in a
+step takes its no-graph shortcut. Each layer projects q|k|v with one matmul
+(``DecodeCache.project``); only the first step reads the attribute bits, and
+the tied head's transpose is taken once per call. Its logits match the full
+forward within 1e-9 absolute, not bit for bit: the two forms sum in
+different orders. Every product is taken row by row, so a piece does not
+depend on the rows decoded with it.
 
 All rows of a call are drawn under one nucleus p and one token cap; only
 the seed of each row's generator is its own. Each step takes one softmax
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import EmoMusicError
 from .model import DecodeCache, ModelState, backbone
 from .tokens import BOS, EOS
@@ -73,6 +72,14 @@ def sample_top_p(logits: np.ndarray, p: float, rng: np.random.Generator) -> int:
     return int(sample_rows(np.asarray(logits, dtype=float)[None], p, [rng])[0])
 
 
+def decoder_weights(state: ModelState) -> ModelState:
+    """The float64 model that decoding runs on: ``state.flat`` cast in one
+    copy, with parameters that need no gradient."""
+    decoder = ModelState(state.config, np.float64, requires_grad=False)
+    decoder.flat[...] = state.flat
+    return decoder
+
+
 def _decode(decoder: ModelState, bits: np.ndarray, seeds: list[int], p: float,
             limit: int) -> list[list[int]]:
     """The pieces of rows decoded together, row i seeded with ``seeds[i]``, each
@@ -112,8 +119,7 @@ def generate_pieces(state: ModelState, bits: np.ndarray, seeds: list[int], p: fl
     bits = np.asarray(bits, dtype=float)
     if len(bits) != len(seeds):
         raise EmoMusicError(f"{len(bits)} rows of bits but {len(seeds)} seeds")
-    decoder = ModelState(state.config, {name: Tensor(w.data.astype(np.float64))
-                                        for name, w in state.params.items()})
+    decoder = decoder_weights(state)
     limit = min(max_tokens, state.config.max_len)
     pieces = []
     for first in range(0, len(seeds), MAX_DECODE_ROWS):

@@ -7,16 +7,15 @@ import ctypes
 import itertools
 import json
 import math
-import mmap
 import platform
-from dataclasses import dataclass
+import zlib
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EmoMusicError, read_json
-from .autodiff import Tensor
-from .model import ModelConfig, ModelState, forward_batch, next_token_loss, param_table
+from .model import ModelConfig, ModelState, forward_batch, next_token_loss
 from .parallel import Workers
 from .tokens import PAD
 
@@ -171,31 +170,6 @@ def _keep_heap() -> tuple[int, ...]:
             libc.mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_MAX))
 
 
-def _shared_zeros(like: dict[str, np.ndarray],
-                  copies: int) -> list[tuple[dict[str, np.ndarray], np.ndarray]]:
-    """``copies`` sets of zeroed arrays shaped like ``like``, all in one
-    anonymous shared mmap, so that forked processes see each other's writes.
-    Each set comes with its flat span: one 1-D array over all of its arrays
-    and the zeros that align each to 64 bytes. The arrays must share a dtype."""
-    dtypes = {a.dtype for a in like.values()}
-    if len(dtypes) != 1:
-        raise EmoMusicError(f"parameters must share one dtype, not {sorted(map(str, dtypes))}")
-    dtype = dtypes.pop()
-    sizes = [-(-a.nbytes // 64) * 64 for a in like.values()]  # 64-byte aligned
-    span = sum(sizes)
-    buffer = mmap.mmap(-1, max(1, copies * span))
-    out = []
-    for copy in range(copies):
-        arrays, offset = {}, copy * span
-        for (name, a), size in zip(like.items(), sizes):
-            arrays[name] = np.frombuffer(buffer, dtype=dtype, count=a.size,
-                                         offset=offset).reshape(a.shape)
-            offset += size
-        out.append((arrays, np.frombuffer(buffer, dtype=dtype, count=span // dtype.itemsize,
-                                          offset=copy * span)))
-    return out
-
-
 def _shard_step(state: ModelState, grads: dict[str, np.ndarray],
                 rng: np.random.Generator, ids: np.ndarray,
                 bits: np.ndarray) -> tuple[float, int]:
@@ -214,10 +188,7 @@ def _shard_step(state: ModelState, grads: dict[str, np.ndarray],
             return value, count
         loss.backward()
     for name, p in state.params.items():
-        if p.grad is None:
-            grads[name].fill(0)
-        else:
-            grads[name][...] = p.grad
+        grads[name][...] = 0 if p.grad is None else p.grad
         p.grad = None
     return value, count
 
@@ -236,23 +207,23 @@ def train(state: ModelState, dataset: list[tuple[list[int], np.ndarray]],
     split by rows into ``SHARDS`` fixed shards, the first ceil(B/2) rows and
     the rest. Shard s draws its dropout from ``SeedSequence([seed, 2, s])``.
     With two usable CPUs each shard runs in a worker forked once per call,
-    which reads the weights from, and writes its gradient to, memory shared
-    with this process; otherwise the same shard calls run here. The step's
-    gradient is the count-weighted sum of the shard gradients, in shard
-    order, formed in place in shard 0's gradient memory; one Adam in this
-    process updates the flat weight span in place.
+    which reads the weights from ``state.flat`` and writes its gradient to
+    the buffer of a state of the same layout, both shared with this process;
+    otherwise the same shard calls run here. The step's gradient is the
+    count-weighted sum of the shard gradients, in shard order, formed in
+    place in shard 0's buffer; one Adam in this process updates ``state.flat``
+    in place. Every parameter must be a view into ``state.flat``.
     """
     if not dataset:
         raise EmoMusicError("empty training dataset")
-    _keep_heap()
     params = state.params
-    (weights, flat_weights), *shards = _shared_zeros(
-        {k: p.data for k, p in params.items()}, 1 + SHARDS)
-    shard_grads, flat_grads = zip(*shards)
     for name, p in params.items():
-        weights[name][...] = p.data
-        p.data = weights[name]
-        p.grad = None
+        if p.data.base is not state.flat:
+            raise EmoMusicError(f"parameter {name} is not a view into the model's flat "
+                                f"buffer, which training updates")
+    _keep_heap()
+    grads = [ModelState(state.config, state.flat.dtype) for _ in range(SHARDS)]
+    shard_grads = [{name: g.data for name, g in shard.params.items()} for shard in grads]
     rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, s]))
             for s in range(SHARDS)]
 
@@ -265,37 +236,31 @@ def train(state: ModelState, dataset: list[tuple[list[int], np.ndarray]],
     lengths = [min(len(seq), state.config.max_len) for seq, _ in dataset]
     epochs = (batch for _ in itertools.count()
               for batch in make_batches(lengths, cfg.batch_size, shuffle_rng))
-    try:
-        with Workers(run_shard, SHARDS) as workers:
-            for step, batch_idx in enumerate(itertools.islice(epochs, cfg.max_steps), 1):
-                ids = pad_batch([dataset[i][0] for i in batch_idx], state.config.max_len)
-                bits = np.stack([dataset[i][1] for i in batch_idx]).astype(float)
-                answers = workers.call(list(zip(np.array_split(ids, SHARDS),
-                                                np.array_split(bits, SHARDS))))
-                n = sum(count for _, count in answers)
-                value = sum(loss * count for loss, count in answers) / n if n else 0.0
-                if not math.isfinite(value):
-                    raise NonFiniteLoss(f"loss became {value} at step {step}")
-                shares = [count / n if n else 0.0 for _, count in answers]
-                # combined in place in shard 0's span, which the grads view;
-                # the next call overwrites every shard's span
-                combined = flat_grads[0]
-                combined *= shares[0]
-                for share, flat in zip(shares[1:], flat_grads[1:]):
-                    flat *= share
-                    combined += flat
-                for name, p in params.items():
-                    p.grad = shard_grads[0][name]
-                clip_gradients(params, GRAD_CLIP_NORM)
-                lr = lr_schedule(step, cfg)
-                optimizer.step(flat_weights, combined, lr)
-                if step % log_every == 0 or step == cfg.max_steps:
-                    log.append((step, lr, value))
-    finally:
-        for p in params.values():  # off the shared mmap, which goes with this call
-            p.data = p.data.copy()
-            if p.grad is not None:
-                p.grad = p.grad.copy()
+    with Workers(run_shard, SHARDS) as workers:
+        for step, batch_idx in enumerate(itertools.islice(epochs, cfg.max_steps), 1):
+            ids = pad_batch([dataset[i][0] for i in batch_idx], state.config.max_len)
+            bits = np.stack([dataset[i][1] for i in batch_idx]).astype(float)
+            answers = workers.call(list(zip(np.array_split(ids, SHARDS),
+                                            np.array_split(bits, SHARDS))))
+            n = sum(count for _, count in answers)
+            value = sum(loss * count for loss, count in answers) / n if n else 0.0
+            if not math.isfinite(value):
+                raise NonFiniteLoss(f"loss became {value} at step {step}")
+            shares = [count / n if n else 0.0 for _, count in answers]
+            # combined in place in shard 0's span, which the grads view;
+            # the next call overwrites every shard's span
+            combined = grads[0].flat
+            combined *= shares[0]
+            for share, shard in zip(shares[1:], grads[1:]):
+                shard.flat *= share
+                combined += shard.flat
+            for name, p in params.items():
+                p.grad = shard_grads[0][name]
+            clip_gradients(params, GRAD_CLIP_NORM)
+            lr = lr_schedule(step, cfg)
+            optimizer.step(state.flat, combined, lr)
+            if step % log_every == 0 or step == cfg.max_steps:
+                log.append((step, lr, value))
     return state, log
 
 
@@ -308,44 +273,40 @@ def save_loss_log(path: str | Path, log: list[tuple[int, float, float]]) -> None
 
 def save_checkpoint(path: str | Path, state: ModelState, *, indices: list[int],
                     medians: np.ndarray, step: int = 0, catalog_version: str = "") -> None:
-    """Binary tensor blob (.npz) plus a JSON manifest (same stem, .json).
+    """The model's flat buffer as one ``.npy`` array (the blob), and a JSON
+    manifest: ``path`` with the suffixes ``.npy`` and ``.json``.
 
-    The blob is stored uncompressed: float weights barely compress, and an
-    uncompressed one loads in about half the time."""
+    The manifest holds the model config, the attribute indices and medians,
+    the step, and the blob's CRC-32, which ``load_checkpoint`` checks."""
     path = Path(path)
-    np.savez(path, **{k: p.data for k, p in state.params.items()})
-    cfg = state.config
+    np.save(path.with_suffix(".npy"), state.flat)
     manifest = {
-        "config": {
-            "n_layers": cfg.n_layers, "n_heads": cfg.n_heads,
-            "d_model": cfg.d_model, "d_ffn": cfg.d_ffn, "max_len": cfg.max_len,
-            "vocab_size": cfg.vocab_size, "dropout": cfg.dropout,
-            "attr_dim": cfg.attr_dim,
-        },
+        "config": asdict(state.config),
         "catalog_version": catalog_version,
         "indices": indices,
         "medians": medians.tolist(),
         "step": step,
+        "crc32": zlib.crc32(state.flat),
     }
     path.with_suffix(".json").write_text(json.dumps(manifest, indent=1) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
+    """The model and manifest that ``save_checkpoint`` wrote at ``path``.
+
+    The manifest's fields are checked one by one. The blob must be a 1-D
+    float32 or float64 array of the size its config lays out, match the
+    manifest's CRC-32, and hold only finite weights; otherwise this raises
+    ``EmoMusicError`` naming the file."""
     path = Path(path)
     manifest_path = path.with_suffix(".json")
     manifest = read_json(manifest_path, "checkpoint manifest",
-                         keys=("config", "indices", "medians"))
+                         keys=("config", "indices", "medians", "crc32"))
     if not isinstance(manifest["config"], dict):
         raise EmoMusicError(f"checkpoint {manifest_path}: config must be a JSON object, "
                             f"not {manifest['config']!r}")
-    config = dict(manifest["config"])
-    # older manifests name the attention kind; linear is the only one there is
-    attention = config.pop("attention", "linear")
-    if attention != "linear":
-        raise EmoMusicError(f"checkpoint {manifest_path}: unsupported attention "
-                            f"{attention!r}; only linear attention is implemented")
     try:
-        model_config = ModelConfig(**config)
+        model_config = ModelConfig(**manifest["config"])
     except (TypeError, EmoMusicError) as exc:
         raise EmoMusicError(f"checkpoint {manifest_path}: bad model config "
                             f"({exc})") from exc
@@ -356,25 +317,23 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
                 and all(type(v) in kinds for v in values)):
             raise EmoMusicError(f"checkpoint {manifest_path}: {key} must be a list of "
                                 f"attr_dim = {model_config.attr_dim} numbers")
-    blob_path = path if path.suffix == ".npz" else path.with_suffix(".npz")
+    blob_path = path.with_suffix(".npy")
     try:
-        with np.load(blob_path) as blob:
-            arrays = {name: blob[name] for name in blob.files}
-    except Exception as exc:  # noqa: BLE001 - a damaged archive fails in a dozen ways
+        blob = np.load(blob_path)
+    except Exception as exc:  # noqa: BLE001 - a damaged file fails in a dozen ways
         raise EmoMusicError(f"cannot read checkpoint {blob_path}: {exc!r}") from exc
-    table = param_table(model_config)
-    extra = sorted(set(arrays) - set(table))
-    if extra:
-        raise EmoMusicError(f"checkpoint {blob_path} holds {len(extra)} array(s) its "
-                            f"config does not name: {', '.join(extra[:4])}"
-                            f"{', ...' if len(extra) > 4 else ''}")
-    params = {}
-    for name, (shape, _) in table.items():
-        if name not in arrays:
-            raise EmoMusicError(f"checkpoint {blob_path} lacks parameter {name}")
-        data = arrays[name]
-        if data.shape != shape:
-            raise EmoMusicError(f"checkpoint {blob_path}: parameter {name} has shape "
-                                f"{data.shape}, the model needs {shape}")
-        params[name] = Tensor(data, requires_grad=True)
-    return ModelState(model_config, params), manifest
+    state = ModelState(model_config, np.float32 if blob.dtype == np.float32 else np.float64)
+    if blob.shape != state.flat.shape or blob.dtype != state.flat.dtype:
+        raise EmoMusicError(f"checkpoint {blob_path} holds {blob.dtype} of shape "
+                            f"{blob.shape}; the config in {manifest_path} lays out "
+                            f"{state.flat.shape} float32 or float64")
+    if zlib.crc32(blob) != manifest["crc32"]:
+        raise EmoMusicError(f"checkpoint {blob_path} does not match the crc32 in "
+                            f"{manifest_path}; run train again")
+    state.flat[...] = blob
+    if not np.isfinite(state.flat).all():
+        bad = next((f"parameter {name}" for name, p in state.params.items()
+                    if not np.isfinite(p.data).all()), "the padding between parameters")
+        raise EmoMusicError(f"checkpoint {blob_path}: {bad} holds a weight that is not "
+                            f"finite; run train again")
+    return state, manifest

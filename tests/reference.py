@@ -20,12 +20,17 @@ rewrites must repeat bit for bit: ``embedding_backward`` (a 2-D ``np.add.at``
 over rows), ``prefix_sums_before`` and ``sums_after`` (``np.cumsum`` along
 the chunk axis), ``cross_entropy`` (the exp taken again in the backward) and
 ``adam_step`` (Adam array by array, with whole-array temporaries).
+
+``init_state`` is the per-name form ``model.init_state`` had before the
+parameters moved into one flat buffer: each parameter its own array, drawn
+in ``param_table`` order. The views of the flat form must equal its arrays
+bit for bit.
 """
 
 import numpy as np
 
 from emomusic.autodiff import Tensor, _unbroadcast
-from emomusic.model import _CHUNK, ModelState, forward_batch
+from emomusic.model import _CHUNK, ModelConfig, ModelState, forward_batch, param_table
 from emomusic.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
@@ -108,6 +113,15 @@ def sample_top_p(logits: np.ndarray, p: float, rng: np.random.Generator) -> int:
     cumulative = np.cumsum(nucleus[kept])
     i = np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right")
     return int(kept[min(i, kept.size - 1)])
+
+
+def init_state(config: ModelConfig, seed: int = 0,
+               dtype=np.float64) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    init = {"normal": lambda shape: rng.normal(0.0, 0.02, size=shape).astype(dtype),
+            "zeros": lambda shape: np.zeros(shape, dtype=dtype),
+            "ones": lambda shape: np.ones(shape, dtype=dtype)}
+    return {name: init[kind](shape) for name, (shape, kind) in param_table(config).items()}
 
 
 def forward(state: ModelState, tokens: list[int], attr_bits: np.ndarray) -> np.ndarray:

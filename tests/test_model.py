@@ -17,6 +17,7 @@ import emomusic.training
 from emomusic.autodiff import Tensor
 from emomusic.errors import EmoMusicError
 from emomusic.model import (
+    ALIGN,
     ModelConfig,
     ShapeMismatch,
     _linear_attention,
@@ -25,6 +26,7 @@ from emomusic.model import (
     forward_batch,
     init_state,
     next_token_loss,
+    param_table,
 )
 from emomusic.tokens import BOS, EOS, PAD, VOCAB_SIZE
 from emomusic.training import (
@@ -275,10 +277,11 @@ class TestTraining:
             assert (p.data == before[name]).all()
 
     def test_mixed_parameter_dtypes_are_rejected(self):
-        # the weights and gradients live in one flat span of one dtype
+        # training updates the state's one flat buffer, of one dtype; a
+        # parameter given an array of its own would never be trained
         state = init_state(tiny_config(), seed=7)
         state.params["ln_f_b"].data = state.params["ln_f_b"].data.astype(np.float32)
-        with pytest.raises(EmoMusicError, match="one dtype"):
+        with pytest.raises(EmoMusicError, match="ln_f_b is not a view"):
             train(state, two_sequence_dataset(), TrainConfig(batch_size=2, max_steps=1))
 
     def test_same_seed_identical_loss_log(self):
@@ -532,6 +535,45 @@ def test_float32_backward_passes_only_float32_gradients(monkeypatch):
     assert [d for d in dtypes if d != np.float32] == []
 
 
+class TestFlatState:
+    """Every parameter is a view into the state's one flat buffer, and
+    ``init_state`` draws the arrays the per-name form drew."""
+
+    # the tiny model's sizes are not multiples of ALIGN, so its layout pads
+    CONFIGS = {"small": ModelConfig.small(attr_dim=20),
+               "tiny": tiny_config(n_layers=1, d_model=8, d_ffn=12, max_len=5, attr_dim=3)}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", ["small", "tiny"])
+    def test_views_equal_the_per_name_draws(self, size, dtype):
+        config = self.CONFIGS[size]
+        state = init_state(config, seed=23, dtype=dtype)
+        expected = reference.init_state(config, seed=23, dtype=dtype)
+        assert list(state.params) == list(expected)
+        for name, p in state.params.items():
+            assert p.data.dtype == dtype and p.data.shape == expected[name].shape, name
+            assert p.data.tobytes() == expected[name].tobytes(), name
+            assert p.requires_grad, name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", ["small", "tiny"])
+    def test_parameters_are_aligned_views_in_table_order(self, size, dtype):
+        config = self.CONFIGS[size]
+        state = init_state(config, seed=23, dtype=dtype)
+        flat = state.flat
+        start = 0  # the first element after the parameters so far
+        for name in param_table(config):
+            data = state.params[name].data
+            assert data.base is flat and data.flags.c_contiguous, name
+            offset = data.__array_interface__["data"][0] - flat.__array_interface__["data"][0]
+            assert offset % 64 == 0, name
+            offset //= flat.itemsize
+            assert start <= offset < start + ALIGN, name  # packed, in table order
+            assert not flat[start:offset].any(), name  # zeros between
+            start = offset + data.size
+        assert flat.size - start < ALIGN and not flat[start:].any()
+
+
 def edit_manifest(path, change):
     doc = json.loads(path.read_text())
     change(doc)
@@ -542,9 +584,9 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         state = init_state(tiny_config(), seed=15)
         medians = np.array([0.5, 1.5, 2.5, 3.5])
-        save_checkpoint(tmp_path / "ckpt.npz", state, step=42,
+        save_checkpoint(tmp_path / "ckpt.npy", state, step=42,
                         catalog_version="v1", indices=[1, 2, 3, 4], medians=medians)
-        loaded, manifest = load_checkpoint(tmp_path / "ckpt.npz")
+        loaded, manifest = load_checkpoint(tmp_path / "ckpt.npy")
         assert manifest["step"] == 42
         assert manifest["catalog_version"] == "v1"
         assert manifest["indices"] == [1, 2, 3, 4]
@@ -557,60 +599,74 @@ class TestCheckpoint:
 
     def test_load_draws_no_random_model(self, tmp_path, monkeypatch):
         state = init_state(tiny_config(), seed=15)
-        save_checkpoint(tmp_path / "ckpt.npz", state, indices=[0, 1, 2, 3],
+        save_checkpoint(tmp_path / "ckpt.npy", state, indices=[0, 1, 2, 3],
                         medians=np.zeros(4))
         monkeypatch.setattr(np.random, "default_rng", None)  # a draw would raise
-        loaded, _ = load_checkpoint(tmp_path / "ckpt.npz")
+        loaded, _ = load_checkpoint(tmp_path / "ckpt.npy")
         assert list(loaded.params) == list(state.params)
         for name, p in state.params.items():
             assert loaded.params[name].data.tobytes() == p.data.tobytes()
             assert loaded.params[name].requires_grad
 
-    def test_compressed_checkpoint_still_loads(self, tmp_path):
-        # checkpoints used to be written with np.savez_compressed
-        state = init_state(tiny_config(), seed=15, dtype=np.float32)
-        save_checkpoint(tmp_path / "ckpt.npz", state, indices=[0, 1, 2, 3],
-                        medians=np.zeros(4))
-        np.savez_compressed(tmp_path / "ckpt.npz",
-                            **{name: p.data for name, p in state.params.items()})
-        loaded, _ = load_checkpoint(tmp_path / "ckpt.npz")
-        for name, p in state.params.items():
-            assert loaded.params[name].data.dtype == p.data.dtype
-            assert (loaded.params[name].data == p.data).all(), name
-
     def save_edited(self, path, edit):
+        """A checkpoint whose blob ``edit`` replaced, the manifest left as it was."""
         save_checkpoint(path, init_state(tiny_config(), seed=15), indices=[0, 1, 2, 3],
                         medians=np.zeros(4))
-        params = dict(np.load(path))
-        edit(params)
-        np.savez(path, **params)
+        np.save(path, edit(np.load(path)))
 
     def test_missing_parameter_rejected(self, tmp_path):
-        self.save_edited(tmp_path / "ckpt.npz", lambda params: params.pop("attr_b1"))
-        with pytest.raises(EmoMusicError, match="attr_b1"):
-            load_checkpoint(tmp_path / "ckpt.npz")
+        # the blob without its last parameter
+        assert list(param_table(tiny_config()).values())[-1] == ((ALIGN,), "zeros")
+        self.save_edited(tmp_path / "ckpt.npy", lambda blob: blob[:-ALIGN])
+        with pytest.raises(EmoMusicError, match=r"ckpt\.npy .*shape.*ckpt\.json"):
+            load_checkpoint(tmp_path / "ckpt.npy")
 
     def test_wrong_shape_rejected(self, tmp_path):
-        # (1,) would broadcast against (16,) and silently yield a working model
-        def shrink(params):
-            params["attr_b1"] = params["attr_b1"][:1]
-        self.save_edited(tmp_path / "ckpt.npz", shrink)
-        with pytest.raises(EmoMusicError, match=r"attr_b1.*\(1,\)"):
-            load_checkpoint(tmp_path / "ckpt.npz")
+        # a 2-D blob of the right size would still fill the buffer
+        self.save_edited(tmp_path / "ckpt.npy", lambda blob: blob.reshape(-1, ALIGN))
+        with pytest.raises(EmoMusicError, match=rf"ckpt\.npy .*shape \(\d+, {ALIGN}\)"):
+            load_checkpoint(tmp_path / "ckpt.npy")
 
     def test_array_the_config_does_not_name_rejected(self, tmp_path):
-        self.save_edited(tmp_path / "ckpt.npz",
-                         lambda params: params.update(l9_extra=np.zeros(3)))
-        with pytest.raises(EmoMusicError, match=r"ckpt\.npz.*l9_extra"):
-            load_checkpoint(tmp_path / "ckpt.npz")
+        self.save_edited(tmp_path / "ckpt.npy",
+                         lambda blob: np.concatenate([blob, np.zeros(ALIGN)]))
+        with pytest.raises(EmoMusicError, match=r"ckpt\.npy .*shape.*ckpt\.json"):
+            load_checkpoint(tmp_path / "ckpt.npy")
+
+    @pytest.mark.parametrize("dtype", [">f8", "<f2", "<i8"])
+    def test_blob_of_another_dtype_rejected(self, tmp_path, dtype):
+        # a big-endian blob holds the same bytes, so its checksum would pass
+        self.save_edited(tmp_path / "ckpt.npy", lambda blob: blob.astype(dtype))
+        with pytest.raises(EmoMusicError, match=r"ckpt\.npy .*float32 or float64"):
+            load_checkpoint(tmp_path / "ckpt.npy")
 
     def test_fewer_layers_than_the_blob_rejected(self, tmp_path):
         # the l1.* arrays of a 2-layer blob used to be dropped without a word
-        save_checkpoint(tmp_path / "ckpt.npz", init_state(tiny_config(), seed=15),
+        save_checkpoint(tmp_path / "ckpt.npy", init_state(tiny_config(), seed=15),
                         indices=[0, 1, 2, 3], medians=np.zeros(4))
         edit_manifest(tmp_path / "ckpt.json", lambda doc: doc["config"].update(n_layers=1))
-        with pytest.raises(EmoMusicError, match=r"ckpt\.npz.*l1\."):
-            load_checkpoint(tmp_path / "ckpt.npz")
+        with pytest.raises(EmoMusicError, match=r"ckpt\.npy .*shape.*ckpt\.json"):
+            load_checkpoint(tmp_path / "ckpt.npy")
+
+    def test_changed_weight_fails_the_checksum(self, tmp_path):
+        def nudge(blob):
+            blob[5] = np.nextafter(blob[5], 1.0)
+            return blob
+        self.save_edited(tmp_path / "ckpt.npy", nudge)
+        with pytest.raises(EmoMusicError, match=r"ckpt\.npy does not match the crc32 in "
+                                                r".*ckpt\.json"):
+            load_checkpoint(tmp_path / "ckpt.npy")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, tmp_path, value):
+        # one NaN weight used to surface only at the first sampled token, as
+        # non-finite logits, with no file named
+        state = init_state(tiny_config(), seed=15)
+        state.params["l1.ffn_w2"].data[3, 2] = value
+        save_checkpoint(tmp_path / "ckpt.npy", state, indices=[0, 1, 2, 3],
+                        medians=np.zeros(4))
+        with pytest.raises(EmoMusicError, match=r"ckpt\.npy: parameter l1\.ffn_w2 .*not finite"):
+            load_checkpoint(tmp_path / "ckpt.npy")
 
     @pytest.mark.parametrize("key, value", [
         ("medians", [0.0, 0.0, 0.0]),
@@ -624,19 +680,19 @@ class TestCheckpoint:
             "indices-short", "indices-string", "indices-float"])
     def test_manifest_vector_that_does_not_fit_attr_dim_rejected(self, tmp_path, key,
                                                                    value):
-        save_checkpoint(tmp_path / "ckpt.npz", init_state(tiny_config(), seed=15),
+        save_checkpoint(tmp_path / "ckpt.npy", init_state(tiny_config(), seed=15),
                         indices=[0, 1, 2, 3], medians=np.zeros(4))
         edit_manifest(tmp_path / "ckpt.json", lambda doc: doc.update({key: value}))
         with pytest.raises(EmoMusicError, match=rf"ckpt\.json.*{key}"):
-            load_checkpoint(tmp_path / "ckpt.npz")
+            load_checkpoint(tmp_path / "ckpt.npy")
 
     @pytest.mark.parametrize("config", ["x", [1], None, 3])
     def test_config_that_is_not_an_object_rejected(self, tmp_path, config):
-        save_checkpoint(tmp_path / "ckpt.npz", init_state(tiny_config(), seed=15),
+        save_checkpoint(tmp_path / "ckpt.npy", init_state(tiny_config(), seed=15),
                         indices=[0, 1, 2, 3], medians=np.zeros(4))
         edit_manifest(tmp_path / "ckpt.json", lambda doc: doc.update(config=config))
         with pytest.raises(EmoMusicError, match=r"ckpt\.json.*config"):
-            load_checkpoint(tmp_path / "ckpt.npz")
+            load_checkpoint(tmp_path / "ckpt.npy")
 
     @pytest.mark.parametrize("field, value", [
         ("n_heads", 0), ("n_layers", 0), ("d_model", -4), ("d_ffn", 0), ("max_len", 0),
@@ -647,11 +703,11 @@ class TestCheckpoint:
     def test_bad_config_field_rejected(self, tmp_path, field, value):
         with pytest.raises(EmoMusicError, match=field):
             tiny_config(**{field: value})
-        save_checkpoint(tmp_path / "ckpt.npz", init_state(tiny_config(), seed=15),
+        save_checkpoint(tmp_path / "ckpt.npy", init_state(tiny_config(), seed=15),
                         indices=[0, 1, 2, 3], medians=np.zeros(4))
         edit_manifest(tmp_path / "ckpt.json", lambda doc: doc["config"].update({field: value}))
         with pytest.raises(EmoMusicError, match=rf"ckpt\.json.*{field}"):
-            load_checkpoint(tmp_path / "ckpt.npz")
+            load_checkpoint(tmp_path / "ckpt.npy")
 
     def test_good_config_values_accepted(self):
         assert tiny_config(dropout=0).dropout == 0

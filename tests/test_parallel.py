@@ -24,7 +24,7 @@ from emomusic.parallel import Workers, _loaded_openblas, fork_map
 from emomusic.pipeline import PipelineConfig
 from emomusic.synth import SynthSpec, synth_corpus
 from emomusic.tokens import BOS, EOS, VOCAB_SIZE
-from emomusic.training import TrainConfig, train
+from emomusic.training import TrainConfig, load_checkpoint, train
 from test_forest_parity import assert_same_trees, awkward_corpus
 from test_pipeline_cli import tiny_config, write_config
 
@@ -261,10 +261,11 @@ def blas_pair() -> tuple[str, str]:
     return np.__version__, f"{blas.get('name')} {blas.get('version')}"
 
 
-# sha256 over each checkpoint array's name and bytes, in the checkpoint's
-# order, then "loss_log.csv" and its bytes, for the tiny-config train below,
-# as written at 092f9b1, before the training step was rewritten for speed.
-# Training runs through BLAS, so the digest holds for this (numpy, BLAS) pair.
+# sha256 over each parameter's name and bytes, in the checkpoint's order
+# (``param_table``'s), then "loss_log.csv" and its bytes, for the tiny-config
+# train below, as written at 092f9b1, before the training step was rewritten
+# for speed. Training runs through BLAS, so the digest holds for this
+# (numpy, BLAS) pair.
 TRAIN_DIGEST = "a008e8c08e5399dc512f6c7c33d96b20e737e1c84a18fb25516f7f8b622603b4"
 TRAIN_DIGEST_PAIR = ("2.4.6", "scipy-openblas 0.3.31.188.0")
 
@@ -277,10 +278,10 @@ def test_train_bytes_are_pinned(tmp_path, monkeypatch, forked, capsys, cpus):
     capsys.readouterr()
     art = tmp_path / "artifacts"
     digest = hashlib.sha256()
-    with np.load(art / "checkpoint.npz") as blob:
-        for name in blob.files:
-            digest.update(name.encode())
-            digest.update(blob[name].tobytes())
+    state, _ = load_checkpoint(art / "checkpoint.npy")
+    for name, p in state.params.items():
+        digest.update(name.encode())
+        digest.update(p.data.tobytes())
     digest.update(b"loss_log.csv")
     digest.update((art / "loss_log.csv").read_bytes())
     numpy_version, blas = blas_pair()
@@ -298,6 +299,12 @@ def test_train_bytes_are_pinned(tmp_path, monkeypatch, forked, capsys, cpus):
 # holds for this (numpy, BLAS) pair.
 GENERATE_DIGEST = "708de27e4f673923c15f3e02e37e7b86a984fab33fd24447f2949a549b0aa7df"
 GENERATE_DIGEST_PAIR = ("2.4.6", "scipy-openblas 0.3.31.188.0")
+# sha256 over the name and bytes of each of EVALUATE_OUTPUTS, in that order,
+# from the same run, as written at 9fdcef4. Evaluation reads the generated
+# pieces, so this digest holds for the same (numpy, BLAS) pair.
+EVALUATE_OUTPUTS = ("report.json", "distances.csv", "pca.csv")
+EVALUATE_DIGEST = "d7e9f3247e223517e63547ad456b95de7d579ecdcd24a01daa6a6ad8923aa215"
+EVALUATE_DIGEST_PAIR = ("2.4.6", "scipy-openblas 0.3.31.188.0")
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -318,6 +325,14 @@ def test_generate_bytes_are_pinned(tmp_path, monkeypatch, forked, capsys, cpus):
     assert digest.hexdigest() == GENERATE_DIGEST, (
         f"generated bytes moved; the digest was pinned with numpy "
         f"{GENERATE_DIGEST_PAIR[0]} and {GENERATE_DIGEST_PAIR[1]}, this run has "
+        f"numpy {numpy_version} and {blas}")
+    digest = hashlib.sha256()
+    for name in EVALUATE_OUTPUTS:
+        digest.update(name.encode())
+        digest.update((tmp_path / "artifacts" / name).read_bytes())
+    assert digest.hexdigest() == EVALUATE_DIGEST, (
+        f"evaluation bytes moved; the digest was pinned with numpy "
+        f"{EVALUATE_DIGEST_PAIR[0]} and {EVALUATE_DIGEST_PAIR[1]}, this run has "
         f"numpy {numpy_version} and {blas}")
     assert_reaped(forked)
 
@@ -404,7 +419,7 @@ def test_run_writes_the_same_bytes_at_any_cpu_count(tmp_path, monkeypatch, forke
         write_config(tiny_config(root), root / "config.json")  # dropout 0.1
         assert main(["run", "--config", str(root / "config.json")]) == 0
         outputs.append({name: data for name, data in artifact_bytes(root / "artifacts").items()
-                        if name in ("checkpoint.npz", "loss_log.csv", "report.json")
+                        if name in ("checkpoint.npy", "loss_log.csv", "report.json")
                         or name.startswith("generated/")})
     capsys.readouterr()
     assert len(outputs[0]) > 4 and "generated/manifest.json" in outputs[0]

@@ -2,6 +2,7 @@
 
 import builtins
 import dataclasses
+import hashlib
 import importlib.util
 import io
 import json
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import use_cpus
-from emomusic import cli, features
+from emomusic import cli, features, pipeline
 from emomusic.cli import build_parser, main
 from emomusic.mapping import EmotionQuadrant
 from emomusic.midi import (
@@ -37,7 +38,7 @@ from emomusic.pipeline import (
     split_dataset,
 )
 from emomusic.synth import SynthSpec, synth_corpus
-from emomusic.training import save_checkpoint
+from emomusic.training import load_checkpoint, save_checkpoint
 
 
 def tiny_config(tmp_path, n_per_quadrant=6, **overrides):
@@ -115,7 +116,7 @@ class TestPipeline:
         assert all(state == "ran" for state in result["stages"].values())
         art = tmp_path / "artifacts"
         for name in ("splits.json", "features.npz", "features.csv", "forest.json",
-                     "selection.json", "mapping.json", "checkpoint.npz",
+                     "selection.json", "mapping.json", "checkpoint.npy",
                      "checkpoint.json", "loss_log.csv", "report.json",
                      "distances.csv", "pca.csv", "vocabulary.json"):
             assert (art / name).exists(), name
@@ -259,10 +260,10 @@ class TestCli:
         common = ["--config", str(tmp_path / "config.json"), "--train-steps", "4"]
         assert main(["run"] + common) == 0
         art = Path(config.artifact_dir)
-        checkpoint = (art / "checkpoint.npz").read_bytes()
+        checkpoint = (art / "checkpoint.npy").read_bytes()
         assert main(["analyze-bias"] + common) == 0
         assert len((art / "loss_log.csv").read_text().splitlines()) == 1 + 4
-        assert (art / "checkpoint.npz").read_bytes() == checkpoint
+        assert (art / "checkpoint.npy").read_bytes() == checkpoint
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_generate_n_below_one_exits_2(self, tmp_path, capsys, n):
@@ -732,7 +733,7 @@ def write_generate_artifacts(art: Path, attention=None, q1_vectors=1, edit=None)
     if edit:
         edit(state)
     art.mkdir(parents=True)
-    save_checkpoint(art / "checkpoint.npz", state, indices=[0, 1, 2],
+    save_checkpoint(art / "checkpoint.npy", state, indices=[0, 1, 2],
                     medians=np.zeros(3))
     if attention:
         manifest = json.loads((art / "checkpoint.json").read_text())
@@ -746,17 +747,13 @@ def write_generate_artifacts(art: Path, attention=None, q1_vectors=1, edit=None)
 
 
 class TestOlderArtifactFormats:
-    """Artifact dirs written before the attention switch and the per-quadrant
-    vector lists were removed keep loading."""
+    """Older artifact files: a mapping with per-quadrant vector lists loads (as
+    every ``write_generate_artifacts`` dir has), an older forest file loads, a
+    checkpoint manifest naming an attention kind exits 2, and an older .npz
+    checkpoint is re-trained."""
 
     def generate(self, art: Path) -> int:
         return main(["generate", "--artifact-dir", str(art), "--n", "1"])
-
-    def test_generate_reads_older_checkpoint_and_mapping(self, tmp_path):
-        art = tmp_path / "artifacts"
-        write_generate_artifacts(art, attention="linear")
-        assert self.generate(art) == 0
-        assert len(list((art / "generated").glob("cli_Q*_0000.mid"))) == 4
 
     def test_softmax_checkpoint_exits_2(self, tmp_path, capsys):
         art = tmp_path / "artifacts"
@@ -783,6 +780,33 @@ class TestOlderArtifactFormats:
         # file, whose bytes no longer match its recorded hash
         assert Pipeline(config).stage_select() == "ran"
         assert (art / "selection.json").read_text() == selection
+
+    def test_dir_with_only_the_older_npz_checkpoint_retrains_once(self, tmp_path, capsys):
+        """Checkpoints were once an .npz archive of one array per parameter, with
+        no crc32 in checkpoint.json. A dir holding one, with the train record
+        that hashed it, re-runs train once to write checkpoint.npy, then skips."""
+        config = tiny_config(tmp_path)
+        write_config(config, tmp_path / "config.json")
+        command = ["train", "--config", str(tmp_path / "config.json")]
+        assert main(command) == 0
+        art = Path(config.artifact_dir)
+        trained = (art / "checkpoint.npy").read_bytes()
+        state, _ = load_checkpoint(art / "checkpoint.npy")
+        np.savez(art / "checkpoint.npz", **{name: p.data for name, p in state.params.items()})
+        (art / "checkpoint.npy").unlink()
+        (art / "checkpoint.json").write_text(
+            edit_json(lambda doc: doc.pop("crc32"))((art / "checkpoint.json").read_text()))
+        record_path = art / "stage_meta" / "train.json"
+        record = json.loads(record_path.read_text())
+        del record["outputs"]["checkpoint.npy"]
+        for name in ("checkpoint.npz", "checkpoint.json"):
+            record["outputs"][name] = hashlib.sha256((art / name).read_bytes()).hexdigest()
+        record_path.write_text(json.dumps(record) + "\n")
+        capsys.readouterr()
+        assert main(command) == 0
+        assert main(command) == 0
+        assert capsys.readouterr().out.splitlines() == ["train: ran", "train: skipped"]
+        assert (art / "checkpoint.npy").read_bytes() == trained
 
 
 def edit_json(change):
@@ -826,6 +850,8 @@ class TestTruncatedArtifacts:
                      id="checkpoint-medians-short"),
         pytest.param("checkpoint.json", edit_json(lambda doc: doc["indices"].pop()),
                      id="checkpoint-indices-short"),
+        pytest.param("checkpoint.json", edit_json(lambda doc: doc.pop("crc32")),
+                     id="checkpoint-no-crc32"),
         pytest.param("mapping.json", lambda text: text.replace('"Q4"', '"Q5"'),
                      id="mapping-quadrant-Q5"),
         pytest.param("mapping.json", edit_json(lambda doc: doc.pop("vectors")),
@@ -874,11 +900,11 @@ class TestTruncatedArtifacts:
     @pytest.mark.parametrize("name,damage", [
         ("checkpoint.json", None),
         ("mapping.json", None),
-        ("checkpoint.npz", None),
-        ("checkpoint.npz", lambda data: data[:len(data) // 2]),
-        ("checkpoint.npz", lambda data: data[:200]),
-        ("checkpoint.npz", lambda data: b"not an archive" * 10),
-        ("checkpoint.npz", lambda data: data[:1000] + bytes([data[1000] ^ 0xFF])
+        ("checkpoint.npy", None),
+        ("checkpoint.npy", lambda data: data[:len(data) // 2]),
+        ("checkpoint.npy", lambda data: data[:64]),  # inside the 128-byte .npy header
+        ("checkpoint.npy", lambda data: b"not an archive" * 10),
+        ("checkpoint.npy", lambda data: data[:1000] + bytes([data[1000] ^ 0xFF])
          + data[1001:]),
     ], ids=["no-checkpoint-manifest", "no-mapping", "no-checkpoint-blob",
             "cut-blob", "cut-blob-header", "garbage-blob", "flipped-byte"])
@@ -1006,9 +1032,25 @@ def test_checkpoint_without_attribute_encoder_exits_2(tmp_path, capsys):
     assert "attr_dim" in capsys.readouterr().err
 
 
-def test_generate_on_nan_checkpoint_exits_2(tmp_path, capsys):
+def test_generate_on_nan_checkpoint_exits_2(tmp_path, capsys, monkeypatch):
     art = tmp_path / "artifacts"
     write_generate_artifacts(art, edit=lambda state: state.params["ln_f_g"].data.fill(np.nan))
+    monkeypatch.setattr(pipeline, "generate_pieces", None)  # a decode step would raise
     assert main(["generate", "--artifact-dir", str(art), "--emotion", "Q1"]) == 2
-    assert "logits" in capsys.readouterr().err
-    assert not list((art / "generated").glob("*.mid"))
+    err = capsys.readouterr().err
+    assert str(art / "checkpoint.npy") in err and "parameter ln_f_g" in err
+    assert not (art / "generated").exists()
+
+
+def test_generate_on_checkpoint_with_one_nan_weight_exits_2(tmp_path, capsys, monkeypatch):
+    # it used to exit 2 only at the first sampled token, with "logits are NaN"
+    # and no file named
+    art = tmp_path / "artifacts"
+    write_generate_artifacts(
+        art, edit=lambda state: state.params["l0.ffn_w2"].data.__setitem__((5, 3), np.nan))
+    monkeypatch.setattr(pipeline, "generate_pieces", None)  # a decode step would raise
+    assert main(["generate", "--artifact-dir", str(art), "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert str(art / "checkpoint.npy") in err and "parameter l0.ffn_w2" in err
+    assert "not finite" in err
+    assert not (art / "generated").exists()

@@ -189,10 +189,8 @@ class TestIncrementalEqualsBatch:
 
 
 def constant_state(seed=0):
-    """tiny_state's weights as plain Tensors, as generate_pieces decodes them."""
-    state = tiny_state(seed)
-    return ModelState(state.config, {name: Tensor(p.data.copy())
-                                     for name, p in state.params.items()})
+    """tiny_state's weights as generate_pieces decodes them."""
+    return sampling.decoder_weights(tiny_state(seed))
 
 
 class TestDecodeCache:
@@ -294,12 +292,19 @@ class TestBatchedDecoding:
 
     def test_float32_model_decodes_in_float64(self):
         state = init_state(tiny_state().config, seed=8, dtype=np.float32)
-        wide = init_state(tiny_state().config, seed=8, dtype=np.float32)
-        for p in wide.params.values():
-            p.data = p.data.astype(np.float64)
+        wide = ModelState(state.config, np.float64)
+        wide.flat[...] = state.flat
         bits = np.eye(3)[[0, 1, 2, 0, 1, 2]]
         assert generate_pieces(state, bits, range(6), 0.9, 16) == \
             generate_pieces(wide, bits, range(6), 0.9, 16)
+
+    def test_decoder_weights_are_one_cast_of_the_buffer(self):
+        state = init_state(tiny_state().config, seed=8, dtype=np.float32)
+        decoder = sampling.decoder_weights(state)
+        assert decoder.flat.tobytes() == state.flat.astype(np.float64).tobytes()
+        for name, p in decoder.params.items():
+            assert p.data.base is decoder.flat and not p.requires_grad, name
+            assert p.data.tobytes() == state.params[name].data.astype(np.float64).tobytes()
 
     def test_one_seed_per_row_required(self):
         with pytest.raises(EmoMusicError, match="rows of bits"):

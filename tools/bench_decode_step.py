@@ -7,7 +7,8 @@ Builds the ``generate`` workload's set-up: a synthetic corpus of 4 x 50
 pieces (noise 0.3, ``--corpus-seed``) and the pipeline run through ``train``
 (20 trees, k = 20, small model, 30 steps, pipeline seed 0). Then, with one
 BLAS thread, on the float64 decoder weights that ``generate_pieces`` decodes
-with:
+with (``sampling.decoder_weights``, or one float64 copy per parameter in
+trees that predate it):
 
 - ``backbone_us``: one ``model.backbone`` decode step at B = 1, 4 and 16
   rows, from BOS on for ``--steps`` positions of fixed random tokens, the
@@ -70,15 +71,18 @@ def generate_setup(work: Path, corpus_seed: int) -> Path:
     return config
 
 
-def quadrant_bits(art: Path):
-    """The binarized mapping vector of each quadrant, as ``generate`` builds it."""
+def quadrant_bits(config: Path):
+    """The trained model, and the binarized mapping vector of each quadrant,
+    as ``generate`` builds it."""
     import numpy as np
 
     from emomusic.mapping import EmotionQuadrant, MappingTable, binarize
+    from emomusic.pipeline import Pipeline, PipelineConfig
     from emomusic.training import load_checkpoint
 
-    state, manifest = load_checkpoint(art / "checkpoint.npz")
-    table = MappingTable.load(art / "mapping.json")
+    pipe = Pipeline(PipelineConfig.from_json(config))
+    state, manifest = load_checkpoint(pipe.checkpoint_path)
+    table = MappingTable.load(pipe.mapping_path)
     medians = np.asarray(manifest["medians"])
     return state, [binarize(table.vector_for(EmotionQuadrant[q]), medians)
                    for q in QUADRANTS]
@@ -97,8 +101,11 @@ def per_step(state, bits_by_quadrant, steps: int, repeats: int) -> tuple[dict, d
     from emomusic.model import DecodeCache, ModelState, backbone, logits_from_hidden
     from emomusic.tokens import BOS, VOCAB_SIZE
 
-    decoder = ModelState(state.config, {name: Tensor(p.data.astype(np.float64))
-                                        for name, p in state.params.items()})
+    if hasattr(sampling, "decoder_weights"):
+        decoder = sampling.decoder_weights(state)
+    else:  # a tree whose state holds one array per parameter
+        decoder = ModelState(state.config, {name: Tensor(p.data.astype(np.float64))
+                                            for name, p in state.params.items()})
     per_row = hasattr(sampling, "SamplerConfig")  # a tree that takes one config per row
     step_us, draw_us = {}, {}
     for b in ROWS:
@@ -177,7 +184,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as work:
         config = generate_setup(Path(work), args.corpus_seed)
-        state, bits = quadrant_bits(Path(work) / "art")
+        state, bits = quadrant_bits(config)
         step_us, draw_us = per_step(state, bits, args.steps, args.repeats)
         generate = generate_requests(config, Path(work) / "requests", args.repeats)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
