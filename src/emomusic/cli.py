@@ -6,8 +6,10 @@ One subcommand per pipeline stage plus corpus plumbing:
     train, generate, evaluate, analyze-bias, run
 
 The stage commands come from the stage table in ``pipeline.py``: each runs
-the table up to its stage, hash-skipping the fresh ones, and ``run`` runs all
-of it. ``generate`` instead writes extra pieces from the saved model.
+its stage and every stage that stage depends on, hash-skipping the fresh
+ones. ``run`` runs the table through evaluate, and ``analyze-bias`` runs the
+bias stage the same way and prints its report. ``generate`` instead writes
+extra pieces from the saved model.
 Configuration comes from a JSON file (--config) overridable by flags; a flag
 wins when given and the file's value stands otherwise, so ``split`` follows
 the config's split_ratios unless --ratios overrides them. Cache records
@@ -29,13 +31,13 @@ import numpy as np
 
 from .errors import EmoMusicError, read_json
 from .mapping import EmotionQuadrant, MappingTable, binarize
-from .pipeline import STAGES, Pipeline, PipelineConfig
+from .pipeline import STAGES, Pipeline, PipelineConfig, with_deps
 from .synth import SynthSpec, synth_corpus
 from .training import load_checkpoint
 
 # PipelineConfig fields the stage commands take as flags: a stage command
-# takes those its table row reads, `analyze-bias` those the rows it brings up
-# to date read, and `run` takes all but split_ratios.
+# takes those its table row reads, `analyze-bias` those the rows the bias row
+# depends on read, and `run` takes all but split_ratios.
 _STAGE_FLAGS = ("split_ratios", "forest_trees", "selection_method", "selection_k",
                 "mapping_method", "model_size", "train_steps", "batch_size",
                 "base_lr", "warmup_steps", "sampler_p", "n_generate_per_quadrant")
@@ -102,19 +104,16 @@ def _fields_args(names: list[str]):
     return lambda p: _add_fields(p, names)
 
 
-# Pipeline.analyze_bias brings the table through train up to date
-_THROUGH_TRAIN = STAGES[:[s.name for s in STAGES].index("train") + 1]
-
 # every command, in the order usage and --help list them: its name, its help
 # and what adds its own arguments after the common ones
 _COMMANDS = (
     ("synth-corpus", "write a synthetic labeled corpus", _synth_args),
     ("generate", "generate pieces from the mapping table", _generate_args),
     ("analyze-bias", "center/boundary accuracy probe",
-     _fields_args(_flags_of(_THROUGH_TRAIN) + ["bias_n"])),
-    # the generate stage has no command of its own
+     _fields_args(_flags_of(with_deps("bias")[:-1]) + ["bias_n"])),
+    # the generate stage has no command of its own, and analyze-bias runs bias
     *((stage.name, f"pipeline stage: {stage.name}", _fields_args(_flags_of([stage])))
-      for stage in STAGES if stage.name != "generate"),
+      for stage in STAGES if stage.name not in ("generate", "bias")),
     ("run", "every pipeline stage",
      _fields_args([f for f in _STAGE_FLAGS if f != "split_ratios"])),
 )
@@ -215,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
             result = pipe.run()
             print(json.dumps(result["stages"], indent=1))
             print(json.dumps(result["report"], indent=1))
-        else:  # a stage command: the table up to that stage
+        else:  # a stage command: its stage and that stage's deps
             status = pipe.run(until=args.command)["stages"]
             print(f"{args.command}: {status[args.command]}")
         return 0

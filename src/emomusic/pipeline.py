@@ -1,18 +1,22 @@
 """Resumable pipeline: corpus -> features -> forest -> selection -> mapping ->
-model training -> generation -> evaluation, with content-hash stage skipping.
+model training -> generation -> evaluation, plus the center/boundary bias
+probe, with content-hash stage skipping.
 
 ``STAGES`` describes the pipeline once: one row per stage, in run order,
 naming the config fields the stage reads, the stages it depends on, the
-files outside ``artifact_dir`` it reads and the files it writes. ``Pipeline.run``
-and the CLI stage commands iterate it. Every stage writes its outputs into
-``artifact_dir`` together with a meta record ``stage_meta/<stage>.json``
-holding its signature, the sha256 over
+files outside ``artifact_dir`` it reads and the files it writes.
+``Pipeline.run(until)`` runs ``until`` and every stage it depends on,
+directly or through other deps, and the CLI commands that run stages derive
+what they run and the flags they take from the same rows. Every stage writes
+its outputs into ``artifact_dir`` together with a meta record
+``stage_meta/<stage>.json`` holding its signature, the sha256 over
 
 - ``{field: value}`` for each config field in its row, plus the feature
   catalog version;
-- the name and bytes of each of its sources (the corpus manifest, and
-  for "corpus" every MIDI file it lists);
-- the name and bytes of every output of every stage in its ``deps``;
+- the name, byte length and bytes of each of its sources (the corpus
+  manifest, and for "corpus" every MIDI file it lists);
+- the name, byte length and bytes of every output of every stage in its
+  ``deps``;
 - the signatures recorded for its ``deps``.
 
 A stage reads no artifact that is not an output of one of its ``deps``, so
@@ -290,7 +294,19 @@ STAGES = (
           ("train", "map-emotion"), (), ("generated",)),
     Stage("evaluate", "stage_evaluate", (), ("generate", "train-forest", "select-attrs"),
           (), ("report.json", "distances.csv", "pca.csv")),
+    Stage("bias", "stage_bias",
+          ("forest_trees", "bias_n", "sampler_p", "max_generate_tokens", "seed"),
+          ("extract", "train"), (), ("bias_report.json",)),
 )
+
+
+def with_deps(name: str) -> list[Stage]:
+    """Row ``name`` and the rows it depends on, directly or not, in table order."""
+    wanted = {name}
+    for stage in reversed(STAGES):  # a row's deps come before it
+        if stage.name in wanted:
+            wanted.update(stage.deps)
+    return [stage for stage in STAGES if stage.name in wanted]
 
 
 def _stage(body):
@@ -406,7 +422,9 @@ class Pipeline:
                 data = p.read_bytes()
             except OSError as exc:
                 raise EmoMusicError(f"cannot read {p}: {exc.strerror or exc}") from exc
-            h.update(p.name.encode())
+            # name and length first, so bytes moved across files are not missed
+            name = p.name.encode()
+            h.update(b"%d:%s%d:" % (len(name), name, len(data)))
             h.update(data)
         return h.hexdigest()
 
@@ -426,14 +444,10 @@ class Pipeline:
             {"signature": signature, "outputs": self._output_hashes(stage)}) + "\n")
         return "ran"
 
-    def run(self, until: str | None = None) -> dict:
-        """Run the stages in table order, through ``until`` when given;
-        fresh stages are hash-skipped."""
-        status = {}
-        for stage in STAGES:
-            status[stage.name] = getattr(self, stage.method)()
-            if stage.name == until:
-                break
+    def run(self, until: str = "evaluate") -> dict:
+        """Run ``until`` and every stage it depends on, directly or not, in
+        table order; fresh stages are hash-skipped."""
+        status = {stage.name: getattr(self, stage.method)() for stage in with_deps(until)}
         report = read_json(self.report_path, "report") if "evaluate" in status else None
         return {"stages": status, "report": report, "artifact_dir": str(self.art)}
 
@@ -597,12 +611,10 @@ class Pipeline:
         }
         self.report_path.write_text(json.dumps(report, indent=1) + "\n")
 
-    def analyze_bias(self) -> dict:
+    @_stage
+    def stage_bias(self):
         """Center/boundary probe over the full corpus; retrains a forest on all
-        rows so out-of-bag votes are available for the real-sample side.
-        Brings extract and train up to date first, so a changed corpus is not
-        reported on from the old one's features and checkpoint."""
-        self.run(until="train")
+        rows so out-of-bag votes are available for the real-sample side."""
         cfg = self.config
         corpus = self._labeled_corpus()
         forest = train_forest(corpus, ForestConfig(n_trees=cfg.forest_trees,
@@ -613,7 +625,11 @@ class Pipeline:
         report = bias_experiment(corpus, indices, state, medians, forest, cfg.bias_n,
                                  cfg.seed + 11, cfg.sampler_p, cfg.max_generate_tokens)
         (self.art / "bias_report.json").write_text(json.dumps(report, indent=1) + "\n")
-        return report
+
+    def analyze_bias(self) -> dict:
+        """The bias report, once the bias stage and its deps are up to date."""
+        self.run(until="bias")
+        return read_json(self.art / "bias_report.json", "bias report")
 
 
 def replace_rows(matrix, rows: list[int]):

@@ -301,7 +301,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
     path = Path(path)
     manifest_path = path.with_suffix(".json")
     manifest = read_json(manifest_path, "checkpoint manifest",
-                         keys=("config", "indices", "medians", "crc32"))
+                         keys=("config", "indices", "medians"))
+    if "crc32" not in manifest:  # as in one written before the one-array checkpoint.npy
+        raise EmoMusicError(f"checkpoint manifest {manifest_path} lacks key(s) crc32; "
+                            f"run train again")
     if not isinstance(manifest["config"], dict):
         raise EmoMusicError(f"checkpoint {manifest_path}: config must be a JSON object, "
                             f"not {manifest['config']!r}")

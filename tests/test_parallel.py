@@ -305,6 +305,11 @@ GENERATE_DIGEST_PAIR = ("2.4.6", "scipy-openblas 0.3.31.188.0")
 EVALUATE_OUTPUTS = ("report.json", "distances.csv", "pca.csv")
 EVALUATE_DIGEST = "d7e9f3247e223517e63547ad456b95de7d579ecdcd24a01daa6a6ad8923aa215"
 EVALUATE_DIGEST_PAIR = ("2.4.6", "scipy-openblas 0.3.31.188.0")
+# sha256 of bias_report.json after `analyze-bias` on the same run, as written
+# at 94fccd3, before the probe became a row of the stage table. The probe
+# decodes with the trained weights, so this digest holds for the same pair.
+BIAS_DIGEST = "9f6b3bed11731b0a80c18ae607a5e9abcb26750c6df2428c8eff933d5aba75e2"
+BIAS_DIGEST_PAIR = ("2.4.6", "scipy-openblas 0.3.31.188.0")
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -333,6 +338,13 @@ def test_generate_bytes_are_pinned(tmp_path, monkeypatch, forked, capsys, cpus):
     assert digest.hexdigest() == EVALUATE_DIGEST, (
         f"evaluation bytes moved; the digest was pinned with numpy "
         f"{EVALUATE_DIGEST_PAIR[0]} and {EVALUATE_DIGEST_PAIR[1]}, this run has "
+        f"numpy {numpy_version} and {blas}")
+    assert main(["analyze-bias", "--config", str(config)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((tmp_path / "artifacts" / "bias_report.json").read_bytes())
+    assert digest.hexdigest() == BIAS_DIGEST, (
+        f"bias report bytes moved; the digest was pinned with numpy "
+        f"{BIAS_DIGEST_PAIR[0]} and {BIAS_DIGEST_PAIR[1]}, this run has "
         f"numpy {numpy_version} and {blas}")
     assert_reaped(forked)
 

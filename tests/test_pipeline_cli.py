@@ -219,6 +219,9 @@ class TestCli:
                      "--corpus-manifest", str(art / "corpus" / "manifest.json")])
         assert code == 0
         assert (art / "features.csv").exists()
+        # extract depends on no other stage, so split does not run
+        assert [p.name for p in (art / "stage_meta").iterdir()] == ["extract.json"]
+        assert not (art / "splits.json").exists()
 
     def test_generate_command(self, tmp_path):
         art = tmp_path / "artifacts"
@@ -264,6 +267,22 @@ class TestCli:
         assert main(["analyze-bias"] + common) == 0
         assert len((art / "loss_log.csv").read_text().splitlines()) == 1 + 4
         assert (art / "checkpoint.npy").read_bytes() == checkpoint
+
+    def test_fresh_analyze_bias_is_skipped(self, tmp_path, capsys, monkeypatch):
+        write_config(tiny_config(tmp_path), tmp_path / "config.json")
+        command = ["analyze-bias", "--config", str(tmp_path / "config.json")]
+        assert main(command) == 0
+        first = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fresh bias stage fitted or decoded again")
+
+        for name, module in list(sys.modules.items()):
+            for function in ("train_forest", "generate_pieces"):
+                if name.startswith("emomusic") and hasattr(module, function):
+                    monkeypatch.setattr(module, function, refuse)
+        assert main(command) == 0
+        assert capsys.readouterr().out == first
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_generate_n_below_one_exits_2(self, tmp_path, capsys, n):
@@ -399,6 +418,7 @@ FIELD_CHANGES = {
     "map-emotion": ("mapping_method", "center"),
     "train": ("train_steps", 12),
     "generate": ("n_generate_per_quadrant", 1),
+    "bias": ("bias_n", 3),
 }
 
 
@@ -504,21 +524,27 @@ class TestStageTable:
     def base_run(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("base")
         Pipeline(tiny_config(root)).run()
+        Pipeline(tiny_config(root)).run(until="bias")
         return root
 
     @pytest.mark.parametrize("changed", list(FIELD_CHANGES))
     def test_field_change_reruns_stage_and_everything_after(self, base_run,
                                                             tmp_path, changed):
+        # "after" in the graph: the changed row and every row that depends
+        # on it, directly or through other deps
         shutil.copytree(base_run / "artifacts", tmp_path / "artifacts")
         field, value = FIELD_CHANGES[changed]
-        config = dataclasses.replace(tiny_config(tmp_path), **{field: value})
-        status = Pipeline(config).run()["stages"]
-        position = [s.name for s in STAGES].index(changed)
-        for i, stage in enumerate(STAGES):
-            want = "ran" if i >= position else "skipped"
-            if stage.name == "extract":
-                want = "skipped"  # it reads no config field, only the corpus
-            assert status[stage.name] == want, stage.name
+        pipe = Pipeline(dataclasses.replace(tiny_config(tmp_path), **{field: value}))
+        status = {}
+        for until in ("evaluate", "bias"):  # every row, each run once
+            for name, state in pipe.run(until=until)["stages"].items():
+                status.setdefault(name, state)
+        after = {changed}
+        for stage in STAGES:
+            if after & set(stage.deps):
+                after.add(stage.name)
+        assert status == {stage.name: "ran" if stage.name in after else "skipped"
+                          for stage in STAGES}
 
     @pytest.mark.parametrize("stage", STAGES, ids=lambda stage: stage.name)
     def test_row_matches_stage_body(self, base_run, tmp_path, monkeypatch, stage):
@@ -608,6 +634,22 @@ class TestStageTable:
 
 
 class TestCacheAndConfigErrors:
+    def test_bytes_moved_across_a_file_boundary_change_the_signature(self, tmp_path):
+        # train-forest hashes features.csv and then labels.json: the same
+        # stream of names and bytes, cut at another place
+        rows = {stage.name: stage for stage in STAGES}
+        signatures = set()
+        for csv, labels in ((b"C", b"Zlabels.jsonW"), (b"Clabels.jsonZ", b"W")):
+            pipe = Pipeline(PipelineConfig(artifact_dir=str(tmp_path / csv.decode()),
+                                           corpus_manifest=str(tmp_path / "unread.json")))
+            pipe.art.mkdir()
+            for name in rows["split"].outputs + rows["extract"].outputs:
+                (pipe.art / name).write_bytes(b"x")
+            (pipe.art / "features.csv").write_bytes(csv)
+            (pipe.art / "labels.json").write_bytes(labels)
+            signatures.add(pipe._signature(rows["train-forest"]))
+        assert len(signatures) == 2
+
     def test_split_command_goes_through_the_cache(self, tmp_path, capsys):
         config = tiny_config(tmp_path, n_per_quadrant=10)
         write_config(config, tmp_path / "config.json")
@@ -750,7 +792,7 @@ class TestOlderArtifactFormats:
     """Older artifact files: a mapping with per-quadrant vector lists loads (as
     every ``write_generate_artifacts`` dir has), an older forest file loads, a
     checkpoint manifest naming an attention kind exits 2, and an older .npz
-    checkpoint is re-trained."""
+    checkpoint is re-trained by train, while generate on it exits 2 saying so."""
 
     def generate(self, art: Path) -> int:
         return main(["generate", "--artifact-dir", str(art), "--n", "1"])
@@ -781,14 +823,15 @@ class TestOlderArtifactFormats:
         assert Pipeline(config).stage_select() == "ran"
         assert (art / "selection.json").read_text() == selection
 
-    def test_dir_with_only_the_older_npz_checkpoint_retrains_once(self, tmp_path, capsys):
-        """Checkpoints were once an .npz archive of one array per parameter, with
-        no crc32 in checkpoint.json. A dir holding one, with the train record
-        that hashed it, re-runs train once to write checkpoint.npy, then skips."""
+    @staticmethod
+    def older_npz_dir(tmp_path) -> tuple[Path, bytes]:
+        """Train the dir that tmp_path/config.json configures, then make it
+        one from when checkpoints were an .npz archive of one array per
+        parameter with no crc32 in checkpoint.json, whose train record
+        hashed those files. Returns the dir and the checkpoint.npy bytes."""
         config = tiny_config(tmp_path)
         write_config(config, tmp_path / "config.json")
-        command = ["train", "--config", str(tmp_path / "config.json")]
-        assert main(command) == 0
+        assert main(["train", "--config", str(tmp_path / "config.json")]) == 0
         art = Path(config.artifact_dir)
         trained = (art / "checkpoint.npy").read_bytes()
         state, _ = load_checkpoint(art / "checkpoint.npy")
@@ -802,11 +845,25 @@ class TestOlderArtifactFormats:
         for name in ("checkpoint.npz", "checkpoint.json"):
             record["outputs"][name] = hashlib.sha256((art / name).read_bytes()).hexdigest()
         record_path.write_text(json.dumps(record) + "\n")
+        return art, trained
+
+    def test_dir_with_only_the_older_npz_checkpoint_retrains_once(self, tmp_path, capsys):
+        """Such a dir re-runs train once to write checkpoint.npy, then skips."""
+        art, trained = self.older_npz_dir(tmp_path)
+        command = ["train", "--config", str(tmp_path / "config.json")]
         capsys.readouterr()
         assert main(command) == 0
         assert main(command) == 0
         assert capsys.readouterr().out.splitlines() == ["train: ran", "train: skipped"]
         assert (art / "checkpoint.npy").read_bytes() == trained
+
+    def test_generate_on_the_older_npz_checkpoint_says_to_train_again(self, tmp_path,
+                                                                     capsys):
+        art, _ = self.older_npz_dir(tmp_path)
+        capsys.readouterr()
+        assert main(["generate", "--config", str(tmp_path / "config.json")]) == 2
+        err = capsys.readouterr().err
+        assert str(art / "checkpoint.json") in err and "run train again" in err
 
 
 def edit_json(change):
@@ -958,6 +1015,7 @@ class TestBadJsonInputs:
     def base_run(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("base")
         Pipeline(tiny_config(root)).run(until="generate")
+        Pipeline(tiny_config(root)).run(until="bias")
         return root
 
     # a stage output cut short is rebuilt instead (test_cut_output_is_rebuilt)
@@ -990,7 +1048,9 @@ class TestBadJsonInputs:
         ("selection.json", "select-attrs", "map-emotion"),
         ("generated/manifest.json", "generate", "evaluate"),
         ("generated/gen_Q1_0000.mid", "generate", "evaluate"),
-    ], ids=["splits", "forest", "selection", "generated-manifest", "generated-piece"])
+        ("bias_report.json", "bias", "bias"),
+    ], ids=["splits", "forest", "selection", "generated-manifest", "generated-piece",
+            "bias-report"])
     def test_cut_output_is_rebuilt(self, base_run, tmp_path, name, stage, command):
         shutil.copytree(base_run / "artifacts", tmp_path / "artifacts")
         path = tmp_path / "artifacts" / name
