@@ -37,6 +37,11 @@ TRIM_THRESHOLD_MAX = 2**31 - 1
 # dropout stream. Fixed, so that no byte depends on the machine's CPU count.
 SHARDS = 2
 
+# The .npy header readers by format version; np.save writes 1.0 unless the
+# header needs more than 64 KiB
+_NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                       (2, 0): np.lib.format.read_array_header_2_0}
+
 
 class NonFiniteLoss(EmoMusicError):
     pass
@@ -322,18 +327,32 @@ def load_checkpoint(path: str | Path) -> tuple[ModelState, dict]:
                                 f"attr_dim = {model_config.attr_dim} numbers")
     blob_path = path.with_suffix(".npy")
     try:
-        blob = np.load(blob_path)
-    except Exception as exc:  # noqa: BLE001 - a damaged file fails in a dozen ways
+        fh = open(blob_path, "rb")
+    except OSError as exc:
         raise EmoMusicError(f"cannot read checkpoint {blob_path}: {exc!r}") from exc
-    state = ModelState(model_config, np.float32 if blob.dtype == np.float32 else np.float64)
-    if blob.shape != state.flat.shape or blob.dtype != state.flat.dtype:
-        raise EmoMusicError(f"checkpoint {blob_path} holds {blob.dtype} of shape "
-                            f"{blob.shape}; the config in {manifest_path} lays out "
-                            f"{state.flat.shape} float32 or float64")
-    if zlib.crc32(blob) != manifest["crc32"]:
+    with fh:
+        # the .npy header is checked against the config's layout before any
+        # data is read, and the data is read straight into the state's buffer
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version not in _NPY_HEADER_READERS:
+                raise ValueError(f".npy format version {version}, not 1.0 or 2.0")
+            shape, fortran_order, dtype = _NPY_HEADER_READERS[version](fh)
+        except Exception as exc:  # noqa: BLE001 - a damaged header fails in a dozen ways
+            raise EmoMusicError(f"cannot read checkpoint {blob_path}: {exc!r}") from exc
+        state = ModelState(model_config, np.float32 if dtype == np.float32 else np.float64)
+        if shape != state.flat.shape or dtype != state.flat.dtype or fortran_order:
+            raise EmoMusicError(f"checkpoint {blob_path} holds {dtype} of shape {shape}"
+                                f"{' in Fortran order' if fortran_order else ''}; the "
+                                f"config in {manifest_path} lays out {state.flat.shape} "
+                                f"float32 or float64")
+        read = fh.readinto(memoryview(state.flat).cast("B"))
+    if read != state.flat.nbytes:
+        raise EmoMusicError(f"checkpoint {blob_path} ends after {read} of its "
+                            f"{state.flat.nbytes} data bytes; run train again")
+    if zlib.crc32(state.flat) != manifest["crc32"]:
         raise EmoMusicError(f"checkpoint {blob_path} does not match the crc32 in "
                             f"{manifest_path}; run train again")
-    state.flat[...] = blob
     if not np.isfinite(state.flat).all():
         bad = next((f"parameter {name}" for name, p in state.params.items()
                     if not np.isfinite(p.data).all()), "the padding between parameters")

@@ -1,31 +1,111 @@
-"""The bench scripts in ``tools/`` still run against this tree.
-
-Each runs in a subprocess at its smallest setting and must exit 0 and write
-a JSON document with the keys its docstring describes.
+"""``tools/ab.py``, the in-process A/B of two ``emomusic`` trees: it runs every
+probe against this tree, names a revision or a name it cannot use, and loads
+the base tree so that it shares no module with this checkout's.
 """
 
+import importlib
+import importlib.util
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import emomusic
+
 ROOT = Path(__file__).resolve().parents[1]
-COMMON = ["tool", "tree", "python", "numpy", "blas", "blas_threads", "machine", "cpus",
-          "corpus_seed", "repeats", "steps"]
+SRC = ROOT / "src" / "emomusic"
+FIGURES = {
+    "train": ["train_s"]
+    + [f"per_step_ms.{k}" for k in ("worker_call", "parent_combine", "clip", "adam")]
+    + [f"per_shard_ms.{k}" for k in ("step", "forward", "backward", "embedding_backward",
+                                      "attention_forward", "attention_backward",
+                                      "cross_entropy_forward", "cross_entropy_backward")],
+    "decode": [f"{k}.{b}" for k in ("backbone_us", "draw_us_per_row") for b in (1, 4, 16, 32)],
+    "generate": ["requests_ms", "decode_ms", "tokens_per_s", "load_checkpoint_ms"],
+    "forest": ["extract_ms_per_score", "fit_s"],
+}
+PARTS = {
+    "train": ["per_step", "per_shard"],
+    "decode": [f"{k}.{b}" for b in (1, 4, 16, 32) for k in ("backbone", "sample_rows")],
+    "generate": ["requests", "load_checkpoint"],
+    "forest": ["extract_features", "train_forest"],
+}
 
 
-@pytest.mark.parametrize("script,args,keys", [
-    ("bench_train_step.py", [],
-     ["batch_size", "rows", "train_s", "per_step_ms", "per_shard_ms"]),
-    ("bench_decode_step.py", ["--steps", "2"],
-     ["backbone_us", "draw_us_per_row", "generate"]),
-], ids=["train-step", "decode-step"])
-def test_bench_tool_runs(tmp_path, script, args, keys):
-    out = tmp_path / "bench.json"
-    done = subprocess.run([sys.executable, str(ROOT / "tools" / script), "--repeats", "1",
-                           "--out", str(out)] + args,
+@pytest.fixture(scope="module")
+def ab():
+    path = list(sys.path)
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        sys.path[:] = path
+
+
+def test_ab_writes_each_probe(tmp_path):
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), "--base", "HEAD",
+                           "--rounds", "1", *FIGURES], cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert list(json.loads(out.read_text())) == COMMON + keys
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"BENCH_ab_{probe}.json" for probe in FIGURES)
+    for probe, figures in FIGURES.items():
+        doc = json.loads((tmp_path / f"BENCH_ab_{probe}.json").read_text())
+        assert list(doc) == ["probe", "base", "change", "rounds", "cpus", "figures", "identical"]
+        assert (doc["probe"], doc["rounds"]) == (probe, 1)
+        assert set(figures) <= set(doc["figures"])
+        for figure in doc["figures"].values():
+            assert list(figure) == ["base", "change", "ratio", "wins"]
+            assert list(figure["base"]) == list(figure["change"]) == ["min", "median"]
+            assert len(figure["ratio"]) == 3 and figure["wins"] in (0, 1)
+        assert sorted(doc["identical"]) == sorted(PARTS[probe])
+        assert all(isinstance(same, bool) for same in doc["identical"].values())
+
+
+def test_ab_names_a_revision_it_cannot_archive(ab, capsys):
+    assert ab.main(["--base", "no-such-rev", "train"]) == 2
+    assert "no-such-rev" in capsys.readouterr().err
+
+
+def test_ab_names_what_a_tree_lacks(ab, tmp_path, monkeypatch, capsys):
+    stub = tmp_path / "stub"
+    stub.mkdir()
+    (stub / "__init__.py").write_text("")
+    (stub / "cli.py").write_text("def main(argv):\n    return 0\n")
+    (stub / "sampling.py").write_text("def sample_rows(logits, p, rngs):\n    pass\n")
+    monkeypatch.chdir(tmp_path)
+    assert ab.run(stub, "stub", ["decode"], rounds=1) == 2
+    err = capsys.readouterr().err
+    assert f"{ab.BASE} at stub has no" in err
+    assert "sampling.decoder_weights" in err and "model.backbone" in err
+    assert "cli.main" not in err and "sampling.sample_rows" not in err
+    assert ab.BASE not in sys.modules
+    assert not list(tmp_path.glob("BENCH_ab_*"))
+
+
+def test_base_tree_shares_no_module(ab):
+    """An A/A load of this checkout: a stray absolute import inside
+    ``src/emomusic`` would put one tree's functions in the other's modules."""
+    with ab.base_tree(SRC) as base:
+        modules = [importlib.import_module(f"{tree}.{m.name}")
+                   for m in pkgutil.iter_modules([str(SRC)]) for tree in (base, "emomusic")]
+        for module in (sys.modules[base], emomusic, *modules):
+            other = "emomusic" if module.__name__.startswith(base) else base
+            for name, value in vars(module).items():
+                if callable(value) and hasattr(value, "__module__"):
+                    owner = value.__module__ or ""
+                    assert owner != other and not owner.startswith(other + "."), \
+                        f"{module.__name__}.{name} is {owner}'s"
+        samplers = [sys.modules[f"{tree}.sampling"].sample_rows for tree in (base, "emomusic")]
+        assert samplers[0] is not samplers[1]
+        logits = np.random.default_rng(0).normal(size=(6, 40)) * 3
+        draws = [sample_rows(logits, 0.9, [np.random.default_rng(i) for i in range(6)])
+                 for sample_rows in samplers]
+        assert np.array_equal(*draws)
+    assert base not in sys.modules
