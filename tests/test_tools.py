@@ -1,6 +1,10 @@
 """``tools/ab.py``, the in-process A/B of two ``emomusic`` trees: it runs every
 probe against this tree, names a revision or a name it cannot use, and loads
 the base tree so that it shares no module with this checkout's.
+
+One run of the tool over all four probes (``--base HEAD --rounds 1``, in a tmp
+cwd) serves every test of its files: ``test_bench_tool_runs`` checks that the
+figures the training-step and decode-step benches gave are still measured.
 """
 
 import importlib
@@ -48,24 +52,40 @@ def ab():
         sys.path[:] = path
 
 
-def test_ab_writes_each_probe(tmp_path):
+@pytest.fixture(scope="module")
+def ab_run(tmp_path_factory):
+    cwd = tmp_path_factory.mktemp("ab")
     done = subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), "--base", "HEAD",
-                           "--rounds", "1", *FIGURES], cwd=tmp_path,
+                           "--rounds", "1", *FIGURES], cwd=cwd,
                           capture_output=True, text=True, timeout=300)
+    return done, cwd
+
+
+def test_ab_writes_each_probe(ab_run):
+    done, cwd = ab_run
     assert done.returncode == 0, done.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+    assert sorted(p.name for p in cwd.iterdir()) == sorted(
         f"BENCH_ab_{probe}.json" for probe in FIGURES)
-    for probe, figures in FIGURES.items():
-        doc = json.loads((tmp_path / f"BENCH_ab_{probe}.json").read_text())
+    for probe in FIGURES:
+        doc = json.loads((cwd / f"BENCH_ab_{probe}.json").read_text())
         assert list(doc) == ["probe", "base", "change", "rounds", "cpus", "figures", "identical"]
         assert (doc["probe"], doc["rounds"]) == (probe, 1)
-        assert set(figures) <= set(doc["figures"])
         for figure in doc["figures"].values():
             assert list(figure) == ["base", "change", "ratio", "wins"]
             assert list(figure["base"]) == list(figure["change"]) == ["min", "median"]
             assert len(figure["ratio"]) == 3 and figure["wins"] in (0, 1)
         assert sorted(doc["identical"]) == sorted(PARTS[probe])
         assert all(isinstance(same, bool) for same in doc["identical"].values())
+
+
+@pytest.mark.parametrize("probes", [["train"], ["decode", "generate"]],
+                         ids=["train-step", "decode-step"])
+def test_bench_tool_runs(ab_run, probes):
+    done, cwd = ab_run
+    assert done.returncode == 0, done.stderr
+    for probe in probes:
+        doc = json.loads((cwd / f"BENCH_ab_{probe}.json").read_text())
+        assert set(FIGURES[probe]) <= set(doc["figures"])
 
 
 def test_ab_names_a_revision_it_cannot_archive(ab, capsys):
